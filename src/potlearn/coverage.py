@@ -13,10 +13,22 @@ positions and all flags -- a deciding robot knows where the others stand now,
 not where they are simultaneously moving.  Under this convention each
 robot's payoff depends only on its own move, so the sum of all payoffs is an
 exact potential of the per-step game.
+
+Covered worth is read from a disc-sum raster: the worth a robot would cover
+standing on each cell, built by shifted adds in the covering-disc offset
+order, so every entry equals the left-to-right sum over the disc bit for bit.
+A world keeps the raster of each read-only worth raster it is asked about
+(the true field's raster and the estimate rasters of the harness are
+read-only) for as long as that raster is alive; a read-only raster, and every
+array it is a view of, must therefore never change.  A writable `values`
+array is summed afresh on every call, so mutating it in place between calls
+is safe.  Positions and flags are never cached: callers may assign
+`positions` and edit `flags` directly.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,6 +82,30 @@ class CoverageWorld:
         if not self.sensed_worths:
             self.sensed_worths = [[] for _ in range(n)]
         self._cover_offsets = _offsets_within(self.cover_radius)
+        # Two discs share no cell once their centres are this far apart on an axis.
+        self._overlap_reach = 2 * int(math.floor(self.cover_radius))
+        # Measured with math.dist, exactly as visible_foreign_flag() measures.
+        reach = int(math.floor(self.flag_range))
+        self._flag_offsets = [
+            (dx, dy)
+            for dx in range(-reach, reach + 1)
+            for dy in range(-reach, reach + 1)
+            if math.dist((dx, dy), (0, 0)) <= self.flag_range
+        ]
+        # Every (disc cell l, cell c in the disc of l) offset pair, as
+        # (lx, ly, cx, cy) rows in the order overlap_worth() visits them.
+        self._overlap_pairs = np.array(
+            [
+                (ex, ey, ex + ox, ey + oy)
+                for ex, ey in self._cover_offsets
+                for ox, oy in self._cover_offsets
+            ]
+        )
+        span = np.arange(1 - self.grid_size, self.grid_size)
+        self._step_lengths = np.hypot(span[:, None], span[None, :])
+        self._step_lengths.setflags(write=False)
+        # id(raster) -> (weak reference to the raster, its disc-sum raster)
+        self._disc_sum_cache: dict[int, tuple[weakref.ref, np.ndarray]] = {}
 
     @classmethod
     def create(
@@ -134,6 +170,58 @@ def neighbor_cells(world: CoverageWorld, position: Cell, radius: float) -> list[
     ]
 
 
+def _is_frozen(values: np.ndarray) -> bool:
+    """True when neither the array nor any array it views can be written."""
+    a = values
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _disc_sum_raster(grid: np.ndarray, offsets: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Shifted adds, one per offset in order, onto zeros: each entry is the
+    left-to-right sum of its disc."""
+    L = grid.shape[0]
+    out = np.zeros((L, L))
+    for dx, dy in offsets:
+        if abs(dx) >= L or abs(dy) >= L:
+            continue
+        out[max(0, -dx) : L - max(0, dx), max(0, -dy) : L - max(0, dy)] += grid[
+            max(0, dx) : L - max(0, -dx), max(0, dy) : L - max(0, -dy)
+        ]
+    return out
+
+
+def covered_worth_map(world: CoverageWorld, values: np.ndarray | None = None) -> np.ndarray:
+    """Worth a robot covers standing on each cell, as an (L, L) raster.
+
+    Read-only rasters (the true field's, the harness's estimates) are summed
+    once and kept while they live; writable ones are summed on every call.
+    The returned array is read-only when it is kept.
+    """
+    grid = world.worth_values() if values is None else values
+    key = id(grid)
+    hit = world._disc_sum_cache.get(key)
+    if hit is not None and hit[0]() is grid and not grid.flags.writeable:
+        return hit[1]
+    sums = _disc_sum_raster(grid, world._cover_offsets)
+    if _is_frozen(grid):
+        sums.flags.writeable = False
+        cache = world._disc_sum_cache
+        cache[key] = (weakref.ref(grid, lambda _, k=key: cache.pop(k, None)), sums)
+    return sums
+
+
+def _on_grid(world: CoverageWorld, position: Cell) -> tuple[int, int]:
+    x, y = position
+    L = world.grid_size
+    if not (0 <= x < L and 0 <= y < L):
+        raise ValueError(f"position {tuple(position)} is off the {L}x{L} grid")
+    return x, y
+
+
 def covered_worth(
     world: CoverageWorld,
     robot: int,
@@ -142,10 +230,7 @@ def covered_worth(
 ) -> float:
     """Worth summed over the robot's covering disc."""
     pos = world.positions[robot] if position is None else position
-    grid = world.worth_values() if values is None else values
-    return float(
-        sum(grid[c] for c in neighbor_cells(world, pos, world.cover_radius))
-    )
+    return float(covered_worth_map(world, values)[_on_grid(world, pos)])
 
 
 def overlap_worth(
@@ -161,15 +246,59 @@ def overlap_worth(
     """
     pos = world.positions[robot] if position is None else position
     grid = world.worth_values() if values is None else values
-    own = set(neighbor_cells(world, pos, world.cover_radius))
+    x, y = pos
+    reach = world._overlap_reach
+    own = None
     total = 0.0
-    for j in range(world.n_robots):
-        if j == robot:
+    for j, other in enumerate(world.positions):
+        if j == robot or abs(other[0] - x) > reach or abs(other[1] - y) > reach:
             continue
-        for c in neighbor_cells(world, world.positions[j], world.cover_radius):
+        if own is None:
+            own = set(neighbor_cells(world, pos, world.cover_radius))
+        for c in neighbor_cells(world, other, world.cover_radius):
             if c in own:
                 total += float(grid[c])
     return total
+
+
+def overlap_worth_map(
+    world: CoverageWorld, robot: int, values: np.ndarray | None = None
+) -> np.ndarray:
+    """overlap_worth() of the robot standing on each cell, as an (L, L) raster.
+
+    Each cell collects the same terms in the same order as overlap_worth():
+    other robots in index order, then the cells of each one's disc in offset
+    order.  The terms are scattered with one ordered bincount, which adds
+    them one by one, so every entry matches overlap_worth() bit for bit.
+    """
+    grid = world.worth_values() if values is None else values
+    L = world.grid_size
+    others = [p for j, p in enumerate(world.positions) if j != robot]
+    if not others:
+        return np.zeros((L, L))
+    r = int(math.floor(world.cover_radius))
+    # Off-grid disc cells read 0.0 from the padding of `worth`; off-grid
+    # covered cells land in the padding of the result and are cut off.
+    worth = np.zeros((L + 2 * r, L + 2 * r))
+    worth[r : r + L, r : r + L] = grid
+    pos = np.array(others, dtype=int)[:, None, :]
+    pairs = world._overlap_pairs
+    l_cells = pos + pairs[:, :2] + r
+    c_cells = pos + pairs[:, 2:] + 2 * r
+    n = L + 4 * r
+    overlap = np.bincount(
+        (c_cells[..., 0] * n + c_cells[..., 1]).ravel(),
+        weights=worth[l_cells[..., 0], l_cells[..., 1]].ravel(),
+        minlength=n * n,
+    )
+    return overlap.reshape(n, n)[2 * r : 2 * r + L, 2 * r : 2 * r + L]
+
+
+def step_lengths(world: CoverageWorld, origin: Cell) -> np.ndarray:
+    """Euclidean distance from `origin` to every cell, as a read-only (L, L) view."""
+    x, y = _on_grid(world, origin)
+    L = world.grid_size
+    return world._step_lengths[L - 1 - x : 2 * L - 1 - x, L - 1 - y : 2 * L - 1 - y]
 
 
 def visible_foreign_flag(world: CoverageWorld, robot: int, cell: Cell, vantage: Cell) -> bool:
@@ -179,6 +308,22 @@ def visible_foreign_flag(world: CoverageWorld, robot: int, cell: Cell, vantage: 
     return any(
         cell in world.flags[j] for j in range(world.n_robots) if j != robot
     )
+
+
+def visible_foreign_flags(world: CoverageWorld, robot: int, vantage: Cell) -> set[Cell]:
+    """Every cell carrying another robot's flag detectable from `vantage`."""
+    L = world.grid_size
+    x, y = vantage
+    near = [
+        (x + dx, y + dy)
+        for dx, dy in world._flag_offsets
+        if 0 <= x + dx < L and 0 <= y + dy < L
+    ]
+    seen: set[Cell] = set()
+    for j, flags in enumerate(world.flags):
+        if j != robot:
+            seen.update(flags.intersection(near))
+    return seen
 
 
 def constrained_moves(world: CoverageWorld, position: Cell) -> list[Cell]:
@@ -208,8 +353,13 @@ def utility(
     field); other robots' positions and all flags are frozen world state.
     """
     old = world.positions[robot] if old_pos is None else old_pos
-    if enforce_reachable and new_pos not in constrained_moves(world, old):
-        raise ValueError(f"move {old} -> {new_pos} outside the constrained set")
+    if enforce_reachable:
+        L = world.grid_size
+        x, y = new_pos
+        if not (
+            abs(x - old[0]) <= 1 and abs(y - old[1]) <= 1 and 0 <= x < L and 0 <= y < L
+        ):
+            raise ValueError(f"move {old} -> {new_pos} outside the constrained set")
     move_cost = world.move_costs[robot] * math.dist(new_pos, old)
     if visible_foreign_flag(world, robot, new_pos, old):
         return -move_cost
@@ -284,9 +434,8 @@ def commit_positions(world: CoverageWorld, new_positions: Sequence[Cell]) -> Non
 
 def total_covered_worth(world: CoverageWorld, values: np.ndarray | None = None) -> float:
     """Sum of every robot's covered worth (overlap deliberately not deducted)."""
-    return float(
-        sum(covered_worth(world, i, values=values) for i in range(world.n_robots))
-    )
+    sums = covered_worth_map(world, values)
+    return float(sum(float(sums[_on_grid(world, p)]) for p in world.positions))
 
 
 def cell_index(world: CoverageWorld, cell: Cell) -> int:

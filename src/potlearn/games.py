@@ -124,10 +124,10 @@ def check_simplex(weights: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 def argmax_ties(values: Sequence[float], rel_tol: float = TIE_REL_TOL) -> tuple[int, ...]:
     """Indices of all values within a relative tolerance of the maximum."""
-    vals = list(values)
-    top = max(vals)
+    vals = np.asarray(values, dtype=float)
+    top = vals.max()
     cut = top - rel_tol * max(1.0, abs(top))
-    return tuple(i for i, v in enumerate(vals) if v >= cut)
+    return tuple(np.flatnonzero(vals >= cut).tolist())
 
 
 @dataclass

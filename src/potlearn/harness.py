@@ -8,8 +8,10 @@ repeated invocations produce bit-identical output.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from collections import deque
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -109,6 +111,19 @@ class ExperimentConfig:
             raise ConfigError("iterations must be non-negative")
         if self.steady_window < 2:
             raise ConfigError("steady_window must be at least 2")
+        for key in ("temperature", "cover_radius", "move_cost"):
+            value = getattr(self, key)
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key} must be a number, got {value!r}") from None
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+            setattr(self, key, value)
+        for key, low in (("em_period", 1), ("em_iters", 1), ("model_check_period", 0)):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
         self.seeds = tuple(int(s) for s in self.seeds)
 
     @classmethod
@@ -247,13 +262,52 @@ def steady_state(covered: Sequence[float], window: int, tol: float) -> bool:
     return max(tail) - min(tail) <= tol
 
 
+class SteadyStateDetector:
+    """`steady_state` over a growing series, one value at a time.
+
+    Monotone deques hold the candidates for the trailing window's maximum and
+    minimum, so each push costs amortised O(1) instead of a window rescan;
+    `push` returns what `steady_state` would return on the series so far.
+    """
+
+    def __init__(self, window: int, tol: float):
+        if window < 2:
+            raise ValueError("window must be at least 2")
+        self.window = window
+        self.tol = tol
+        self._count = 0
+        self._high: deque[tuple[int, float]] = deque()  # values decreasing
+        self._low: deque[tuple[int, float]] = deque()  # values increasing
+
+    def push(self, value: float) -> bool:
+        k = self._count
+        self._count += 1
+        while self._high and self._high[-1][1] <= value:
+            self._high.pop()
+        self._high.append((k, value))
+        while self._low and self._low[-1][1] >= value:
+            self._low.pop()
+        self._low.append((k, value))
+        first = k + 1 - self.window
+        if first < 0:
+            return False
+        while self._high[0][0] < first:
+            self._high.popleft()
+        while self._low[0][0] < first:
+            self._low.popleft()
+        return self._high[0][1] - self._low[0][1] <= self.tol
+
+
 def _normalized(value: float, peak: float) -> float:
     return min(value / max(peak, SENSE_FLOOR), 1.0)
 
 
 def _estimate_raster(estimate: mix.GmmEstimate, field_model: WorthField) -> np.ndarray:
+    """Read-only (L, L) raster of the estimate, so coverage may keep its disc sums."""
     L = field_model.grid_size
-    return estimate.density(field_model.centroids()).reshape(L, L)
+    flat = estimate.density(field_model.centroids())
+    flat.setflags(write=False)
+    return flat.reshape(L, L)
 
 
 def _all_cell_utilities(
@@ -261,36 +315,15 @@ def _all_cell_utilities(
 ) -> np.ndarray:
     """Move payoff of `robot` for every destination cell (teleport evaluation).
 
-    Coverage term from a disc-sum map, overlap corrected near other robots,
-    zeroed on detectable foreign flags, minus distance cost from the current
-    cell.  Matches utility() cell-for-cell.
+    Covered minus overlap worth, zeroed on detectable foreign flags, minus
+    distance cost from the current cell.  The coverage term matches utility()
+    cell for cell, bit for bit.
     """
-    grid = world.worth_values() if values is None else values
-    L = world.grid_size
-    covered_map = np.zeros((L, L))
-    for dx, dy in cov._offsets_within(world.cover_radius):
-        src = grid[max(0, dx) : L - max(0, -dx), max(0, dy) : L - max(0, -dy)]
-        covered_map[
-            max(0, -dx) : L - max(0, dx), max(0, -dy) : L - max(0, dy)
-        ] += src
-    overlap_map = np.zeros((L, L))
-    for j in range(world.n_robots):
-        if j == robot:
-            continue
-        for l_cell in cov.neighbor_cells(world, world.positions[j], world.cover_radius):
-            for c in cov.neighbor_cells(world, l_cell, world.cover_radius):
-                overlap_map[c] += grid[l_cell]
-    gain = covered_map - overlap_map
+    gain = cov.covered_worth_map(world, values) - cov.overlap_worth_map(world, robot, values)
     old = world.positions[robot]
-    for j in range(world.n_robots):
-        if j == robot:
-            continue
-        for c in world.flags[j]:
-            if math.dist(c, old) <= world.flag_range:
-                gain[c] = 0.0
-    xs = np.arange(L)
-    dist = np.hypot(xs[:, None] - old[0], xs[None, :] - old[1])
-    return gain - world.move_costs[robot] * dist
+    for c in cov.visible_foreign_flags(world, robot, old):
+        gain[c] = 0.0
+    return gain - world.move_costs[robot] * cov.step_lengths(world, old)
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> RunRecord:
@@ -341,7 +374,9 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             cov.lay_flag(world, i)
     max_f = [0.0] * n_robots
     max_g = [0.0] * n_robots
-    tol_abs = config.steady_tol * field_model.total_mass()
+    steady = SteadyStateDetector(
+        config.steady_window, config.steady_tol * field_model.total_mass()
+    )
 
     diagnostics = {"awake": []} | ({"potential_est": []} if estimated else {})
     diagnostics |= {f"flags{i}": [] for i in range(n_robots)}
@@ -438,7 +473,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             rec.diagnostics[f"flags{i}"].append(float(len(world.flags[i])))
         if estimated:
             rec.diagnostics["potential_est"].append(float(phi_est))
-        if steady_state(rec.covered, config.steady_window, tol_abs):
+        if steady.push(rec.covered[-1]):
             break
 
     rec.final_flags = tuple(tuple(sorted(f)) for f in world.flags)
@@ -510,7 +545,9 @@ def _run_qlearning(config: ExperimentConfig, seed: int) -> RunRecord:
     )
     for i in range(n_robots):
         cov.lay_flag(world, i)
-    tol_abs = config.steady_tol * field_model.total_mass()
+    steady = SteadyStateDetector(
+        config.steady_window, config.steady_tol * field_model.total_mass()
+    )
     second_order = config.algorithm == "soql"
 
     diagnostics = {f"commit{i}": [] for i in range(n_robots)}
@@ -579,7 +616,7 @@ def _run_qlearning(config: ExperimentConfig, seed: int) -> RunRecord:
         for i in range(n_robots):
             rec.diagnostics[f"commit{i}"].append(float(state.strategies[i].max()))
             rec.diagnostics[f"flags{i}"].append(float(len(world.flags[i])))
-        if steady_state(rec.covered, config.steady_window, tol_abs):
+        if steady.push(rec.covered[-1]):
             break
 
     rec.final_flags = tuple(tuple(sorted(f)) for f in world.flags)
@@ -868,9 +905,3 @@ def oracle_scale_field(seed: int, grid: int, n_components: int | None = None) ->
         for j in range(m)
     ]
     return WorthField(comps, grid)
-
-
-def config_snapshot(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["seeds"] = list(config.seeds)
-    return d

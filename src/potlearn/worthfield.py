@@ -101,8 +101,9 @@ class WorthField:
         """Worth at every centroid as an (L, L) array indexed [ix, iy]; cached."""
         if self._raster is None:
             L = self.grid_size
-            self._raster = self.density(self.centroids()).reshape(L, L)
-            self._raster.setflags(write=False)
+            flat = self.density(self.centroids())
+            flat.setflags(write=False)
+            self._raster = flat.reshape(L, L)
         return self._raster
 
     def total_mass(self) -> float:

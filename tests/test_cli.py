@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 
+import pytest
 import yaml
 
 from potlearn.cli import main
@@ -71,6 +72,13 @@ def test_oracle_rejects_malformed_spec(tmp_path, capsys):
     game.write_text(yaml.safe_dump({"actions": [2], "utilities": [[0, 1]], "bogus": 3}))
     assert main(["oracle", "--game", str(game)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("em_period", 0), ("temperature", 0.0)])
+def test_invalid_config_value_exits_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, params={key: value})
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_missing_config_exits_nonzero(tmp_path, capsys):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from potlearn import coverage as cov
 from potlearn.dynamics import validate_constraints
 from potlearn.games import best_response_set, verify_potential
-from potlearn.mixtures import worth_weighted_multiplicity
+from potlearn.harness import _all_cell_utilities, _estimate_raster
+from potlearn.mixtures import GmmEstimate, worth_weighted_multiplicity
 from potlearn.rng import make_rng
 from potlearn.worthfield import GaussianComponent, WorthField
 
@@ -299,3 +302,248 @@ class TestCellIndexing:
         world = flat_world()
         for c in [(0, 0), (3, 7), (7, 1)]:
             assert cov.index_cell(world, cov.cell_index(world, c)) == c
+
+
+# Naive disc-walk reference: the coverage payoff as it was written before the
+# disc-sum raster, kept here only to pin the fast evaluator to it bit for bit.
+
+
+def ref_offsets(radius):
+    r = int(math.floor(radius))
+    return [
+        (dx, dy)
+        for dx in range(-r, r + 1)
+        for dy in range(-r, r + 1)
+        if dx * dx + dy * dy <= radius * radius
+    ]
+
+
+def ref_cells(world, position):
+    L = world.grid_size
+    x, y = position
+    return [
+        (x + dx, y + dy)
+        for dx, dy in ref_offsets(world.cover_radius)
+        if 0 <= x + dx < L and 0 <= y + dy < L
+    ]
+
+
+def ref_grid(world, values):
+    return world.worth_values() if values is None else values
+
+
+def ref_covered(world, robot, position=None, values=None):
+    pos = world.positions[robot] if position is None else position
+    grid = ref_grid(world, values)
+    return float(sum(grid[c] for c in ref_cells(world, pos)))
+
+
+def ref_overlap(world, robot, position=None, values=None):
+    pos = world.positions[robot] if position is None else position
+    grid = ref_grid(world, values)
+    own = set(ref_cells(world, pos))
+    total = 0.0
+    for j in range(world.n_robots):
+        if j == robot:
+            continue
+        for c in ref_cells(world, world.positions[j]):
+            if c in own:
+                total += float(grid[c])
+    return total
+
+
+def ref_flagged(world, robot, cell, vantage):
+    if math.dist(cell, vantage) > world.flag_range:
+        return False
+    return any(cell in world.flags[j] for j in range(world.n_robots) if j != robot)
+
+
+def ref_utility(world, robot, new_pos, old_pos=None, values=None, enforce_reachable=True):
+    old = world.positions[robot] if old_pos is None else old_pos
+    if enforce_reachable and new_pos not in cov.constrained_moves(world, old):
+        raise ValueError("unreachable")
+    move_cost = world.move_costs[robot] * math.dist(new_pos, old)
+    if ref_flagged(world, robot, new_pos, old):
+        return -move_cost
+    gain = ref_covered(world, robot, new_pos, values) - ref_overlap(world, robot, new_pos, values)
+    return gain - move_cost
+
+
+def ref_potential(world, joint_new, joint_old=None, values=None, enforce_reachable=True):
+    old = list(world.positions) if joint_old is None else list(joint_old)
+    return float(
+        sum(
+            ref_utility(world, i, joint_new[i], old[i], values, enforce_reachable)
+            for i in range(world.n_robots)
+        )
+    )
+
+
+def ref_total(world, values=None):
+    return float(sum(ref_covered(world, i, values=values) for i in range(world.n_robots)))
+
+
+def ref_all_cell_utilities(world, robot, values):
+    grid = ref_grid(world, values)
+    L = world.grid_size
+    covered_map = np.zeros((L, L))
+    for c in np.ndindex(L, L):
+        covered_map[c] = ref_covered(world, robot, c, values)
+    overlap_map = np.zeros((L, L))
+    for j in range(world.n_robots):
+        if j == robot:
+            continue
+        for l_cell in ref_cells(world, world.positions[j]):
+            for c in ref_cells(world, l_cell):
+                overlap_map[c] += grid[l_cell]
+    gain = covered_map - overlap_map
+    old = world.positions[robot]
+    for j in range(world.n_robots):
+        if j == robot:
+            continue
+        for c in world.flags[j]:
+            if math.dist(c, old) <= world.flag_range:
+                gain[c] = 0.0
+    xs = np.arange(L)
+    dist = np.hypot(xs[:, None] - old[0], xs[None, :] - old[1])
+    return gain - world.move_costs[robot] * dist
+
+
+RADII = (0.5, 1.0, 1.2, 1.5, math.sqrt(2.0), 2.0, 2.3, 2.5, math.sqrt(8.0), 3.0, 3.7)
+
+
+@st_.composite
+def coverage_cases(draw):
+    """A small world with boundary, co-located and 2*floor(r)-apart robots and
+    foreign flags at and just beyond the detection range."""
+    L = draw(st_.integers(1, 12))
+    radius = draw(st_.sampled_from(RADII) | st_.floats(0.3, 4.0))
+    robots = draw(st_.integers(1, 4))
+    coord = st_.sampled_from((0, L - 1)) | st_.integers(0, L - 1)
+    positions = [(draw(coord), draw(coord))]
+    reach = 2 * int(math.floor(radius))
+    for _ in range(robots - 1):
+        kind = draw(st_.sampled_from(("free", "colocated", "reach")))
+        if kind == "colocated":
+            positions.append(draw(st_.sampled_from(positions)))
+        elif kind == "reach":
+            bx, by = draw(st_.sampled_from(positions))
+            sx, sy = draw(st_.sampled_from((-1, 1))), draw(st_.integers(-reach, reach))
+            cell = (bx + sx * reach, by + sy) if draw(st_.booleans()) else (bx + sy, by + sx * reach)
+            positions.append(
+                (min(max(cell[0], 0), L - 1), min(max(cell[1], 0), L - 1))
+            )
+        else:
+            positions.append((draw(coord), draw(coord)))
+    field = WorthField(
+        [GaussianComponent(1.0, [L / 2, L / 2], max(L / 3, 0.5) ** 2 * np.eye(2))], L
+    )
+    seed = draw(st_.integers(0, 2**32 - 1))
+    world = cov.CoverageWorld.create(
+        field, robots, make_rng(seed), cover_radius=radius, move_cost=3e-5
+    )
+    world.positions = list(positions)
+    flag_range = 2.0 * radius
+    cells = list(np.ndindex(L, L))
+    rim = [
+        c
+        for c in cells
+        if any(abs(math.dist(c, p) - flag_range) <= 1.0 for p in positions)
+    ]
+    for j in range(robots):
+        pool = rim if rim and draw(st_.booleans()) else cells
+        world.flags[j].update(draw(st_.lists(st_.sampled_from(pool), max_size=6)))
+    kind = draw(st_.sampled_from(("field", "writable", "estimate")))
+    values = None
+    if kind == "writable":
+        rng = np.random.default_rng(seed)
+        values = rng.random((L, L)) * draw(st_.sampled_from((1.0, 1e-3, 7.5)))
+    elif kind == "estimate":
+        mean = [draw(st_.floats(0.0, L)), draw(st_.floats(0.0, L))]
+        estimate = GmmEstimate(
+            weights=np.array([1.0]),
+            means=np.array([mean]),
+            covs=np.array([draw(st_.floats(0.3, 9.0)) * np.eye(2)]),
+        )
+        values = _estimate_raster(estimate, field)
+    return world, values
+
+
+def assert_matches_reference(world, values):
+    L = world.grid_size
+    assert cov.total_covered_worth(world, values) == ref_total(world, values)
+    for i, pos in enumerate(world.positions):
+        covered_map = cov.covered_worth_map(world, values)
+        overlap_map = cov.overlap_worth_map(world, i, values)
+        for c in np.ndindex(L, L):
+            covered = ref_covered(world, i, c, values)
+            overlap = ref_overlap(world, i, c, values)
+            assert cov.covered_worth(world, i, c, values) == covered == covered_map[c]
+            assert cov.overlap_worth(world, i, c, values) == overlap == overlap_map[c]
+            assert cov.utility(world, i, c, pos, values, False) == ref_utility(
+                world, i, c, pos, values, False
+            )
+            reachable = c in cov.constrained_moves(world, pos)
+            if reachable:
+                assert cov.utility(world, i, c, pos, values) == ref_utility(
+                    world, i, c, pos, values
+                )
+            else:
+                with pytest.raises(ValueError):
+                    cov.utility(world, i, c, pos, values)
+        row = _all_cell_utilities(world, i, values)
+        assert (row == ref_all_cell_utilities(world, i, values)).all()
+    moves = [cov.constrained_moves(world, p)[-1] for p in world.positions]
+    assert cov.potential(world, moves, values=values) == ref_potential(
+        world, moves, values=values
+    )
+
+
+class TestDiscSumDifferential:
+    """The disc-sum evaluator against the naive disc walk, compared with ==."""
+
+    @given(coverage_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_every_payoff_piece_matches_the_disc_walk(self, case):
+        world, values = case
+        assert_matches_reference(world, values)
+
+    @given(coverage_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_writable_values_mutated_in_place_are_never_stale(self, case):
+        world, _ = case
+        L = world.grid_size
+        values = np.random.default_rng(L).random((L, L))
+        assert_matches_reference(world, values)
+        values *= 3.0
+        values[0, 0] += 1.0
+        assert_matches_reference(world, values)
+
+    def test_field_raster_sums_are_kept_and_read_only(self):
+        world = flat_world()
+        sums = cov.covered_worth_map(world)
+        assert cov.covered_worth_map(world) is sums
+        assert not sums.flags.writeable
+
+    def test_read_only_view_of_a_writable_array_is_not_kept(self):
+        world = flat_world()
+        base = uniform_values(world)
+        view = base.view()
+        view.setflags(write=False)
+        before = cov.covered_worth(world, 0, (4, 4), view)
+        base *= 2.0
+        assert cov.covered_worth(world, 0, (4, 4), view) == 2.0 * before
+
+    def test_kept_sums_are_dropped_with_their_raster(self):
+        world = flat_world()
+        values = uniform_values(world)
+        values.setflags(write=False)
+        cov.covered_worth_map(world, values)
+        kept = len(world._disc_sum_cache)
+        del values
+        assert len(world._disc_sum_cache) == kept - 1
+
+    def test_off_grid_position_is_rejected(self):
+        world = flat_world()
+        with pytest.raises(ValueError, match="off the"):
+            cov.covered_worth(world, 0, (-1, 3))

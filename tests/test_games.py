@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from potlearn.games import (
+    TIE_REL_TOL,
     GameDefinition,
     ImprovementLimitError,
+    argmax_ties,
     best_response_set,
     check_simplex,
     construct_potential,
@@ -120,6 +122,46 @@ class TestBestResponse:
         game, phi = random_potential_game(rng, [3, 3, 2])
         best = max(phi, key=phi.get)
         assert is_pure_nash(game, best)
+
+
+def listed_argmax_ties(values, rel_tol=TIE_REL_TOL):
+    """The list-comprehension argmax_ties that the vectorised one replaced."""
+    vals = list(values)
+    top = max(vals)
+    cut = top - rel_tol * max(1.0, abs(top))
+    return tuple(i for i, v in enumerate(vals) if v >= cut)
+
+
+@st_.composite
+def near_tie_rows(draw):
+    size = draw(st_.integers(1, 400))
+    seed = draw(st_.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    row = rng.normal(scale=draw(st_.sampled_from((1e-3, 1.0, 1e6))), size=size)
+    if draw(st_.booleans()):
+        row = -np.abs(row)  # all non-positive, the top near zero
+    top = float(row.max())
+    slack = TIE_REL_TOL * max(1.0, abs(top))
+    # entries exactly at, just inside and just outside the tie cut
+    for _ in range(draw(st_.integers(0, 6))):
+        k = int(rng.integers(size))
+        side = draw(st_.sampled_from((0, 1, -1)))
+        row[k] = np.nextafter(top - slack, side * np.inf) if side else top - slack
+    return row
+
+
+class TestArgmaxTies:
+    @given(near_tie_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_list_comprehension(self, row):
+        expected = listed_argmax_ties(row)
+        got = argmax_ties(row)
+        assert got == expected
+        assert all(type(i) is int for i in got)
+
+    def test_plain_lists_and_exact_ties(self):
+        assert argmax_ties([1.0, 3.0, 3.0]) == (1, 2)
+        assert argmax_ties([0.0, -1e-13, -2e-12]) == listed_argmax_ties([0.0, -1e-13, -2e-12])
 
 
 class TestExpectedUtility:

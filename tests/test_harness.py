@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from potlearn import coverage as cov
 from potlearn.harness import (
     ConfigError,
     ExperimentConfig,
+    SteadyStateDetector,
     load_game_spec,
     oracle_report,
     run_experiment,
@@ -58,6 +61,47 @@ class TestSteadyState:
     def test_window_domain(self):
         with pytest.raises(ValueError):
             steady_state([1.0, 1.0], window=1, tol=1e-4)
+        with pytest.raises(ValueError):
+            SteadyStateDetector(window=1, tol=1e-4)
+
+
+# Dyadic levels and tolerances, so that a spike of exactly `tol` above a
+# plateau has a max-min spread of exactly `tol`.
+TOLS = (0.0, 2.0**-10, 0.25, 1.0)
+
+
+@st_.composite
+def plateau_series(draw):
+    tol = draw(st_.sampled_from(TOLS))
+    series = []
+    for _ in range(draw(st_.integers(1, 8))):
+        level = draw(st_.integers(-64, 64)) * 2.0**-6
+        length = draw(st_.integers(1, 40))
+        kind = draw(st_.sampled_from(("flat", "spike", "noise")))
+        for _ in range(length):
+            if kind == "spike" and draw(st_.booleans()):
+                series.append(level + draw(st_.sampled_from((tol, -tol, 2 * tol))))
+            elif kind == "noise":
+                series.append(level + draw(st_.floats(-2.0, 2.0, allow_nan=False)))
+            else:
+                series.append(level)
+    return series, tol
+
+
+class TestIncrementalSteadyState:
+    @given(plateau_series(), st_.integers(2, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_stops_on_the_same_iteration_as_the_rescan(self, case, window):
+        series, tol = case
+        detector = SteadyStateDetector(window, tol)
+        for n in range(1, len(series) + 1):
+            assert detector.push(series[n - 1]) == steady_state(series[:n], window, tol)
+
+    def test_spike_of_exactly_tol_is_still_steady(self):
+        detector = SteadyStateDetector(window=3, tol=0.25)
+        assert [detector.push(v) for v in (1.0, 1.25, 1.0, 1.5, 1.25, 1.25)] == [
+            False, False, True, False, False, True
+        ]
 
 
 class TestConfig:
@@ -99,6 +143,35 @@ class TestConfig:
     def test_estimated_mode_limited_to_loglinear(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(algorithm="soql", environment="estimated-field")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("temperature", 0.0),
+            ("temperature", -0.1),
+            ("temperature", float("nan")),
+            ("temperature", "warm"),
+            ("cover_radius", 0.0),
+            ("cover_radius", float("inf")),
+            ("move_cost", float("inf")),
+            ("move_cost", -3e-5),
+            ("em_period", 0),
+            ("em_iters", 0),
+            ("em_iters", 2.5),
+            ("model_check_period", -1),
+        ],
+    )
+    def test_invalid_value_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({"params": {key: value}})
+
+    def test_zero_model_check_period_is_accepted(self):
+        assert ExperimentConfig(model_check_period=0).model_check_period == 0
+
+    def test_numeric_text_is_read_as_a_number(self):
+        # YAML 1.1 reads an exponent without a dot, like 3e-5, as a string
+        config = ExperimentConfig.from_dict({"params": {"move_cost": "3e-5"}})
+        assert config.move_cost == 3e-5
 
     def test_inline_scenario_components(self):
         config = small_config(
