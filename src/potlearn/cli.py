@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ def _out_dir(path: str) -> Path:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = harness.ExperimentConfig.from_yaml(args.config)
     if args.iterations is not None:
-        config.iterations = args.iterations
+        config = dataclasses.replace(config, iterations=args.iterations)
     seed = args.seed if args.seed is not None else config.seeds[0]
     record = harness.run_experiment(config, seed)
     out = _out_dir(args.out_dir)

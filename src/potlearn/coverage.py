@@ -294,6 +294,23 @@ def overlap_worth_map(
     return overlap.reshape(n, n)[2 * r : 2 * r + L, 2 * r : 2 * r + L]
 
 
+def utility_row(
+    world: CoverageWorld, robot: int, values: np.ndarray | None = None
+) -> np.ndarray:
+    """utility() of `robot` moving from where it stands to every cell, as an
+    (L, L) raster, without the reachability check.
+
+    Covered minus overlap worth, zeroed on detectable foreign flags, minus
+    distance cost from the current cell; each entry equals utility() bit for
+    bit.
+    """
+    gain = covered_worth_map(world, values) - overlap_worth_map(world, robot, values)
+    old = world.positions[robot]
+    for c in visible_foreign_flags(world, robot, old):
+        gain[c] = 0.0
+    return gain - world.move_costs[robot] * step_lengths(world, old)
+
+
 def step_lengths(world: CoverageWorld, origin: Cell) -> np.ndarray:
     """Euclidean distance from `origin` to every cell, as a read-only (L, L) view."""
     x, y = _on_grid(world, origin)
@@ -447,16 +464,19 @@ def index_cell(world: CoverageWorld, index: int) -> Cell:
 
 
 def as_game(
-    world: CoverageWorld, values: np.ndarray | None = None
+    world: CoverageWorld, values: Sequence[np.ndarray | None] | None = None
 ) -> GameDefinition:
     """View the frozen-context step game as a finite game over all cells.
 
     Player i's action is its destination cell; its payoff is its move payoff
     from its standing position, with the other robots and flags frozen.
-    Useful for exhaustive potential checks at small grid sizes.
+    `values`, when given, holds one worth raster per robot (None for the
+    true field); positions, flags and `values[i]` are read at call time, so
+    the game follows the world as it advances and as estimates are replaced.
     """
     L = world.grid_size
     labels = tuple(f"{ix},{iy}" for ix in range(L) for iy in range(L))
+    rasters = [None] * world.n_robots if values is None else values
 
     def payoff(i: int, joint: JointAction) -> float:
         return utility(
@@ -464,28 +484,38 @@ def as_game(
             i,
             index_cell(world, joint[i]),
             world.positions[i],
-            values,
+            rasters[i],
             enforce_reachable=False,
         )
+
+    def row(i: int, joint: JointAction) -> np.ndarray:
+        return utility_row(world, i, rasters[i]).ravel()
 
     return GameDefinition(
         action_sets=tuple(labels for _ in range(world.n_robots)),
         utility_fn=payoff,
+        row_fn=row,
     )
 
 
 def moves_constraint_map(world: CoverageWorld) -> ConstrainedActionMap:
-    """Adjacency of `as_game` actions: Moore neighborhood plus staying put."""
+    """Adjacency of `as_game` actions: Moore neighborhood plus staying put.
+
+    Each tuple lists the indices of constrained_moves() in its order.  A grid
+    row's cells have consecutive indices, so each tuple is joined from up to
+    three slices of one index list, whose int objects the tuples share.
+    """
     L = world.grid_size
+    cells = list(range(L * L))
     per_action = []
-    for ix in range(L):
-        for iy in range(L):
-            per_action.append(
-                tuple(
-                    cell_index(world, c)
-                    for c in constrained_moves(world, (ix, iy))
-                )
-            )
+    for x in range(L):
+        rows = [r * L for r in (x - 1, x, x + 1) if 0 <= r < L]
+        for y in range(L):
+            lo, hi = max(y - 1, 0), min(y + 2, L)
+            moves: list[int] = []
+            for start in rows:
+                moves += cells[start + lo : start + hi]
+            per_action.append(tuple(moves))
     player_map = tuple(per_action)
     return ConstrainedActionMap(tuple(player_map for _ in range(world.n_robots)))
 

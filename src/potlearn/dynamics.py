@@ -12,7 +12,10 @@ Three learners share the same binary smoothed-best-response kernel:
   which all awake players adopt their trials.
 
 Step functions mutate only the state passed in and advance its RNG stream;
-distinct runs with distinct states may execute concurrently.
+distinct runs with distinct states may execute concurrently.  Each step
+records which players woke and which adopted a new action: for the binary
+learners a player adopts when it takes its trial, even a trial of its own
+current action; for ``lll_step`` only when the resampled action differs.
 """
 from __future__ import annotations
 
@@ -175,12 +178,15 @@ def revision_probability(policy: RevisionPolicy, signal: float, gradient: float)
 
 @dataclass
 class LoglinearState:
-    """Evolving state of a log-linear run: joint action, temperature, clock, RNG."""
+    """Evolving state of a log-linear run: joint action, temperature, clock, RNG,
+    and the players that woke and adopted in the last step."""
 
     action: JointAction
     temperature: float
     rng: np.random.Generator
     n: int = 0
+    awake: tuple[int, ...] = ()
+    adopted: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.temperature > 0:
@@ -213,12 +219,10 @@ def binary_logit_weights(
 def lll_step(game: GameDefinition, state: LoglinearState) -> LoglinearState:
     """One uniformly random player resamples from the full-support logit."""
     i = int(state.rng.integers(game.n_players))
-    scores = [
-        game.utility(i, replace_action(state.action, i, b))
-        for b in range(game.n_actions(i))
-    ]
-    probs = logit_map(scores, state.temperature)
+    probs = logit_map(game.utility_row(i, state.action), state.temperature)
     choice = int(state.rng.choice(game.n_actions(i), p=probs))
+    state.awake = (i,)
+    state.adopted = (i,) if choice != state.action[i] else ()
     state.action = replace_action(state.action, i, choice)
     state.n += 1
     return state
@@ -234,8 +238,11 @@ def blll_step(
     u_keep = game.utility(i, state.action)
     u_trial = game.utility(i, replace_action(state.action, i, trial))
     keep, _ = binary_logit_weights(u_keep, u_trial, state.temperature)
+    state.awake = (i,)
+    state.adopted = ()
     if state.rng.random() >= keep:
         state.action = replace_action(state.action, i, trial)
+        state.adopted = (i,)
     state.n += 1
     return state
 
@@ -279,6 +286,8 @@ def psblll_step(
             for i in range(game.n_players)
             if state.rng.random() < resolve_wake_probability(wake, i, state.action)
         ]
+    state.awake = tuple(awake)
+    state.adopted = ()
     if not awake:
         state.n += 1
         return state
@@ -290,6 +299,7 @@ def psblll_step(
         trials.get(i, state.action[i]) for i in range(game.n_players)
     )
     new_action = list(state.action)
+    adopted = []
     for i in awake:
         keep, _ = binary_logit_weights(
             game.utility(i, state.action),
@@ -298,6 +308,8 @@ def psblll_step(
         )
         if state.rng.random() >= keep:
             new_action[i] = trials[i]
+            adopted.append(i)
     state.action = tuple(new_action)
+    state.adopted = tuple(adopted)
     state.n += 1
     return state

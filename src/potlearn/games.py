@@ -33,12 +33,15 @@ class GameDefinition:
 
     action_sets holds one tuple of action labels per player; utility_fn maps
     (player index, joint action) to a finite real payoff and must be defined
-    on the whole joint-action space.
+    on the whole joint-action space.  row_fn, when given, maps (player, joint
+    action) to that player's payoff for each of its actions with the others'
+    held fixed, equal entry for entry to the utility_fn loop it replaces.
     """
 
     action_sets: tuple[tuple[str, ...], ...]
     utility_fn: Callable[[int, JointAction], float]
     players: tuple[str, ...] = ()
+    row_fn: Callable[[int, JointAction], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         self.action_sets = tuple(tuple(s) for s in self.action_sets)
@@ -68,6 +71,17 @@ class GameDefinition:
 
     def utilities(self, action: JointAction) -> tuple[float, ...]:
         return tuple(self.utility(i, action) for i in range(self.n_players))
+
+    def utility_row(self, player: int, action: JointAction) -> np.ndarray:
+        """Payoff of each of `player`'s actions, the others' held at `action`."""
+        if self.row_fn is not None:
+            return np.asarray(self.row_fn(player, action), dtype=float)
+        return np.array(
+            [
+                self.utility(player, replace_action(action, player, b))
+                for b in range(self.n_actions(player))
+            ]
+        )
 
     @classmethod
     def from_tables(
@@ -216,11 +230,7 @@ def best_response_set(
     game: GameDefinition, player: int, context: JointAction
 ) -> tuple[int, ...]:
     """All payoff-maximizing actions of `player` against `context`'s others."""
-    values = [
-        game.utility(player, replace_action(context, player, b))
-        for b in range(game.n_actions(player))
-    ]
-    return argmax_ties(values)
+    return argmax_ties(game.utility_row(player, context))
 
 
 def is_pure_nash(game: GameDefinition, profile: JointAction) -> bool:

@@ -4,6 +4,12 @@ A run is fully determined by (config, seed): all randomness flows from one
 counter-based stream, robots act in index order within fixed per-iteration
 phases, and CSV emission uses shortest round-trip float formatting, so
 repeated invocations produce bit-identical output.
+
+The runners are world bookkeeping around the learner step kernels of
+`dynamics` and `qlearning`, played on `coverage.as_game` of the run's world:
+they sense, set wake probabilities, run component-count rounds, commit the
+kernel's joint action, lay flags and observe, refit estimates and record.
+Payoffs are therefore scored against the world as it stood before the step.
 """
 from __future__ import annotations
 
@@ -23,23 +29,15 @@ from . import mixtures as mix
 from . import stability
 from .dynamics import (
     ConstrainedActionMap,
+    LoglinearState,
     RevisionPolicy,
-    binary_logit_weights,
+    blll_step,
+    lll_step,
+    psblll_step,
     validate_constraints,
 )
-from .games import GameDefinition, logit_map
-from .qlearning import (
-    QState,
-    SOQLParams,
-    adaptive_step,
-    best_response_indices,
-    commitment_zone_active,
-    constrained_draw,
-    greedy_update,
-    perturb_strategy,
-    q_update,
-    soql_update,
-)
+from .games import GameDefinition
+from .qlearning import QState, SOQLParams, ql_episode_step, soql_episode_step
 from .rng import make_rng
 from .svgplot import Series, line_plot
 from .worthfield import WorthField, generate_scenario
@@ -310,20 +308,8 @@ def _estimate_raster(estimate: mix.GmmEstimate, field_model: WorthField) -> np.n
     return flat.reshape(L, L)
 
 
-def _all_cell_utilities(
-    world: cov.CoverageWorld, robot: int, values: np.ndarray | None
-) -> np.ndarray:
-    """Move payoff of `robot` for every destination cell (teleport evaluation).
-
-    Covered minus overlap worth, zeroed on detectable foreign flags, minus
-    distance cost from the current cell.  The coverage term matches utility()
-    cell for cell, bit for bit.
-    """
-    gain = cov.covered_worth_map(world, values) - cov.overlap_worth_map(world, robot, values)
-    old = world.positions[robot]
-    for c in cov.visible_foreign_flags(world, robot, old):
-        gain[c] = 0.0
-    return gain - world.move_costs[robot] * cov.step_lengths(world, old)
+# Bound here as well so the benchmark's tracer can wrap the all-cell row by this name.
+_all_cell_utilities = cov.utility_row
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> RunRecord:
@@ -333,21 +319,65 @@ def run_experiment(config: ExperimentConfig, seed: int) -> RunRecord:
     return _run_qlearning(config, seed)
 
 
+class _Run:
+    """What both runners share: the run's stream, its world, the record being
+    filled, the steady-state test and the start time."""
+
+    def __init__(self, config: ExperimentConfig, seed: int, diagnostics: Sequence[str]):
+        self.start = time.perf_counter()
+        self.rng = make_rng(seed, 0)
+        field_model = config.scenario()
+        self.world = cov.CoverageWorld.create(
+            field_model,
+            config.robots,
+            self.rng,
+            cover_radius=config.cover_radius,
+            move_cost=config.move_cost,
+            repeat_factor=config.repeat_factor,
+            worth_percentile=config.worth_percentile,
+        )
+        columns = list(diagnostics) + [f"flags{i}" for i in range(config.robots)]
+        self.record = RunRecord(
+            algorithm=config.algorithm,
+            environment=config.environment,
+            seed=seed,
+            grid_size=config.grid_size,
+            n=[],
+            covered=[],
+            potential=[],
+            positions=[],
+            diagnostics={key: [] for key in columns},
+            field_total_mass=field_model.total_mass(),
+        )
+        self.steady = SteadyStateDetector(
+            config.steady_window, config.steady_tol * field_model.total_mass()
+        )
+
+    def log(self, n: int, phi: float, diagnostics: dict[str, float]) -> bool:
+        """Record iteration n of the committed world; True once it is steady."""
+        rec, world = self.record, self.world
+        rec.n.append(n)
+        rec.covered.append(cov.total_covered_worth(world))
+        rec.potential.append(phi)
+        rec.positions.append(tuple(world.positions))
+        for key, value in diagnostics.items():
+            rec.diagnostics[key].append(value)
+        for i, flags in enumerate(world.flags):
+            rec.diagnostics[f"flags{i}"].append(float(len(flags)))
+        return self.steady.push(rec.covered[-1])
+
+    def finish(self) -> RunRecord:
+        self.record.final_flags = tuple(tuple(sorted(f)) for f in self.world.flags)
+        self.record.wall_time = time.perf_counter() - self.start
+        return self.record
+
+
 def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
-    start = time.perf_counter()
-    rng = make_rng(seed, 0)
-    field_model = config.scenario()
-    world = cov.CoverageWorld.create(
-        field_model,
-        config.robots,
-        rng,
-        cover_radius=config.cover_radius,
-        move_cost=config.move_cost,
-        repeat_factor=config.repeat_factor,
-        worth_percentile=config.worth_percentile,
-    )
-    policy = config.revision_policy()
     estimated = config.environment == "estimated-field"
+    run = _Run(config, seed, ["awake"] + (["potential_est"] if estimated else []))
+    rng, world = run.rng, run.world
+    field_model = world.field_model
+    policy = config.revision_policy()
     n_robots = config.robots
     estimates: list[mix.GmmEstimate | None] = [None] * n_robots
     rasters: list[np.ndarray | None] = [None] * n_robots
@@ -374,23 +404,12 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             cov.lay_flag(world, i)
     max_f = [0.0] * n_robots
     max_g = [0.0] * n_robots
-    steady = SteadyStateDetector(
-        config.steady_window, config.steady_tol * field_model.total_mass()
-    )
-
-    diagnostics = {"awake": []} | ({"potential_est": []} if estimated else {})
-    diagnostics |= {f"flags{i}": [] for i in range(n_robots)}
-    rec = RunRecord(
-        algorithm=config.algorithm,
-        environment=config.environment,
-        seed=seed,
-        grid_size=config.grid_size,
-        n=[],
-        covered=[],
-        potential=[],
-        positions=[],
-        diagnostics=diagnostics,
-        field_total_mass=field_model.total_mass(),
+    # Robots decide on their own rasters; `rasters` entries are replaced as
+    # estimates are refitted, and the game reads them at call time.
+    game = cov.as_game(world, rasters)
+    moves = cov.moves_constraint_map(world)
+    state = LoglinearState(
+        tuple(cov.cell_index(world, p) for p in world.positions), config.temperature, rng
     )
 
     for n in range(1, config.iterations + 1):
@@ -400,7 +419,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
                     estimates[i], world.logs[i], aic_states[i], rng, config
                 )
                 rasters[i] = _estimate_raster(estimates[i], field_model)
-                rec.estimates.append(_estimate_snapshot(n, i, estimates[i]))
+                run.record.estimates.append(_estimate_snapshot(n, i, estimates[i]))
 
         if estimated or config.algorithm == "psblll":
             sensed = []
@@ -409,51 +428,33 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
                 max_f[i] = max(max_f[i], f)
                 max_g[i] = max(max_g[i], g)
                 sensed.append((f, g))
+        before = state.action
         if config.algorithm == "psblll":
-            wake_probs = [
+            wake = [
                 policy.probability(
                     _normalized(sensed[i][0], max_f[i]),
                     _normalized(sensed[i][1], max_g[i]),
                 )
                 for i in range(n_robots)
             ]
-            awake = [i for i in range(n_robots) if rng.random() < wake_probs[i]]
+            psblll_step(game, state, moves, wake)
+        elif config.algorithm == "blll":
+            blll_step(game, state, moves)
         else:
-            awake = [int(rng.integers(n_robots))]
+            lll_step(game, state)
 
-        new_positions = list(world.positions)
-        adopted = [False] * n_robots
-        if config.algorithm == "lll":
-            i = awake[0]
-            utilities = _all_cell_utilities(world, i, rasters[i] if estimated else None)
-            probs = logit_map(utilities.ravel(), config.temperature)
-            choice = int(rng.choice(probs.size, p=probs))
-            target = cov.index_cell(world, choice)
-            adopted[i] = target != world.positions[i]
-            new_positions[i] = target
-        else:
-            trials = {}
-            for i in awake:
-                moves = cov.constrained_moves(world, world.positions[i])
-                trials[i] = moves[int(rng.integers(len(moves)))]
-            for i in awake:
-                values = rasters[i] if estimated else None
-                u_keep = cov.utility(world, i, world.positions[i], world.positions[i], values)
-                u_trial = cov.utility(world, i, trials[i], world.positions[i], values)
-                keep, _ = binary_logit_weights(u_keep, u_trial, config.temperature)
-                if rng.random() >= keep:
-                    new_positions[i] = trials[i]
-                    adopted[i] = True
-
+        # A robot that stays keeps its cell tuple, which the record then shares.
+        new_positions = [
+            p if a == b else cov.index_cell(world, a)
+            for p, a, b in zip(world.positions, state.action, before)
+        ]
         phi = cov.potential(world, new_positions, world.positions, None, False)
+        diagnostics = {"awake": float(len(state.awake))}
         if estimated:
-            phi_est = sum(
-                cov.utility(world, i, new_positions[i], world.positions[i], rasters[i], False)
-                for i in range(n_robots)
-            )
+            diagnostics["potential_est"] = float(sum(game.utilities(state.action)))
         cov.commit_positions(world, new_positions)
         for i in range(n_robots):
-            if estimated and adopted[i]:
+            if estimated and i in state.adopted:
                 cov.lay_flag_and_observe(world, i)
                 adoption_count[i] += 1
                 if adoption_count[i] % config.em_period == 0:
@@ -464,21 +465,9 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             else:
                 cov.lay_flag(world, i)
 
-        rec.n.append(n)
-        rec.covered.append(cov.total_covered_worth(world))
-        rec.potential.append(phi)
-        rec.positions.append(tuple(world.positions))
-        rec.diagnostics["awake"].append(float(len(awake)))
-        for i in range(n_robots):
-            rec.diagnostics[f"flags{i}"].append(float(len(world.flags[i])))
-        if estimated:
-            rec.diagnostics["potential_est"].append(float(phi_est))
-        if steady.push(rec.covered[-1]):
+        if run.log(n, phi, diagnostics):
             break
-
-    rec.final_flags = tuple(tuple(sorted(f)) for f in world.flags)
-    rec.wall_time = time.perf_counter() - start
-    return rec
+    return run.finish()
 
 
 def _estimate_snapshot(n: int, robot: int, estimate: mix.GmmEstimate) -> dict:
@@ -526,102 +515,31 @@ def _aic_round(
 
 
 def _run_qlearning(config: ExperimentConfig, seed: int) -> RunRecord:
-    start = time.perf_counter()
-    rng = make_rng(seed, 0)
-    field_model = config.scenario()
-    world = cov.CoverageWorld.create(
-        field_model,
-        config.robots,
-        rng,
-        cover_radius=config.cover_radius,
-        move_cost=config.move_cost,
-    )
-    params = config.soql_params()
     n_robots = config.robots
-    n_cells = config.grid_size**2
+    run = _Run(config, seed, [f"commit{i}" for i in range(n_robots)])
+    world = run.world
+    params = config.soql_params()
+    episode_step = soql_episode_step if config.algorithm == "soql" else ql_episode_step
+    game = cov.as_game(world)
+    moves = cov.moves_constraint_map(world)
     state = QState.initial(
-        [n_cells] * n_robots,
+        [config.grid_size**2] * n_robots,
         [cov.cell_index(world, p) for p in world.positions],
     )
     for i in range(n_robots):
         cov.lay_flag(world, i)
-    steady = SteadyStateDetector(
-        config.steady_window, config.steady_tol * field_model.total_mass()
-    )
-    second_order = config.algorithm == "soql"
-
-    diagnostics = {f"commit{i}": [] for i in range(n_robots)}
-    diagnostics |= {f"flags{i}": [] for i in range(n_robots)}
-    rec = RunRecord(
-        algorithm=config.algorithm,
-        environment=config.environment,
-        seed=seed,
-        grid_size=config.grid_size,
-        n=[],
-        covered=[],
-        potential=[],
-        positions=[],
-        diagnostics=diagnostics,
-        field_total_mass=field_model.total_mass(),
-    )
 
     for n in range(1, config.iterations + 1):
-        zone = second_order and commitment_zone_active(state, params)
-        token_available = True
-        draws: list[int] = []
-        draw_strategies: list[np.ndarray] = []
-        for i in range(n_robots):
-            allowed = [
-                cov.cell_index(world, c)
-                for c in cov.constrained_moves(world, world.positions[i])
-            ]
-            if second_order:
-                if zone and token_available:
-                    x_draw = perturb_strategy(state.strategies[i], params, True)
-                else:
-                    x_draw = state.strategies[i]
-            else:
-                x_draw = logit_map(state.q_values[i], params.temperature)
-            a = constrained_draw(x_draw, allowed, rng)
-            if zone and a not in best_response_indices(state.q_values[i]):
-                token_available = False
-            draws.append(a)
-            draw_strategies.append(x_draw)
-
-        new_positions = [cov.index_cell(world, a) for a in draws]
+        _, realized = episode_step(game, state, params, moves, run.rng)
+        new_positions = [cov.index_cell(world, a) for a in realized]
         phi = cov.potential(world, new_positions, world.positions, None, False)
-        old_positions = list(world.positions)
         cov.commit_positions(world, new_positions)
         for i in range(n_robots):
-            payoff = cov.utility(world, i, new_positions[i], old_positions[i])
-            if second_order:
-                step = (
-                    adaptive_step(draw_strategies[i], draws[i])
-                    if zone
-                    else params.aggregation_step
-                )
-                if step > 0.0:
-                    soql_update(state, i, draws[i], payoff, step)
-                greedy_update(state, i, params.selection_step, rng)
-            else:
-                q_update(state, i, draws[i], payoff, params.aggregation_step)
             cov.lay_flag(world, i)
-        state.n += 1
-        state.actions = list(draws)
-
-        rec.n.append(n)
-        rec.covered.append(cov.total_covered_worth(world))
-        rec.potential.append(phi)
-        rec.positions.append(tuple(world.positions))
-        for i in range(n_robots):
-            rec.diagnostics[f"commit{i}"].append(float(state.strategies[i].max()))
-            rec.diagnostics[f"flags{i}"].append(float(len(world.flags[i])))
-        if steady.push(rec.covered[-1]):
+        commit = {f"commit{i}": float(x.max()) for i, x in enumerate(state.strategies)}
+        if run.log(n, phi, commit):
             break
-
-    rec.final_flags = tuple(tuple(sorted(f)) for f in world.flags)
-    rec.wall_time = time.perf_counter() - start
-    return rec
+    return run.finish()
 
 
 @dataclass

@@ -11,6 +11,12 @@ Two learners operate on per-player score tables:
 Closed-form iterates of the constant-step recursions are provided so the
 step operators can be cross-checked against exact expressions; a vertex
 perturbation re-injects exploration once strategies commit.
+
+The episode steps score every player with the game's utility at the
+realized joint action before any state outside the learner changes.  On the
+coverage game (`coverage.as_game`) that is each robot's move payoff against
+the world before the round's moves and flags, so the payoffs do not depend
+on the order of the players.
 """
 from __future__ import annotations
 

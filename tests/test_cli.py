@@ -40,6 +40,14 @@ def test_run_iteration_override(tmp_path):
     assert len(lines) == 6  # header + 5 rows
 
 
+def test_negative_iteration_override_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--iterations", "-5", "--out-dir", str(out)]) == 2
+    assert "iterations" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_run_determinism_bitwise(tmp_path):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

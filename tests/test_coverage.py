@@ -7,8 +7,8 @@ from hypothesis import strategies as st_
 
 from potlearn import coverage as cov
 from potlearn.dynamics import validate_constraints
-from potlearn.games import best_response_set, verify_potential
-from potlearn.harness import _all_cell_utilities, _estimate_raster
+from potlearn.games import best_response_set, replace_action, verify_potential
+from potlearn.harness import _estimate_raster
 from potlearn.mixtures import GmmEstimate, worth_weighted_multiplicity
 from potlearn.rng import make_rng
 from potlearn.worthfield import GaussianComponent, WorthField
@@ -238,6 +238,17 @@ class TestMovesAndFlags:
         world = flat_world(grid=4)
         report = validate_constraints(cov.moves_constraint_map(world))
         assert report.ok
+
+    @pytest.mark.parametrize("grid", range(1, 13))
+    def test_moves_map_lists_constrained_moves_in_order(self, grid):
+        world = flat_world(grid=grid, robots=2)
+        expected = tuple(
+            tuple(cov.cell_index(world, c) for c in cov.constrained_moves(world, cell))
+            for cell in np.ndindex(grid, grid)
+        )
+        cmap = cov.moves_constraint_map(world)
+        assert cmap.reachable == (expected, expected)
+        assert all(type(a) is int for dests in cmap.reachable[0] for a in dests)
 
     def test_flag_idempotent_log_grows(self):
         world = flat_world()
@@ -491,8 +502,16 @@ def assert_matches_reference(world, values):
             else:
                 with pytest.raises(ValueError):
                     cov.utility(world, i, c, pos, values)
-        row = _all_cell_utilities(world, i, values)
+        row = cov.utility_row(world, i, values)
         assert (row == ref_all_cell_utilities(world, i, values)).all()
+    # The game view with one raster per robot (the true field for odd robots):
+    # its all-action row equals its own per-action payoff loop.
+    per_robot = [values if i % 2 == 0 else None for i in range(world.n_robots)]
+    game = cov.as_game(world, per_robot)
+    action = tuple(cov.cell_index(world, p) for p in world.positions)
+    for i in range(world.n_robots):
+        loop = [game.utility(i, replace_action(action, i, b)) for b in range(L * L)]
+        assert (game.utility_row(i, action) == np.array(loop)).all()
     moves = [cov.constrained_moves(world, p)[-1] for p in world.positions]
     assert cov.potential(world, moves, values=values) == ref_potential(
         world, moves, values=values

@@ -213,6 +213,7 @@ class TestPSBLLLStep:
         psblll_step(game, state, cmap, wake=0.0)
         assert state.action == (1, 0)
         assert state.n == 1
+        assert state.awake == () and state.adopted == ()
 
     def test_sleepers_keep_their_actions(self):
         game, _ = random_separable_game(make_rng(18), [3, 3, 3])
@@ -286,6 +287,53 @@ class TestPSBLLLStep:
         state = LoglinearState((0, 0), 0.5, make_rng(24))
         with pytest.raises(ValueError):
             psblll_step(game, state, cmap, wake=1.5)
+
+
+class TestStepRecords:
+    """`awake` and `adopted` of the last step, which runners act on."""
+
+    @pytest.mark.parametrize("learner", ["blll", "psblll"])
+    def test_taken_own_action_trial_counts_as_adopted(self, learner):
+        game = GameDefinition.from_tables([np.array([1.0, 2.0])])
+        cmap = ConstrainedActionMap.from_lists([[(0,), (1,)]])  # only self-loops
+        state = LoglinearState((0,), 0.5, make_rng(27))
+        outcomes = set()
+        for _ in range(200):
+            if learner == "blll":
+                blll_step(game, state, cmap)
+            else:
+                psblll_step(game, state, cmap, wake=1.0)
+            assert state.action == (0,)
+            assert state.awake == (0,)
+            outcomes.add(state.adopted)
+        assert outcomes == {(0,), ()}
+
+    def test_binary_adoption_is_taking_the_trial(self):
+        game, _ = random_separable_game(make_rng(28), [2, 2, 2])
+        cmap = ConstrainedActionMap.from_lists([[(1,), (0,)]] * 3)  # always the other
+        state = LoglinearState((0, 0, 0), 0.5, make_rng(29))
+        for step in range(300):
+            before = state.action
+            if step % 2:
+                blll_step(game, state, cmap)
+            else:
+                psblll_step(game, state, cmap, wake=0.5)
+            moved = tuple(i for i in range(3) if state.action[i] != before[i])
+            assert state.adopted == moved
+            assert set(state.adopted) <= set(state.awake)
+            assert list(state.awake) == sorted(set(state.awake))
+
+    def test_lll_adopts_only_on_a_move(self):
+        game = GameDefinition.from_tables([np.zeros((3, 2))] * 2)
+        state = LoglinearState((0, 0), 1.0, make_rng(30))
+        outcomes = set()
+        for _ in range(200):
+            before = state.action
+            lll_step(game, state)
+            (i,) = state.awake
+            assert state.adopted == ((i,) if state.action[i] != before[i] else ())
+            outcomes.add(bool(state.adopted))
+        assert outcomes == {True, False}
 
 
 class TestLoglinearState:

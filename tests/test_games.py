@@ -302,6 +302,13 @@ class TestGameDefinition:
     def test_replace_action(self):
         assert replace_action((1, 2, 3), 1, 9) == (1, 9, 3)
 
+    def test_utility_row_fallback_is_the_per_action_loop(self):
+        game, _ = random_potential_game(make_rng(10), [3, 4, 2])
+        for a in game.joint_actions():
+            for i in range(game.n_players):
+                loop = [game.utility(i, replace_action(a, i, b)) for b in range(game.n_actions(i))]
+                assert (game.utility_row(i, a) == np.array(loop)).all()
+
     def test_joint_size(self):
         game, _ = random_separable_game(make_rng(9), [2, 3, 4])
         assert game.joint_size == 24

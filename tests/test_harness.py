@@ -392,6 +392,8 @@ class TestAllCellUtilities:
     def test_vectorized_map_matches_scalar_utility_everywhere(self):
         from potlearn.harness import _all_cell_utilities
 
+        # The benchmark traces the all-cell row under the harness name.
+        assert _all_cell_utilities is cov.utility_row
         field = generate_scenario(5, 10)
         world = cov.CoverageWorld.create(field, 3, np.random.default_rng(2))
         world.positions = [(2, 3), (3, 4), (8, 8)]  # overlapping pair + loner

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from potlearn import coverage as cov
 from potlearn.dynamics import ConstrainedActionMap
 from potlearn.games import GameDefinition, check_simplex
 from potlearn.qlearning import (
@@ -26,6 +27,7 @@ from potlearn.qlearning import (
     strategy_after,
 )
 from potlearn.rng import make_rng
+from potlearn.worthfield import GaussianComponent, WorthField
 
 
 def single_player_state(n_actions=2):
@@ -333,3 +335,51 @@ class TestEpisodes:
         state.strategies[0][:] = [0.95, 0.05]
         state.strategies[1][:] = [0.92, 0.08]
         assert commitment_zone_active(state, params)
+
+
+class TestCoveragePayoffConvention:
+    """On the coverage game every robot is scored against the pre-step world."""
+
+    START = [(4, 4), (6, 4), (5, 6)]
+    # Robots 0 and 1 both move onto (5, 4); robot 2 stays within overlap and
+    # flag range of it, so scoring against the moved world, or with flags the
+    # robots lay while being scored in index order, would change the payoffs.
+    TARGET = [(5, 4), (5, 4), (5, 6)]
+
+    @staticmethod
+    def world(order):
+        field = WorthField([GaussianComponent(1.0, [4.2, 5.7], 9.0 * np.eye(2))], 10)
+        world = cov.CoverageWorld.create(field, 3, make_rng(0), cover_radius=1.5)
+        world.positions = [TestCoveragePayoffConvention.START[k] for k in order]
+        for i in range(3):
+            cov.lay_flag(world, i)
+        return world
+
+    @staticmethod
+    def one_step(world, order):
+        targets = [TestCoveragePayoffConvention.TARGET[k] for k in order]
+        here = [cov.cell_index(world, p) for p in world.positions]
+        there = [cov.cell_index(world, p) for p in targets]
+        # Each robot may only move to its target, so the draws are fixed.
+        cmap = ConstrainedActionMap.from_lists(
+            [[(there[i],) if a == here[i] else (a,) for a in range(100)] for i in range(3)]
+        )
+        params = SOQLParams(temperature=0.2)
+        state = QState.initial([100] * 3, here)
+        snapshot = [cov.utility(world, i, targets[i], world.positions[i]) for i in range(3)]
+        _, realized = ql_episode_step(cov.as_game(world), state, params, cmap, make_rng(1))
+        assert realized == tuple(there)
+        payoffs = [state.q_values[i][there[i]] / params.aggregation_step for i in range(3)]
+        for i in range(3):
+            assert state.q_values[i][there[i]] == params.aggregation_step * snapshot[i]
+        return payoffs
+
+    def test_q_update_uses_the_pre_step_snapshot(self):
+        order = [0, 1, 2]
+        self.one_step(self.world(order), order)
+
+    def test_relabelling_the_robots_permutes_the_payoffs(self):
+        base = self.one_step(self.world([0, 1, 2]), [0, 1, 2])
+        order = [1, 0, 2]
+        relabelled = self.one_step(self.world(order), order)
+        assert relabelled == pytest.approx([base[k] for k in order], rel=1e-12)
