@@ -109,8 +109,10 @@ class ExperimentConfig:
             raise ConfigError("iterations must be non-negative")
         if self.steady_window < 2:
             raise ConfigError("steady_window must be at least 2")
-        for key in ("temperature", "cover_radius", "move_cost"):
+        for key in ("temperature", "cover_radius", "move_cost", "cov_floor", "aic_tau"):
             value = getattr(self, key)
+            if key == "aic_tau" and value is None:
+                continue
             try:
                 value = float(value)
             except (TypeError, ValueError):
@@ -381,13 +383,8 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     n_robots = config.robots
     estimates: list[mix.GmmEstimate | None] = [None] * n_robots
     rasters: list[np.ndarray | None] = [None] * n_robots
-    aic_states = [
-        mix.AICState(
-            period=config.model_check_period,
-            tau=config.aic_tau if config.aic_tau is not None else config.temperature,
-        )
-        for _ in range(n_robots)
-    ]
+    tau = config.aic_tau if config.aic_tau is not None else config.temperature
+    aic_states = [mix.AICState(tau=tau) for _ in range(n_robots)]
     adoption_count = [0] * n_robots
     if estimated:
         for i in range(n_robots):
@@ -490,28 +487,13 @@ def _aic_round(
     rng: np.random.Generator,
     config: ExperimentConfig,
 ) -> mix.GmmEstimate:
-    """One component-count proposal: split or merge, refine, accept or keep."""
-    m = estimate.n_components
-    if m == 1:
-        target = 2
-    elif rng.random() < 0.5:
-        target = m + 1
-    else:
-        target = m - 1
+    """One `mix.count_proposal` round; a proposal that fails keeps the estimate."""
     try:
-        if target > m:
-            cand = mix.split_component(
-                estimate, mix.split_select(estimate, log), log, cov_floor=config.cov_floor
-            )
-        else:
-            cand = mix.merge_components(
-                estimate, mix.merge_select(estimate, log), log, cov_floor=config.cov_floor
-            )
-        cand = mix.em_iterate(log, cand, config.em_iters, cov_floor=config.cov_floor)
+        return mix.count_proposal(
+            estimate, log, state, rng, config.em_iters, cov_floor=config.cov_floor
+        )
     except (ValueError, np.linalg.LinAlgError):
         return estimate
-    chosen = mix.propose_component_count(state, estimate, cand, log, rng)
-    return cand if chosen == cand.n_components else estimate
 
 
 def _run_qlearning(config: ExperimentConfig, seed: int) -> RunRecord:
@@ -531,9 +513,9 @@ def _run_qlearning(config: ExperimentConfig, seed: int) -> RunRecord:
 
     for n in range(1, config.iterations + 1):
         _, realized = episode_step(game, state, params, moves, run.rng)
-        new_positions = [cov.index_cell(world, a) for a in realized]
-        phi = cov.potential(world, new_positions, world.positions, None, False)
-        cov.commit_positions(world, new_positions)
+        # Scored against the pre-step snapshot, the payoffs sum to the step potential.
+        phi = float(sum(state.payoffs))
+        cov.commit_positions(world, [cov.index_cell(world, a) for a in realized])
         for i in range(n_robots):
             cov.lay_flag(world, i)
         commit = {f"commit{i}": float(x.max()) for i, x in enumerate(state.strategies)}

@@ -10,7 +10,10 @@ times the parameter count minus twice the log-likelihood) drives stochastic
 accept/reject decisions between the current model and a candidate produced
 by merging the most responsibility-overlapping pair or splitting the
 component whose local data diverges most from its own density.  Merge and
-split re-estimate only the affected components, leaving the rest untouched.
+split re-estimate only the affected components, leaving the rest untouched;
+a split seeds its children half a principal standard deviation apart.
+`count_proposal` is the one proposal round: the online runs and the offline
+`aic_model_search` both play it.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dynamics import binary_logit_weights
 
@@ -114,6 +116,22 @@ def gaussian_log_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) 
     return -math.log(2.0 * math.pi) - 0.5 * math.log(det) - 0.5 * quad
 
 
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """`scipy.special.logsumexp(a, axis=1, keepdims=True)` of a real 2-d array.
+
+    Bit for bit: the same ufuncs in the same order, without scipy's per-call
+    dispatch, which costs more than the arithmetic on the few-component
+    arrays fitted here.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        return np.where(np.isfinite(out), out, np.log(np.exp(a).sum(axis=1, keepdims=True)))
+
+
 def component_log_densities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
     """log(weight_j * g_j(point)) for every point and component, shape (n, M)."""
     n = len(np.atleast_2d(points))
@@ -126,13 +144,13 @@ def component_log_densities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
 
 
 def mixture_log_density(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
-    return logsumexp(component_log_densities(est, points), axis=1)
+    return _row_logsumexp(component_log_densities(est, points))[:, 0]
 
 
 def responsibilities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
     """Posterior component memberships; each row sums to one."""
     logs = component_log_densities(est, points)
-    return np.exp(logs - logsumexp(logs, axis=1, keepdims=True))
+    return np.exp(logs - _row_logsumexp(logs))
 
 
 def log_likelihood(est: GmmEstimate, log: ObservationLog) -> float:
@@ -146,6 +164,18 @@ def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
+def _weighted_moments(
+    weighted: np.ndarray, mass: float, points: np.ndarray, cov_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored covariance of `points` under weights summing to `mass`.
+
+    The caller passes `mass` in, so each caller keeps its own summation order.
+    """
+    mean = weighted @ points / mass
+    diff = points - mean
+    return mean, _floor_covariance((diff.T * weighted) @ diff / mass, cov_floor)
+
+
 def initial_estimate(log: ObservationLog, n_components: int = 1) -> GmmEstimate:
     """Deterministic starting estimate.
 
@@ -154,11 +184,7 @@ def initial_estimate(log: ObservationLog, n_components: int = 1) -> GmmEstimate:
     offsets, all sharing the data covariance.
     """
     points, weights = log.arrays()
-    total = weights.sum()
-    mean = (weights @ points) / total
-    diff = points - mean
-    cov = (diff.T * weights) @ diff / total
-    cov = _floor_covariance(cov, COV_FLOOR)
+    mean, cov = _weighted_moments(weights, weights.sum(), points, COV_FLOOR)
     if n_components == 1:
         return GmmEstimate(
             weights=np.ones(1), means=mean.reshape(1, 2), covs=cov.reshape(1, 2, 2)
@@ -205,10 +231,9 @@ def em_iterate(
             if j in starved:
                 new_weights[j] = STARVE_FRACTION
                 continue
-            new_means[j] = weighted[:, j] @ points / mass[j]
-            diff = points - new_means[j]
-            cov = (diff.T * weighted[:, j]) @ diff / mass[j]
-            new_covs[j] = _floor_covariance(cov, cov_floor)
+            new_means[j], new_covs[j] = _weighted_moments(
+                weighted[:, j], mass[j], points, cov_floor
+            )
         if starved:
             new_weights = new_weights / new_weights.sum()
         delta = max(
@@ -256,17 +281,12 @@ def aic(est: GmmEstimate, log: ObservationLog) -> float:
 
 @dataclass
 class AICState:
-    """Bookkeeping of the periodic component-count proposals."""
+    """Bookkeeping of the component-count proposals."""
 
-    period: int = 50
     tau: float = 0.1
     last_proposal: int | None = None
     iaic_current: float | None = None
     iaic_candidate: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError("period must be at least 1")
 
 
 def propose_component_count(
@@ -310,8 +330,6 @@ def merge_components(
     est: GmmEstimate,
     pair: tuple[int, int],
     log: ObservationLog,
-    iters: int = 50,
-    tol: float = 1e-8,
     cov_floor: float = COV_FLOOR,
 ) -> GmmEstimate:
     """Replace a component pair by one merged component, re-fit in isolation.
@@ -319,7 +337,8 @@ def merge_components(
     The merged component starts from the weight sum and weight-averaged
     moments.  Its partial re-estimation routes the pair's posterior mass to
     the merged component, whose own normalization then cancels, so the
-    merged responsibilities are fixed and the fit converges in one sweep.
+    merged responsibilities are fixed and one moment fit is the converged
+    re-estimate; a pair with no posterior mass keeps the averaged start.
     All other components are untouched.
     """
     j, j2 = sorted(pair)
@@ -327,7 +346,6 @@ def merge_components(
         raise ValueError(f"invalid merge pair {pair}")
     points, weights = log.arrays()
     resp = responsibilities(est, points)
-    pair_resp = resp[:, j] + resp[:, j2]
 
     w0 = est.weights[j] + est.weights[j2]
     mu0 = (est.weights[j] * est.means[j] + est.weights[j2] * est.means[j2]) / w0
@@ -337,29 +355,12 @@ def merge_components(
     new_weights = np.concatenate([est.weights[keep], [w0]])
     new_means = np.vstack([est.means[keep], mu0.reshape(1, 2)])
     new_covs = np.concatenate([est.covs[keep], cov0.reshape(1, 2, 2)])
-    target = len(keep)
 
-    total = weights.sum()
-    prev = (new_weights[target], new_means[target].copy(), new_covs[target].copy())
-    for _ in range(max(iters, 1)):
-        weighted = pair_resp * weights
-        mass = weighted.sum()
-        if mass <= 0:
-            break
-        new_weights[target] = mass / total
-        new_means[target] = weighted @ points / mass
-        diff = points - new_means[target]
-        new_covs[target] = _floor_covariance(
-            (diff.T * weighted) @ diff / mass, cov_floor
-        )
-        delta = max(
-            abs(new_weights[target] - prev[0]),
-            float(np.abs(new_means[target] - prev[1]).max()),
-            float(np.abs(new_covs[target] - prev[2]).max()),
-        )
-        prev = (new_weights[target], new_means[target].copy(), new_covs[target].copy())
-        if delta < tol:
-            break
+    weighted = (resp[:, j] + resp[:, j2]) * weights
+    mass = weighted.sum()
+    if mass > 0:
+        new_weights[-1] = mass / weights.sum()
+        new_means[-1], new_covs[-1] = _weighted_moments(weighted, mass, points, cov_floor)
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
 
 
@@ -400,11 +401,11 @@ def split_select(est: GmmEstimate, log: ObservationLog) -> int:
 def principal_split_scale(est: GmmEstimate, k: int, factor: float = 0.5) -> float:
     """Mean offset for splitting component k at a fraction of its principal spread.
 
-    The default vanishing offset leaves the two children at a symmetric
-    configuration that is marginally stable (their refitted covariances
-    absorb the full local variance), so escaping it can take arbitrarily many
-    sweeps; seeding the children a half standard deviation apart keeps the
-    re-estimation in its fast regime.
+    This is `split_component`'s default seeding.  A vanishing offset leaves
+    the two children at a symmetric configuration that is marginally stable
+    (their refitted covariances absorb the full local variance), so escaping
+    it can take arbitrarily many sweeps; seeding the children a half standard
+    deviation apart keeps the re-estimation in its fast regime.
     """
     vals = np.linalg.eigvalsh(est.covs[k])
     return factor * math.sqrt(max(float(vals[-1]), 0.0))
@@ -422,13 +423,12 @@ def split_component(
     """Replace one component by two children, re-fit in isolation.
 
     Children split the parent weight evenly, start from an isotropic
-    covariance with the parent's generalized variance, and sit at small
-    opposite offsets along the parent's principal axis (eps_scale defaults to
-    0.5% of the data bounding-box diagonal).  Partial re-estimation divides
-    the parent's posterior mass between the children in proportion to their
-    densities; other components are untouched.  The seed offsets are tiny, so
-    the partial phase runs to convergence by default -- symmetry between the
-    children takes a few dozen sweeps to break.
+    covariance with the parent's generalized variance, and sit at opposite
+    offsets `eps_scale` along the parent's principal axis (by default
+    `principal_split_scale(est, k)`, half the parent's principal standard
+    deviation).  Partial re-estimation divides the parent's posterior mass
+    between the children in proportion to their densities, for up to `iters`
+    sweeps or until the children settle; other components are untouched.
     """
     if not 0 <= k < est.n_components:
         raise ValueError(f"invalid split index {k}")
@@ -437,10 +437,7 @@ def split_component(
     parent_resp = resp[:, k]
 
     if eps_scale is None:
-        span = points.max(axis=0) - points.min(axis=0)
-        eps_scale = 0.005 * float(np.hypot(span[0], span[1]))
-        if eps_scale == 0.0:
-            eps_scale = 1e-3
+        eps_scale = principal_split_scale(est, k)
     vals, vecs = np.linalg.eigh(est.covs[k])
     axis = vecs[:, -1]
     iso = math.sqrt(max(float(np.linalg.det(est.covs[k])), cov_floor**2))
@@ -464,16 +461,14 @@ def split_component(
             wj = new_weights[c]
             logw = math.log(wj) if wj > 0 else -np.inf
             logs[:, idx] = logw + gaussian_log_density(points, new_means[c], new_covs[c])
-        share = np.exp(logs - logsumexp(logs, axis=1, keepdims=True))
+        share = np.exp(logs - _row_logsumexp(logs))
         for idx, c in enumerate((c1, c2)):
             weighted = share[:, idx] * parent_resp * weights
             mass = weighted.sum()
             if mass <= 0:
                 continue
             new_weights[c] = mass / total
-            new_means[c] = weighted @ points / mass
-            diff = points - new_means[c]
-            new_covs[c] = _floor_covariance((diff.T * weighted) @ diff / mass, cov_floor)
+            new_means[c], new_covs[c] = _weighted_moments(weighted, mass, points, cov_floor)
         delta = max(
             float(np.abs(new_weights[c1:] - prev[0]).max()),
             float(np.abs(new_means[c1:] - prev[1]).max()),
@@ -483,6 +478,41 @@ def split_component(
         if delta < tol:
             break
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
+
+
+def count_proposal(
+    est: GmmEstimate,
+    log: ObservationLog,
+    state: AICState,
+    rng: np.random.Generator,
+    em_iters: int,
+    max_components: int = 10,
+    cov_floor: float = COV_FLOOR,
+) -> GmmEstimate:
+    """One component-count proposal round; returns the kept or adopted model.
+
+    Draws a neighboring count (one up from a single component, otherwise one
+    up or down with equal probability), builds the candidate by splitting the
+    worst-fitting component or merging the most overlapping pair, refines it
+    with `em_iters` full EM sweeps and chooses by `propose_component_count`.
+    A draw above `max_components` ends the round with `est` unchanged.
+    """
+    m = est.n_components
+    if m == 1:
+        target = 2
+    elif rng.random() < 0.5:
+        target = m + 1
+    else:
+        target = m - 1
+    if target > max_components:
+        return est
+    if target > m:
+        cand = split_component(est, split_select(est, log), log, cov_floor=cov_floor)
+    else:
+        cand = merge_components(est, merge_select(est, log), log, cov_floor=cov_floor)
+    cand = em_iterate(log, cand, em_iters, cov_floor=cov_floor)
+    chosen = propose_component_count(state, est, cand, log, rng)
+    return cand if chosen == cand.n_components else est
 
 
 def aic_model_search(
@@ -496,32 +526,11 @@ def aic_model_search(
 ) -> GmmEstimate:
     """Fit a mixture while learning the component count.
 
-    Starts from one component, then alternates: draw a neighboring count
-    (one up from a single component, otherwise one up or down with equal
-    probability), build the candidate by split or merge plus full EM
-    refinement, and keep or adopt it by the stochastic criterion comparison.
+    Starts from one EM-refined component, then plays `rounds` rounds of
+    `count_proposal`.
     """
     est = em_iterate(log, initial_estimate(log, 1), em_iters, cov_floor=cov_floor)
     state = AICState(tau=tau)
     for _ in range(rounds):
-        m = est.n_components
-        if m == 1:
-            target = 2
-        elif rng.random() < 0.5:
-            target = m + 1
-        else:
-            target = m - 1
-        if target > max_components:
-            continue
-        if target > m:
-            k = split_select(est, log)
-            cand = split_component(
-                est, k, log, eps_scale=principal_split_scale(est, k), cov_floor=cov_floor
-            )
-        else:
-            cand = merge_components(est, merge_select(est, log), log, cov_floor=cov_floor)
-        cand = em_iterate(log, cand, em_iters, cov_floor=cov_floor)
-        chosen = propose_component_count(state, est, cand, log, rng)
-        if chosen == cand.n_components:
-            est = cand
+        est = count_proposal(est, log, state, rng, em_iters, max_components, cov_floor)
     return est

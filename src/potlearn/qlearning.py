@@ -12,11 +12,12 @@ Closed-form iterates of the constant-step recursions are provided so the
 step operators can be cross-checked against exact expressions; a vertex
 perturbation re-injects exploration once strategies commit.
 
-The episode steps score every player with the game's utility at the
-realized joint action before any state outside the learner changes.  On the
-coverage game (`coverage.as_game`) that is each robot's move payoff against
-the world before the round's moves and flags, so the payoffs do not depend
-on the order of the players.
+The episode steps score every player once with the game's utility at the
+realized joint action, before any state outside the learner changes, and
+keep those scores in `QState.payoffs`.  On the coverage game
+(`coverage.as_game`) that is each robot's move payoff against the world
+before the round's moves and flags, so the payoffs do not depend on the
+order of the players.
 """
 from __future__ import annotations
 
@@ -63,6 +64,7 @@ class QState:
     strategies: list[np.ndarray]
     actions: list[int] = field(default_factory=list)
     n: int = 0
+    payoffs: tuple[float, ...] = ()  # every player's payoff at the last realized action
 
     @classmethod
     def initial(
@@ -250,11 +252,11 @@ def soql_episode_step(
         draws.append(a)
         draw_strategies.append(x_draw)
     realized = tuple(draws)
+    state.payoffs = game.utilities(realized)
     for i in range(game.n_players):
-        payoff = game.utility(i, realized)
         step = adaptive_step(draw_strategies[i], realized[i]) if zone else params.aggregation_step
         if step > 0.0:
-            soql_update(state, i, realized[i], payoff, step)
+            soql_update(state, i, realized[i], state.payoffs[i], step)
         greedy_update(state, i, params.selection_step, rng)
     state.n += 1
     state.actions = list(realized)
@@ -280,8 +282,9 @@ def ql_episode_step(
         allowed = constraints.allowed(i, state.actions[i])
         draws.append(constrained_draw(x, allowed, rng))
     realized = tuple(draws)
+    state.payoffs = game.utilities(realized)
     for i in range(game.n_players):
-        q_update(state, i, realized[i], game.utility(i, realized), params.aggregation_step)
+        q_update(state, i, realized[i], state.payoffs[i], params.aggregation_step)
     state.n += 1
     state.actions = list(realized)
     return state, realized

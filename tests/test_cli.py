@@ -82,7 +82,9 @@ def test_oracle_rejects_malformed_spec(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("em_period", 0), ("temperature", 0.0)])
+@pytest.mark.parametrize(
+    "key,value", [("em_period", 0), ("temperature", 0.0), ("aic_tau", 0), ("cov_floor", 0.0)]
+)
 def test_invalid_config_value_exits_2(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, params={key: value})
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2

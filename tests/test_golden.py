@@ -1,19 +1,23 @@
-"""Golden run digests: the same (config, seed) must keep producing the same run.
+"""Golden digests: the same (config, seed) must keep producing the same run.
 
 Each case is a short, seeded run of one learner on an acceptance-suite
 setting; its full `RunRecord.to_csv()` is hashed with SHA-256 and compared
 with the digest recorded before any performance work on the coverage payoff.
 A speed-up that changes a single bit of any column (positions, covered worth,
 potential or diagnostics) fails here.  Regenerate a digest only when a change
-of behaviour is intended, and say why in CHANGES.md.
+of behaviour is intended, and say why in CHANGES.md.  The model-search
+digests pin the fitted mixture of `aic_model_search` the same way.
 """
 import dataclasses
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from potlearn.harness import ExperimentConfig, run_experiment
+from potlearn.mixtures import ObservationLog, aic_model_search
+from potlearn.rng import make_rng
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,3 +100,43 @@ GOLDEN = {
 @pytest.mark.parametrize("case,seed", sorted(GOLDEN), ids=lambda v: str(v))
 def test_run_csv_digest_is_unchanged(case, seed):
     assert run_digest(case, seed) == GOLDEN[(case, seed)]
+
+
+def criterion7_log(s: int) -> ObservationLog:
+    """The observation log of acceptance criterion 7, case `s`."""
+    true_m = (s % 5) + 1
+    rng = make_rng(s)
+    while True:
+        means = rng.uniform(6.0, 34.0, size=(true_m, 2))
+        if all(
+            np.linalg.norm(means[i] - means[j]) >= 10
+            for i in range(true_m)
+            for j in range(i + 1, true_m)
+        ):
+            break
+    log = ObservationLog()
+    for m in means:
+        pts = np.clip(np.floor(rng.normal(m, 1.8, size=(2000 // true_m, 2))) + 0.5, 0.5, 39.5)
+        for p in pts:
+            log.append(p)
+    return log
+
+
+# SHA-256 of the weights, means and covariances `aic_model_search` returns on
+# criterion-7 logs (rounds=14, rng seed 1000 + s), recorded while the online
+# runs and the model search still had separate split/merge proposal code.
+MODEL_SEARCH_GOLDEN = {
+    1: "44673f775260502bf04ed321282c7fa4a6605bc413b9fc5068029100fc147209",
+    4: "822ab16c99d7c89727407764337fc092fba3114993e07422274ccd8cb0113fc0",
+    7: "aaac828ddd0283c651498a55a9e9c6dbe536047e0f5e7b830d9fa5b5edbd93ea",
+    8: "a8c0f8172267066755d7d96cb4a203e9abd877d040b98252615de05f637c5eb9",
+}
+
+
+@pytest.mark.parametrize("s", sorted(MODEL_SEARCH_GOLDEN))
+def test_model_search_digest_is_unchanged(s):
+    est = aic_model_search(criterion7_log(s), make_rng(1000 + s), rounds=14)
+    digest = hashlib.sha256()
+    for array in (est.weights, est.means, est.covs):
+        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    assert digest.hexdigest() == MODEL_SEARCH_GOLDEN[s]

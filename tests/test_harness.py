@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from potlearn import coverage as cov
+from potlearn import harness
+from potlearn import mixtures as mix
 from potlearn.harness import (
     ConfigError,
     ExperimentConfig,
@@ -17,6 +19,7 @@ from potlearn.harness import (
     sweep_csv,
     sweep_svg,
 )
+from potlearn.rng import make_rng
 from potlearn.worthfield import generate_scenario
 
 NARROW_COMPONENTS = (
@@ -159,6 +162,11 @@ class TestConfig:
             ("em_iters", 0),
             ("em_iters", 2.5),
             ("model_check_period", -1),
+            ("aic_tau", 0),
+            ("aic_tau", -1.0),
+            ("aic_tau", float("nan")),
+            ("cov_floor", 0.0),
+            ("cov_floor", float("inf")),
         ],
     )
     def test_invalid_value_rejected_by_name(self, key, value):
@@ -218,6 +226,25 @@ class TestRunners:
         record = run_experiment(config, seed=5)
         assert "potential_est" in record.diagnostics
         assert len(record.diagnostics["potential_est"]) == record.iterations
+
+    @pytest.mark.parametrize("environment", ["known-field", "estimated-field"])
+    def test_zero_model_check_period_runs_without_proposals(self, environment):
+        config = small_config(environment=environment, iterations=30, model_check_period=0)
+        record = run_experiment(config, seed=5)
+        assert record.iterations == 30
+        assert record.estimates == []
+
+    def test_failed_proposal_keeps_the_estimate(self, monkeypatch):
+        def failing_split(*args, **kwargs):
+            raise ValueError("split failed")
+
+        log = mix.ObservationLog()
+        log.extend([(1.5, 2.5), (3.5, 2.5), (2.5, 4.5)], multiplicity=2)
+        estimate = mix.em_iterate(log, mix.initial_estimate(log, 1), 5)
+        monkeypatch.setattr(mix, "split_component", failing_split)
+        config = small_config(environment="estimated-field")
+        kept = harness._aic_round(estimate, log, mix.AICState(), make_rng(0), config)
+        assert kept is estimate
 
     def test_estimated_mode_snapshots_mixture_estimates(self):
         config = small_config(

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from potlearn.mixtures import (
     AICState,
@@ -23,6 +25,8 @@ from potlearn.mixtures import (
     split_scores,
     split_select,
     worth_weighted_multiplicity,
+    _floor_covariance,
+    _row_logsumexp,
 )
 from potlearn.rng import make_rng
 
@@ -43,6 +47,41 @@ def cluster_log(rng, means, sigma=2.0, n_per=1000, grid=40):
 
 def two_cluster_log(seed=42, separation=((10.0, 10.0), (30.0, 30.0)), sigma=2.0):
     return cluster_log(make_rng(seed), np.asarray(separation), sigma)
+
+
+class TestRowLogsumexp:
+    """`_row_logsumexp` against scipy's `logsumexp`, compared with `==`."""
+
+    @staticmethod
+    def random_rows(seed):
+        rng = make_rng(seed)
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        a = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 4) + rng.normal() * 1000
+        case = seed % 6
+        if case == 1:
+            a[:, rng.integers(0, k)] = -np.inf  # a zero-weight component
+        elif case == 2:
+            a[rng.random(size=a.shape) < 0.3] = -np.inf
+        elif case == 3 and k > 1:
+            a[:, 1] = a[:, 0]  # tied row maxima
+        elif case == 4:
+            a[rng.random(size=a.shape) < 0.1] = rng.choice([np.nan, np.inf])
+        elif case == 5:
+            a = np.round(a)
+        return a
+
+    @pytest.mark.parametrize("seed", range(0, 3000, 500))
+    def test_equals_scipy_bit_for_bit(self, seed):
+        for s in range(seed, seed + 500):
+            a = self.random_rows(s)
+            ref = logsumexp(a, axis=1, keepdims=True)
+            got = _row_logsumexp(a)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref, equal_nan=True), a
+
+    def test_all_minus_infinity_row(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+        assert np.array_equal(_row_logsumexp(a), logsumexp(a, axis=1, keepdims=True))
 
 
 class TestObservationLog:
@@ -293,6 +332,70 @@ class TestMerge:
         assert abs(merged.weights.sum() - 1.0) <= 1e-9
 
 
+def two_sweep_merge(est, pair, log, iters=50, tol=1e-8, cov_floor=0.25):
+    """The merge as an iterated partial re-estimation, kept as a reference."""
+    j, j2 = sorted(pair)
+    points, weights = log.arrays()
+    resp = responsibilities(est, points)
+    pair_resp = resp[:, j] + resp[:, j2]
+    w0 = est.weights[j] + est.weights[j2]
+    mu0 = (est.weights[j] * est.means[j] + est.weights[j2] * est.means[j2]) / w0
+    cov0 = (est.weights[j] * est.covs[j] + est.weights[j2] * est.covs[j2]) / w0
+    keep = [k for k in range(est.n_components) if k not in (j, j2)]
+    new_weights = np.concatenate([est.weights[keep], [w0]])
+    new_means = np.vstack([est.means[keep], mu0.reshape(1, 2)])
+    new_covs = np.concatenate([est.covs[keep], cov0.reshape(1, 2, 2)])
+    target = len(keep)
+    total = weights.sum()
+    prev = (new_weights[target], new_means[target].copy(), new_covs[target].copy())
+    for _ in range(max(iters, 1)):
+        weighted = pair_resp * weights
+        mass = weighted.sum()
+        if mass <= 0:
+            break
+        new_weights[target] = mass / total
+        new_means[target] = weighted @ points / mass
+        diff = points - new_means[target]
+        new_covs[target] = _floor_covariance((diff.T * weighted) @ diff / mass, cov_floor)
+        delta = max(
+            abs(new_weights[target] - prev[0]),
+            float(np.abs(new_means[target] - prev[1]).max()),
+            float(np.abs(new_covs[target] - prev[2]).max()),
+        )
+        prev = (new_weights[target], new_means[target].copy(), new_covs[target].copy())
+        if delta < tol:
+            break
+    return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
+
+
+class TestMergeAgainstIteratedFit:
+    def assert_equal(self, est, pair, log):
+        out = merge_components(est, pair, log)
+        ref = two_sweep_merge(est, pair, log)
+        for a, b in ((out.weights, ref.weights), (out.means, ref.means), (out.covs, ref.covs)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed,m", [(40, 2), (41, 3), (42, 4)])
+    def test_every_pair_equals_the_iterated_fit(self, seed, m):
+        log = cluster_log(make_rng(seed), [(10.0, 12.0), (28.0, 30.0)], n_per=300)
+        est = em_iterate(log, initial_estimate(log, m), iters=20)
+        for pair in itertools.combinations(range(m), 2):
+            self.assert_equal(est, pair, log)
+
+    def test_pair_without_mass_keeps_the_averaged_start(self):
+        log = cluster_log(make_rng(43), [(10.0, 10.0)], n_per=200)
+        est = GmmEstimate(
+            weights=np.array([0.5, 0.25, 0.25]),
+            means=np.array([[10.0, 10.0], [5000.0, 5000.0], [-5000.0, 5000.0]]),
+            covs=np.array([np.eye(2) * 4.0, np.eye(2), np.eye(2) * 2.0]),
+        )
+        assert responsibilities(est, log.arrays()[0])[:, 1:].max() == 0.0
+        self.assert_equal(est, (1, 2), log)
+        merged = merge_components(est, (1, 2), log)
+        assert merged.weights[-1] == 0.5
+        assert np.array_equal(merged.means[-1], [0.0, 5000.0])
+
+
 class TestSplit:
     def test_single_gaussian_data_scores_low(self):
         log = cluster_log(make_rng(21), [(20.0, 20.0)], sigma=2.5, n_per=2000)
@@ -309,12 +412,12 @@ class TestSplit:
         log = two_cluster_log(23)
         est = em_iterate(log, initial_estimate(log, 1), iters=50)
         # vanishing offset and no re-estimation sweeps: children stay put
-        children = split_component(est, 0, log, iters=1)
-        pair = merge_select(children, log)
-        back = merge_components(children, pair, log, iters=1)
-        assert back.weights.sum() == pytest.approx(1.0, abs=1e-9)
         span = log.arrays()[0]
         eps = 0.005 * np.hypot(*(span.max(axis=0) - span.min(axis=0)))
+        children = split_component(est, 0, log, eps_scale=eps, iters=1)
+        pair = merge_select(children, log)
+        back = merge_components(children, pair, log)
+        assert back.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.abs(back.means[0] - est.means[0]).max() <= max(eps, 1e-6) + 1e-9
 
     def test_untouched_components_bit_identical(self):
@@ -339,6 +442,15 @@ class TestSplit:
         )
         order = np.argsort(out.means[:, 0])
         assert np.abs(out.means[order] - true_means).max() <= 1.0
+
+    def test_default_seeding_is_the_principal_split_scale(self):
+        log = two_cluster_log(26)
+        est = em_iterate(log, initial_estimate(log, 2), iters=80)
+        k = split_select(est, log)
+        out = split_component(est, k, log)
+        ref = split_component(est, k, log, eps_scale=principal_split_scale(est, k))
+        for a, b in ((out.weights, ref.weights), (out.means, ref.means), (out.covs, ref.covs)):
+            assert np.array_equal(a, b)
 
     def test_weight_conservation(self):
         log = two_cluster_log(26)
