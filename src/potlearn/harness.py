@@ -628,10 +628,18 @@ class OracleReport:
     stable: tuple
     identity_report: stability.ResistanceIdentityReport | None
     separability_note: str | None
+    build_seconds: tuple[float, ...] = ()   # per noise level
+    solve_seconds: tuple[float, ...] = ()
+    residuals: tuple[float, ...] = ()       # |pi P - pi|_1 of each solve
 
     def to_text(self) -> str:
         lines = ["stability oracle report", "======================="]
         lines.append(f"states: {len(self.states)}")
+        lines.append("noise      build s    solve s    residual")
+        for e, b, s, r in zip(
+            self.noise_levels, self.build_seconds, self.solve_seconds, self.residuals
+        ):
+            lines.append(f"eps={e:<6g} {b:<10.4f} {s:<10.4f} {r:.3e}")
         lines.append(
             "stochastically stable: "
             + (", ".join(str(s) for s in self.stable) if self.stable else "(none found)")
@@ -694,16 +702,7 @@ def oracle_report(
     stable = stability.stochastically_stable_states(
         game, wake, constraints, noise_levels, mass_threshold
     )
-    resistances = []
-    for a in game.joint_actions():
-        for b in game.joint_actions():
-            if a == b:
-                continue
-            try:
-                r = stability.resistance(game, a, b, constraints)
-            except stability.InfeasibleTransitionError:
-                continue
-            resistances.append((a, b, r.deviators, r.resistance))
+    resistances = stability.transition_resistances(game, constraints)
     identity: stability.ResistanceIdentityReport | None = None
     note: str | None = None
     try:
@@ -718,6 +717,9 @@ def oracle_report(
         stable=stable.stable,
         identity_report=identity,
         separability_note=note,
+        build_seconds=stable.build_seconds,
+        solve_seconds=stable.solve_seconds,
+        residuals=stable.residuals,
     )
 
 

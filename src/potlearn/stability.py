@@ -13,11 +13,25 @@ product structure of the learner; the full kernel built here additionally
 marginalizes over unobservable wake events (players that wake and re-select
 their current action), which is the ground truth the diagnostics are checked
 against.
+
+The exhaustive layers read one payoff table, ``U[state, player]``, made with
+one ``game.utilities`` call per joint action.  States are numbered in
+``game.joint_actions()`` order, so a joint action's index is its mixed-radix
+value (the last player's action varies fastest).  ``build_chain`` works on
+chunks of source states with numpy: for each wake mask it lays out the trial
+grid of the awake players' allowed sets, evaluates the binary-logit keep
+weights of every trial at once, and sums every accept pattern into the rows
+with ``np.bincount``.  ``_gth_stationary`` is blocked GTH elimination: it
+eliminates ``_GTH_BLOCK`` states at a time, keeping only the block's rows and
+columns current, then updates the leading submatrix with one rank-block
+product; every term stays a sum of non-negative products.  The resistance
+enumerators visit only the feasible targets of each source, the product of
+the players' allowed sets.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,13 +42,22 @@ import scipy.sparse as sp
 from .dynamics import (
     ConstrainedActionMap,
     WakeModel,
-    binary_logit_weights,
     resolve_wake_probability,
     validate_constraints,
 )
 from .games import GameDefinition, JointAction
 
 DENSE_SOLVE_LIMIT = 2000
+# States eliminated together by one block of _gth_stationary.
+_GTH_BLOCK = 48
+# Multiply-adds per row slab of the GTH block update.  OpenBLAS runs a
+# product of fewer than 2**18 on the calling thread; larger ones hand work
+# to a second thread, which cost up to 15 ms per product on a busy 2-core
+# host and made a 1296-state solve ten times slower.
+_GTH_SLAB = 200_000
+# Work-array entries a chunk may hold: trial paths plus kernel entries in
+# build_chain, feasible pairs in the resistance enumerators.
+_CHUNK_ENTRIES = 1 << 17
 
 
 class InfeasibleTransitionError(ValueError):
@@ -210,6 +233,140 @@ class PerturbedChain:
         return self.kernel.sum(axis=1)
 
 
+@dataclass(frozen=True)
+class _Space:
+    """Joint-action space of a game with its payoff table."""
+
+    states: tuple[JointAction, ...]
+    actions: np.ndarray  # (n, players): actions[k] is states[k]
+    strides: np.ndarray  # mixed-radix place values: k == actions[k] @ strides
+    payoffs: np.ndarray  # (n, players): U[k, i] == game.utility(i, states[k])
+
+
+def _space(game: GameDefinition, max_states: int | None = None) -> _Space:
+    """Enumerate the joint actions and tabulate payoffs, after the state cap."""
+    n = game.joint_size
+    if max_states is not None and n > max_states:
+        raise ValueError(f"joint-action space has {n} states, cap is {max_states}")
+    sizes = [game.n_actions(i) for i in range(game.n_players)]
+    strides = np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))])
+    states = tuple(game.joint_actions())
+    return _Space(
+        states=states,
+        actions=np.array(states, dtype=np.int64).reshape(n, len(sizes)),
+        strides=strides,
+        payoffs=np.array([game.utilities(a) for a in states]).reshape(n, len(sizes)),
+    )
+
+
+def _option_table(
+    game: GameDefinition, constraints: ConstrainedActionMap, player: int, feasible: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(options, counts): options[a, :counts[a]] are the player's draws from a.
+
+    With `feasible` the options are the player's feasible targets from a,
+    the sorted set of its allowed actions and a itself.  Rows are padded
+    with a.
+    """
+    m = game.n_actions(player)
+    rows = []
+    for a in range(m):
+        options = constraints.allowed(player, a)
+        if feasible:
+            options = sorted(set(options) | {a})
+        if any(not 0 <= b < m for b in options):
+            raise ValueError(f"player {player}: allowed set {options} leaves the action range")
+        rows.append(list(options))
+    counts = np.array([len(r) for r in rows])
+    width = int(counts.max())
+    options = np.array([r + [a] * (width - len(r)) for a, r in enumerate(rows)])
+    return options, counts
+
+
+def _chunks(cost: np.ndarray):
+    """Consecutive (lo, hi) ranges whose summed cost fits _CHUNK_ENTRIES."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < len(cost):
+        budget = (ends[lo - 1] if lo else 0) + _CHUNK_ENTRIES
+        hi = max(int(np.searchsorted(ends, budget, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _trial_grid(space: _Space, tables, players, lo: int, hi: int):
+    """Every combination of the listed players' options from each source.
+
+    The grid has one axis per listed player over the sources in [lo, hi);
+    combinations that use padding are dropped.  Returns each combination's
+    row (its source minus lo) and, per listed player, the state-index shift
+    of switching to its option, in (source, first player's option, ...)
+    order.
+    """
+    k = len(players)
+    valid = np.ones((hi - lo,) + (1,) * k, dtype=bool)
+    shifts = []
+    for j, i in enumerate(players):
+        options, counts = tables[i]
+        own = space.actions[lo:hi, i]
+        shape = [hi - lo] + [1] * k
+        shape[j + 1] = options.shape[1]
+        shifts.append(((options[own] - own[:, None]) * space.strides[i]).reshape(shape))
+        used = np.arange(options.shape[1]) < counts[own][:, None]
+        valid = valid & used.reshape(shape)
+    rows = np.nonzero(valid)[0]
+    return rows, [np.broadcast_to(s, valid.shape)[valid] for s in shifts]
+
+
+def _keep_weights(u_current: np.ndarray, u_alternative: np.ndarray, temperature: float):
+    """Keep probabilities of the binary logit, by `binary_logit_weights`' branches."""
+    d = (u_alternative - u_current) / temperature
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
+def _chain_rows(space: _Space, rp: np.ndarray, tables, tau: float, lo: int, hi: int) -> np.ndarray:
+    """Kernel rows of the sources in [lo, hi), as a dense (hi - lo, n) block."""
+    n, n_players = space.payoffs.shape
+    rows = hi - lo
+    source = np.arange(lo, hi)
+    block = np.zeros(rows * n)
+    keys, weights = [], []
+    for mask in range(1 << n_players):
+        if sum(len(k) for k in keys) > _CHUNK_ENTRIES:  # one source with many paths
+            block += np.bincount(np.concatenate(keys), np.concatenate(weights), minlength=rows * n)
+            keys, weights = [], []
+        awake = [i for i in range(n_players) if mask >> i & 1]
+        p = np.ones(rows)
+        for i in range(n_players):
+            p = p * (rp[lo:hi, i] if mask >> i & 1 else 1.0 - rp[lo:hi, i])
+        if not p.any():
+            continue
+        for i in awake:
+            p = p / tables[i][1][space.actions[lo:hi, i]]
+        r, shifts = _trial_grid(space, tables, awake, lo, hi)
+        src = source[r]
+        trial = src + sum(shifts)
+        keep = [_keep_weights(space.payoffs[src, i], space.payoffs[trial, i], tau) for i in awake]
+        switch = [1.0 - kp for kp in keep]
+        for accept in range(1 << len(awake)):
+            w = p[r]
+            out = src
+            for bit in range(len(awake)):
+                if accept >> bit & 1:
+                    w = w * switch[bit]
+                    out = out + shifts[bit]
+                else:
+                    w = w * keep[bit]
+            keys.append(r * n + out)
+            weights.append(w)
+    if keys:
+        block += np.bincount(np.concatenate(keys), np.concatenate(weights), minlength=rows * n)
+    block = block.reshape(rows, n)
+    block[np.arange(rows), source] += 1.0 - block.sum(axis=1)
+    return block
+
+
 def build_chain(
     game: GameDefinition,
     wake: WakeModel,
@@ -226,62 +383,30 @@ def build_chain(
     residual is absorbed into the self-loop.
     """
     tau = temperature_from_noise(eps)
-    states = tuple(game.joint_actions())
-    n = len(states)
-    if n > max_states:
-        raise ValueError(f"joint-action space has {n} states, cap is {max_states}")
-    index = {a: k for k, a in enumerate(states)}
-    utils = {a: game.utilities(a) for a in states}
-    n_players = game.n_players
+    space = _space(game, max_states)
+    n, n_players = space.payoffs.shape
+    rp = np.array(
+        [[resolve_wake_probability(wake, i, a) for i in range(n_players)] for a in space.states]
+    ).reshape(n, n_players)
+    tables = [_option_table(game, constraints, i, feasible=False) for i in range(n_players)]
+    paths = np.ones(n, dtype=np.int64)
+    for i, (_, counts) in enumerate(tables):
+        paths *= 1 + 2 * counts[space.actions[:, i]]
     dense = n <= DENSE_SOLVE_LIMIT
-    kernel = np.zeros((n, n)) if dense else sp.lil_matrix((n, n))
-
-    for si, source in enumerate(states):
-        rp = [resolve_wake_probability(wake, i, source) for i in range(n_players)]
-        allowed = [constraints.allowed(i, source[i]) for i in range(n_players)]
-        u_source = utils[source]
-        row: dict[int, float] = {}
-        for mask in range(1 << n_players):
-            awake = [i for i in range(n_players) if mask >> i & 1]
-            p_wake = 1.0
-            for i in range(n_players):
-                p_wake *= rp[i] if i in awake else 1.0 - rp[i]
-            if p_wake == 0.0:
-                continue
-            if not awake:
-                row[si] = row.get(si, 0.0) + p_wake
-                continue
-            p_draw = p_wake
-            for i in awake:
-                p_draw /= len(allowed[i])
-            for trial_vec in itertools.product(*(allowed[i] for i in awake)):
-                profile = list(source)
-                for i, t in zip(awake, trial_vec):
-                    profile[i] = t
-                u_trial = utils[tuple(profile)]
-                keeps = [
-                    binary_logit_weights(u_source[i], u_trial[i], tau)[0]
-                    for i in awake
-                ]
-                for accept in range(1 << len(awake)):
-                    p = p_draw
-                    out = list(source)
-                    for bit, i in enumerate(awake):
-                        if accept >> bit & 1:
-                            p *= 1.0 - keeps[bit]
-                            out[i] = trial_vec[bit]
-                        else:
-                            p *= keeps[bit]
-                    ti = index[tuple(out)]
-                    row[ti] = row.get(ti, 0.0) + p
-        total = 0.0
-        for ti, p in row.items():
-            kernel[si, ti] += p
-            total += p
-        kernel[si, si] += 1.0 - total
+    kernel = np.zeros((n, n)) if dense else None
+    triplets = []
+    for lo, hi in _chunks(paths + n):
+        block = _chain_rows(space, rp, tables, tau, lo, hi)
+        if dense:
+            kernel[lo:hi] = block
+        else:
+            r, c = np.nonzero(block)
+            triplets.append((block[r, c], r + lo, c))
     if not dense:
-        kernel = kernel.tocsr()
-    return PerturbedChain(states=states, index=index, kernel=kernel, noise=eps)
+        values, rows, cols = (np.concatenate(t) for t in zip(*triplets))
+        kernel = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
+    index = {a: k for k, a in enumerate(space.states)}
+    return PerturbedChain(states=space.states, index=index, kernel=kernel, noise=eps)
 
 
 def _gth_stationary(kernel: np.ndarray) -> np.ndarray:
@@ -289,23 +414,39 @@ def _gth_stationary(kernel: np.ndarray) -> np.ndarray:
 
     The Grassmann-Taksar-Heyman recursion avoids subtractions, so it stays
     accurate even when off-diagonal entries span hundreds of orders of
-    magnitude, as they do for small noise levels.
+    magnitude, as they do for small noise levels.  States are eliminated
+    from the last in blocks of _GTH_BLOCK.  Within a block, step k first
+    applies the block's earlier steps to row k and column k only; the
+    leading submatrix then takes the whole block's update as one product of
+    the block's columns and rows, in row slabs.
     """
     p = np.array(kernel, dtype=float)
     n = p.shape[0]
-    for k in range(n - 1, 0, -1):
-        s = p[k, :k].sum()
-        if s <= 0.0:
-            raise StationaryConvergenceError(
-                "chain is reducible: no escape mass from a trapped block"
-            )
-        p[:k, k] /= s
-        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    for top in range(n, 1, -_GTH_BLOCK):
+        lo = max(top - _GTH_BLOCK, 1)
+        for k in range(top - 1, lo - 1, -1):
+            if k + 1 < top:
+                p[k, :k] += p[k, k + 1 : top] @ p[k + 1 : top, :k]
+                p[:k, k] += p[:k, k + 1 : top] @ p[k + 1 : top, k]
+            s = p[k, :k].sum()
+            if s <= 0.0:
+                raise StationaryConvergenceError(
+                    "chain is reducible: no escape mass from a trapped block"
+                )
+            p[:k, k] /= s
+        slab = max(1, _GTH_SLAB // ((top - lo) * lo))
+        for r in range(0, lo, slab):
+            p[r : r + slab, :lo] += p[r : r + slab, lo:top] @ p[lo:top, :lo]
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):
         pi[k] = pi[:k] @ p[:k, k]
     return pi / pi.sum()
+
+
+def _residual(kernel: np.ndarray | sp.csr_matrix, pi: np.ndarray) -> float:
+    """|pi P - pi|_1."""
+    return float(np.abs(np.asarray(pi @ kernel).ravel() - pi).sum())
 
 
 def stationary_distribution(
@@ -322,7 +463,7 @@ def stationary_distribution(
     if n <= DENSE_SOLVE_LIMIT:
         dense = kernel.toarray() if sp.issparse(kernel) else kernel
         pi = _gth_stationary(dense)
-        residual = np.abs(pi @ dense - pi).sum()
+        residual = _residual(dense, pi)
         if residual > max(tol, 1e-12 * n):
             raise StationaryConvergenceError(f"GTH residual {residual:.3e} > {tol}")
         return pi
@@ -340,13 +481,20 @@ def stationary_distribution(
 
 @dataclass
 class StableSetReport:
-    """Stationary masses across a decreasing noise schedule."""
+    """Stationary masses across a decreasing noise schedule.
+
+    Per noise level it also records the chain build and stationary solve
+    wall times in seconds and the solve's residual |pi P - pi|_1.
+    """
 
     noise_levels: tuple[float, ...]
     states: tuple[JointAction, ...]
     masses: np.ndarray  # (n_levels, n_states)
     stable: tuple[JointAction, ...]
     mass_threshold: float
+    build_seconds: tuple[float, ...] = ()
+    solve_seconds: tuple[float, ...] = ()
+    residuals: tuple[float, ...] = ()
 
 
 def stochastically_stable_states(
@@ -368,9 +516,17 @@ def stochastically_stable_states(
         raise ValueError("noise levels must lie in (0, 1)")
     if any(b >= a for a, b in zip(levels, levels[1:])):
         raise ValueError("noise levels must be strictly decreasing")
-    chains = [build_chain(game, wake, constraints, e) for e in levels]
-    states = chains[0].states
-    masses = np.vstack([stationary_distribution(c) for c in chains])
+    masses, build_s, solve_s, residuals = [], [], [], []
+    for e in levels:
+        start = time.perf_counter()
+        chain = build_chain(game, wake, constraints, e)
+        built = time.perf_counter()
+        masses.append(stationary_distribution(chain))
+        solve_s.append(time.perf_counter() - built)
+        build_s.append(built - start)
+        residuals.append(_residual(chain.kernel, masses[-1]))
+    states = chain.states
+    masses = np.vstack(masses)
     stable = []
     for k, state in enumerate(states):
         column = masses[:, k]
@@ -384,7 +540,24 @@ def stochastically_stable_states(
         masses=masses,
         stable=tuple(stable),
         mass_threshold=mass_threshold,
+        build_seconds=tuple(build_s),
+        solve_seconds=tuple(solve_s),
+        residuals=tuple(residuals),
     )
+
+
+def _own_values(game: GameDefinition, space: _Space) -> list[np.ndarray]:
+    values: list[np.ndarray] = []
+    for i in range(game.n_players):
+        # the first state playing action b for player i has every other player at 0
+        first = space.actions[:, i] * space.strides[i]
+        u = space.payoffs[:, i]
+        bad = np.flatnonzero(u != u[first])
+        if bad.size:
+            k = bad[0]
+            raise SeparabilityError(i, space.states[first[k]], space.states[k])
+        values.append(u[np.arange(game.n_actions(i)) * space.strides[i]])
+    return values
 
 
 def separable_own_values(game: GameDefinition) -> list[np.ndarray]:
@@ -393,19 +566,66 @@ def separable_own_values(game: GameDefinition) -> list[np.ndarray]:
     Raises SeparabilityError naming the offending player and a witnessing
     pair of profiles if any player's payoff varies with the others' actions.
     """
-    values: list[np.ndarray] = []
-    for i in range(game.n_players):
-        own = np.zeros(game.n_actions(i))
-        base_profile: dict[int, JointAction] = {}
-        for a in game.joint_actions():
-            u = game.utility(i, a)
-            if a[i] not in base_profile:
-                base_profile[a[i]] = a
-                own[a[i]] = u
-            elif u != own[a[i]]:
-                raise SeparabilityError(i, base_profile[a[i]], a)
-        values.append(own)
-    return values
+    return _own_values(game, _space(game))
+
+
+def _feasible_pairs(game: GameDefinition, constraints: ConstrainedActionMap, space: _Space):
+    """Chunks of (source, target) index arrays of every feasible transition.
+
+    Self-transitions are included; pairs come in (source, target) state
+    order, the targets of a source being the product of the players'
+    feasible-target sets.
+    """
+    n_players = game.n_players
+    tables = [_option_table(game, constraints, i, feasible=True) for i in range(n_players)]
+    count = np.ones(len(space.states), dtype=np.int64)
+    for i, (_, counts) in enumerate(tables):
+        count *= counts[space.actions[:, i]]
+    for lo, hi in _chunks(count):
+        rows, shifts = _trial_grid(space, tables, range(n_players), lo, hi)
+        source = rows + lo
+        yield source, source + sum(shifts)
+
+
+def _pair_resistances(space: _Space, source: np.ndarray, target: np.ndarray):
+    """(deviator bits, forward, backward) resistances of transition pairs.
+
+    Each player's term is added in player order as in `resistance`, so the
+    values equal its results exactly.
+    """
+    bits = np.zeros(len(source), dtype=np.int64)
+    forward = np.zeros(len(source))
+    backward = np.zeros(len(source))
+    for i in range(space.payoffs.shape[1]):
+        deviates = space.actions[source, i] != space.actions[target, i]
+        u_source, u_target = space.payoffs[source, i], space.payoffs[target, i]
+        bits |= deviates.astype(np.int64) << i
+        forward = forward + np.where(deviates, np.maximum(u_source, u_target) - u_target, 0.0)
+        backward = backward + np.where(deviates, np.maximum(u_target, u_source) - u_source, 0.0)
+    return bits, forward, backward
+
+
+def transition_resistances(
+    game: GameDefinition, constraints: ConstrainedActionMap
+) -> list[tuple[JointAction, JointAction, tuple[int, ...], float]]:
+    """(source, target, deviators, resistance) of every feasible transition
+    between distinct joint actions, in (source, target) state order."""
+    space = _space(game)
+    deviator_sets = [
+        tuple(i for i in range(game.n_players) if bits >> i & 1)
+        for bits in range(1 << game.n_players)
+    ]
+    states = space.states
+    out = []
+    for source, target in _feasible_pairs(game, constraints, space):
+        moved = source != target
+        source, target = source[moved], target[moved]
+        bits, forward, _ = _pair_resistances(space, source, target)
+        out += [
+            (states[a], states[b], deviator_sets[d], r)
+            for a, b, d, r in zip(source.tolist(), target.tolist(), bits.tolist(), forward.tolist())
+        ]
+    return out
 
 
 @dataclass
@@ -439,26 +659,23 @@ def verify_resistance_identity(
         raise ValueError(
             f"constraint map must be symmetric; offending edges {report.asymmetric_pairs[:3]}"
         )
-    values = separable_own_values(game)
-    states = list(game.joint_actions())
-
-    def potential(a: JointAction) -> float:
-        return float(sum(values[i][a[i]] for i in range(game.n_players)))
-
+    space = _space(game)
+    values = _own_values(game, space)
+    potential = np.zeros(len(space.states))
+    for i in range(game.n_players):
+        potential = potential + values[i][space.actions[:, i]]
     violations: list[tuple[JointAction, JointAction, float]] = []
     worst = 0.0
     checked = 0
-    for a, b in itertools.product(states, states):
-        try:
-            forward = resistance(game, a, b, constraints).resistance
-        except InfeasibleTransitionError:
-            continue
-        backward = resistance(game, b, a, constraints).resistance
-        residual = abs((forward - backward) - (potential(a) - potential(b)))
-        checked += 1
-        worst = max(worst, residual)
-        if residual > tol:
-            violations.append((a, b, residual))
+    for source, target in _feasible_pairs(game, constraints, space):
+        _, forward, backward = _pair_resistances(space, source, target)
+        residual = np.abs((forward - backward) - (potential[source] - potential[target]))
+        checked += len(source)
+        worst = max(worst, float(residual.max()))
+        for k in np.flatnonzero(residual > tol):
+            violations.append(
+                (space.states[source[k]], space.states[target[k]], float(residual[k]))
+            )
     return ResistanceIdentityReport(
         pairs_checked=checked,
         max_residual=worst,
@@ -487,24 +704,18 @@ def min_resistance_tree(
     graph with the root's parent edges removed; the total resistance of the
     tree is the root's stochastic potential.
     """
-    states = list(game.joint_actions())
-    if len(states) > max_states:
+    if game.joint_size > max_states:
         raise ValueError(
-            f"{len(states)} states exceed the exhaustive-search cap {max_states}"
+            f"{game.joint_size} states exceed the exhaustive-search cap {max_states}"
         )
+    states = list(game.joint_actions())
     if root not in set(states):
         raise ValueError(f"root {root} is not a joint action of the game")
     reversed_graph = nx.DiGraph()
     reversed_graph.add_nodes_from(states)
-    for a, b in itertools.permutations(states, 2):
-        if a == root:
-            # the root keeps no outgoing tree edge
-            continue
-        try:
-            r = resistance(game, a, b, constraints).resistance
-        except InfeasibleTransitionError:
-            continue
-        reversed_graph.add_edge(b, a, weight=r)
+    for a, b, _, r in transition_resistances(game, constraints):
+        if a != root:  # the root keeps no outgoing tree edge
+            reversed_graph.add_edge(b, a, weight=r)
     try:
         tree = nx.minimum_spanning_arborescence(reversed_graph, attr="weight")
     except nx.NetworkXException as exc:

@@ -33,3 +33,11 @@ def test_every_traced_name_resolves():
     assert len(pairs) > 30
     missing = [name for name, module, attr in pairs if not resolves(module, attr)]
     assert not missing, f"traced names with no binding: {missing}"
+
+
+def test_tracer_hook_attributes_resolve():
+    # the resistance hook counts InfeasibleTransitionError; the solver hook
+    # reads DENSE_SOLVE_LIMIT to tell GTH solves from power iteration
+    stability = importlib.import_module("potlearn.stability")
+    assert isinstance(stability.DENSE_SOLVE_LIMIT, int)
+    assert issubclass(stability.InfeasibleTransitionError, Exception)
