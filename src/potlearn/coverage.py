@@ -61,7 +61,6 @@ class CoverageWorld:
 
     field_model: WorthField
     positions: list[Cell]
-    prev_positions: list[Cell]
     flags: list[set[Cell]]
     logs: list[ObservationLog]
     cover_radius: float = 1.5
@@ -126,14 +125,10 @@ class CoverageWorld:
         return cls(
             field_model=field_model,
             positions=list(cells),
-            prev_positions=list(cells),
             flags=[set() for _ in range(n_robots)],
             logs=[ObservationLog() for _ in range(n_robots)],
             cover_radius=cover_radius,
-            move_costs=np.asarray(
-                move_cost if np.ndim(move_cost) else [move_cost] * n_robots,
-                dtype=float,
-            ),
+            move_costs=move_cost,
             repeat_factor=repeat_factor,
             worth_percentile=worth_percentile,
         )
@@ -444,8 +439,7 @@ def lay_flag_and_observe(world: CoverageWorld, robot: int) -> int:
 
 
 def commit_positions(world: CoverageWorld, new_positions: Sequence[Cell]) -> None:
-    """Advance the world one iteration: record previous and adopt new positions."""
-    world.prev_positions = list(world.positions)
+    """Advance the world one iteration: adopt the new positions."""
     world.positions = [tuple(p) for p in new_positions]
 
 

@@ -148,7 +148,7 @@ class RevisionPolicy:
             raise ValueError("explore_wake must be in (0, 1]")
         if not 0 < self.climb_wake < 1:
             raise ValueError("climb_wake must be in (0, 1)")
-        if self.drop_rate <= 0:
+        if not self.drop_rate > 0:
             raise ValueError("drop_rate must be positive")
         if not 0 < self.prob_clamp < 0.5:
             raise ValueError("prob_clamp must be in (0, 0.5)")

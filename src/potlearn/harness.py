@@ -40,9 +40,10 @@ from .games import GameDefinition
 from .qlearning import QState, SOQLParams, ql_episode_step, soql_episode_step
 from .rng import make_rng
 from .svgplot import Series, line_plot
-from .worthfield import WorthField, generate_scenario
+from .worthfield import GaussianComponent, WorthField, generate_scenario
 
 ALGORITHMS = ("lll", "blll", "psblll", "ql", "soql")
+LOGLINEAR = ALGORITHMS[:3]
 ENVIRONMENTS = ("known-field", "estimated-field")
 
 # Normalizer floor so that a robot that has sensed nothing reads F = G = 0
@@ -54,28 +55,35 @@ class ConfigError(ValueError):
     """A config file contains an unknown key or an invalid value."""
 
 
+def _range(default, low: float, high: float = math.inf, strict: bool = False):
+    """A numeric config field whose values must lie in [low, high], or in
+    (low, high] when `strict`."""
+    text = f" {'>' if strict else '>='} {low:g}" + (f" and <= {high:g}" if high < math.inf else "")
+    return field(default=default, metadata={"range": (low, high, strict), "text": text})
+
+
 @dataclass
 class ExperimentConfig:
     """Flat experiment description; every knob the runners consume."""
 
     algorithm: str = "psblll"
     environment: str = "known-field"
-    grid_size: int = 40
-    robots: int = 5
-    iterations: int = 20_000
-    steady_window: int = 200
-    steady_tol: float = 1e-4
+    grid_size: int = _range(40, 1)
+    robots: int = _range(5, 1)
+    iterations: int = _range(20_000, 0)
+    steady_window: int = _range(200, 2)
+    steady_tol: float = _range(1e-4, 0.0)
     seeds: tuple[int, ...] = (0,)
-    scenario_seed: int = 7
+    scenario_seed: int = _range(7, 0)
     scenario_components: tuple[dict, ...] | None = None
     # shared dynamics
-    temperature: float = 0.1
-    cover_radius: float = 1.5
-    move_cost: float = 3e-5
+    temperature: float = _range(0.1, 0.0, strict=True)
+    cover_radius: float = _range(1.5, 0.0, strict=True)
+    move_cost: float = _range(3e-5, 0.0, strict=True)
     # revision policy
     explore_wake: float = 1.0
     climb_wake: float = 0.5
-    settle_wake: float = 0.1
+    settle_wake: float = _range(0.1, 0.0, 1.0)
     drop_rate: float = 4.0
     prob_clamp: float = 1e-6
     # q-learning
@@ -84,47 +92,49 @@ class ExperimentConfig:
     perturbation_size: float = 0.01
     commitment_threshold: float = 0.9999
     # estimation
-    repeat_factor: int = 3
-    worth_percentile: float = 60.0
-    model_check_period: int = 50
-    em_iters: int = 10
-    em_period: int = 1
-    aic_tau: float | None = None
-    cov_floor: float = 0.25
+    repeat_factor: int = _range(3, 0)
+    worth_percentile: float = _range(60.0, 0.0, 100.0)
+    model_check_period: int = _range(50, 0)
+    em_iters: int = _range(10, 1)
+    em_period: int = _range(1, 1)
+    aic_tau: float | None = _range(None, 0.0, strict=True)
+    cov_floor: float = _range(0.25, 0.0, strict=True)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.environment not in ENVIRONMENTS:
             raise ConfigError(f"unknown environment {self.environment!r}")
-        if self.environment == "estimated-field" and self.algorithm not in (
-            "psblll",
-            "blll",
-            "lll",
-        ):
+        if self.environment == "estimated-field" and self.algorithm not in LOGLINEAR:
             raise ConfigError("estimated-field mode applies to log-linear learners")
-        if self.robots < 1:
-            raise ConfigError("need at least one robot")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be non-negative")
-        if self.steady_window < 2:
-            raise ConfigError("steady_window must be at least 2")
-        for key in ("temperature", "cover_radius", "move_cost", "cov_floor", "aic_tau"):
-            value = getattr(self, key)
-            if key == "aic_tau" and value is None:
+        # Field types are annotation strings here (postponed evaluation).
+        for f in fields(self):
+            key, value = f.name, getattr(self, f.name)
+            if f.type not in ("int", "float", "float | None") or value is None:
                 continue
+            low, high, strict = f.metadata.get("range", (-math.inf, math.inf, False))
             try:
-                value = float(value)
+                number = math.nan if isinstance(value, bool) else float(value)
             except (TypeError, ValueError):
-                raise ConfigError(f"{key} must be a number, got {value!r}") from None
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{key} must be finite and positive, got {value!r}")
-            setattr(self, key, value)
-        for key, low in (("em_period", 1), ("em_iters", 1), ("model_check_period", 0)):
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+                number = math.nan
+            in_range = (low < number if strict else low <= number) and number <= high
+            if not (math.isfinite(number) and in_range) or (
+                f.type == "int" and not isinstance(value, numbers.Integral)
+            ):
+                what = "an integer" if f.type == "int" else "a finite number"
+                what += f.metadata.get("text", "")
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+            if f.type != "int":
+                setattr(self, key, number)
+        seeds = self.seeds if isinstance(self.seeds, (list, tuple)) else [None]
+        if any(type(s) is bool or not isinstance(s, numbers.Integral) or s < 0 for s in seeds):
+            raise ConfigError(f"seeds must be non-negative integers, got {self.seeds!r}")
         self.seeds = tuple(int(s) for s in self.seeds)
+        try:
+            self.revision_policy()
+            self.soql_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -141,7 +151,7 @@ class ExperimentConfig:
             if extra:
                 raise ConfigError(f"unknown scenario key {extra.pop()!r}")
             if "seed" in scenario:
-                merged["scenario_seed"] = int(scenario["seed"])
+                merged["scenario_seed"] = scenario["seed"]
             if "components" in scenario:
                 merged["scenario_components"] = tuple(scenario["components"])
         return cls(**merged)
@@ -316,7 +326,7 @@ _all_cell_utilities = cov.utility_row
 
 def run_experiment(config: ExperimentConfig, seed: int) -> RunRecord:
     """Execute one seeded run of the configured algorithm."""
-    if config.algorithm in ("lll", "blll", "psblll"):
+    if config.algorithm in LOGLINEAR:
         return _run_loglinear(config, seed)
     return _run_qlearning(config, seed)
 
@@ -386,16 +396,17 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     tau = config.aic_tau if config.aic_tau is not None else config.temperature
     aic_states = [mix.AICState(tau=tau) for _ in range(n_robots)]
     adoption_count = [0] * n_robots
+
+    def refit(i: int, start: mix.GmmEstimate) -> None:
+        estimates[i] = mix.em_iterate(
+            world.logs[i], start, config.em_iters, cov_floor=config.cov_floor
+        )
+        rasters[i] = _estimate_raster(estimates[i], field_model)
+
     if estimated:
         for i in range(n_robots):
             cov.lay_flag_and_observe(world, i)
-            estimates[i] = mix.em_iterate(
-                world.logs[i],
-                mix.initial_estimate(world.logs[i], 1),
-                config.em_iters,
-                cov_floor=config.cov_floor,
-            )
-            rasters[i] = _estimate_raster(estimates[i], field_model)
+            refit(i, mix.initial_estimate(world.logs[i], 1))
     else:
         for i in range(n_robots):
             cov.lay_flag(world, i)
@@ -412,9 +423,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     for n in range(1, config.iterations + 1):
         if estimated and config.model_check_period and n % config.model_check_period == 0:
             for i in range(n_robots):
-                estimates[i] = _aic_round(
-                    estimates[i], world.logs[i], aic_states[i], rng, config
-                )
+                estimates[i] = _aic_round(estimates[i], world.logs[i], aic_states[i], rng, config)
                 rasters[i] = _estimate_raster(estimates[i], field_model)
                 run.record.estimates.append(_estimate_snapshot(n, i, estimates[i]))
 
@@ -455,10 +464,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
                 cov.lay_flag_and_observe(world, i)
                 adoption_count[i] += 1
                 if adoption_count[i] % config.em_period == 0:
-                    estimates[i] = mix.em_iterate(
-                        world.logs[i], estimates[i], config.em_iters, cov_floor=config.cov_floor
-                    )
-                    rasters[i] = _estimate_raster(estimates[i], field_model)
+                    refit(i, estimates[i])
             else:
                 cov.lay_flag(world, i)
 
@@ -617,20 +623,18 @@ def sweep_svg(report: SweepReport, title: str = "covered worth") -> str:
     return line_plot(series, title=title, xlabel="iteration", ylabel="covered worth")
 
 
-@dataclass
-class OracleReport:
-    """Stability analysis artifacts for a small game."""
+@dataclass(kw_only=True)
+class OracleReport(stability.StableSetReport):
+    """Stable-set report of a small game plus its resistances and identity check."""
 
-    states: tuple
     resistances: list[tuple]          # (source, target, deviators, resistance)
-    noise_levels: tuple[float, ...]
-    stationary: np.ndarray            # (n_levels, n_states)
-    stable: tuple
     identity_report: stability.ResistanceIdentityReport | None
     separability_note: str | None
-    build_seconds: tuple[float, ...] = ()   # per noise level
-    solve_seconds: tuple[float, ...] = ()
-    residuals: tuple[float, ...] = ()       # |pi P - pi|_1 of each solve
+
+    @property
+    def stationary(self) -> np.ndarray:
+        """The stationary masses, (n_levels, n_states)."""
+        return self.masses
 
     def to_text(self) -> str:
         lines = ["stability oracle report", "======================="]
@@ -649,7 +653,7 @@ class OracleReport:
         header = "state      " + "  ".join(f"eps={e:g}" for e in self.noise_levels)
         lines.append(header)
         for k, s in enumerate(self.states):
-            masses = "  ".join(f"{self.stationary[j, k]:.6f}" for j in range(len(self.noise_levels)))
+            masses = "  ".join(f"{self.masses[j, k]:.6f}" for j in range(len(self.noise_levels)))
             lines.append(f"{str(s):10s} {masses}")
         lines.append("")
         if self.identity_report is not None:
@@ -679,7 +683,7 @@ class OracleReport:
         lines = [header]
         for k, s in enumerate(self.states):
             masses = ",".join(
-                _float_repr(self.stationary[j, k]) for j in range(len(self.noise_levels))
+                _float_repr(self.masses[j, k]) for j in range(len(self.noise_levels))
             )
             lines.append(f"\"{s}\",{masses}")
         return "\n".join(lines) + "\n"
@@ -710,16 +714,7 @@ def oracle_report(
     except stability.SeparabilityError as exc:
         note = f"resistance identity skipped: {exc}"
     return OracleReport(
-        states=stable.states,
-        resistances=resistances,
-        noise_levels=stable.noise_levels,
-        stationary=stable.masses,
-        stable=stable.stable,
-        identity_report=identity,
-        separability_note=note,
-        build_seconds=stable.build_seconds,
-        solve_seconds=stable.solve_seconds,
-        residuals=stable.residuals,
+        **vars(stable), resistances=resistances, identity_report=identity, separability_note=note
     )
 
 
@@ -793,12 +788,10 @@ def _builtin_game(raw: dict) -> tuple[GameDefinition, ConstrainedActionMap]:
     return cov.as_game(world), cov.moves_constraint_map(world)
 
 
-def oracle_scale_field(seed: int, grid: int, n_components: int | None = None) -> WorthField:
+def oracle_scale_field(seed: int, grid: int) -> WorthField:
     """Small random worth field for oracle-sized grids (no minimum size)."""
-    from .worthfield import GaussianComponent
-
     rng = make_rng(seed, 0xC0FFEE)
-    m = n_components if n_components is not None else int(rng.integers(1, 4))
+    m = int(rng.integers(1, 4))
     means = rng.uniform(0.15 * grid, 0.85 * grid, size=(m, 2))
     weights = rng.dirichlet(np.ones(m))
     sigma = rng.uniform(grid / 8.0, grid / 4.0, size=(m, 2))

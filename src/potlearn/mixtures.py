@@ -24,12 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import binary_logit_weights
+from .worthfield import gaussian_log_density
 
 # Observations sit on a unit-cell lattice, so variance below a half-cell
 # standard deviation is unresolvable quantization noise; flooring eigenvalues
 # there keeps near-singular spike components from dominating likelihoods.
 COV_FLOOR = 0.25
 STARVE_FRACTION = 1e-6
+# Largest component count a proposal may reach.
+MAX_COMPONENTS = 10
 
 
 class EmptyLogError(ValueError):
@@ -81,7 +84,6 @@ class GmmEstimate:
     weights: np.ndarray          # (M,)
     means: np.ndarray            # (M, 2)
     covs: np.ndarray             # (M, 2, 2)
-    responsibilities: np.ndarray | None = None   # (n_unique, M) cache of last E-step
     log_likelihood: float | None = None
     starved: tuple[int, ...] = ()
 
@@ -94,26 +96,12 @@ class GmmEstimate:
             weights=self.weights.copy(),
             means=self.means.copy(),
             covs=self.covs.copy(),
-            responsibilities=None
-            if self.responsibilities is None
-            else self.responsibilities.copy(),
             log_likelihood=self.log_likelihood,
             starved=self.starved,
         )
 
     def density(self, points: np.ndarray) -> np.ndarray:
         return np.exp(mixture_log_density(self, points))
-
-
-def gaussian_log_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    det = float(np.linalg.det(cov))
-    if det <= 0:
-        raise ValueError("singular covariance")
-    inv = np.linalg.inv(cov)
-    diff = pts - np.asarray(mean, dtype=float)
-    quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
-    return -math.log(2.0 * math.pi) - 0.5 * math.log(det) - 0.5 * quad
 
 
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -156,6 +144,15 @@ def responsibilities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
 def log_likelihood(est: GmmEstimate, log: ObservationLog) -> float:
     points, weights = log.arrays()
     return float(weights @ mixture_log_density(est, points))
+
+
+def _max_change(a: GmmEstimate, b: GmmEstimate) -> float:
+    """Largest absolute difference of any weight, mean or covariance entry."""
+    return max(
+        float(np.abs(a.weights - b.weights).max()),
+        float(np.abs(a.means - b.means).max()),
+        float(np.abs(a.covs - b.covs).max()),
+    )
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
@@ -236,13 +233,8 @@ def em_iterate(
             )
         if starved:
             new_weights = new_weights / new_weights.sum()
-        delta = max(
-            float(np.abs(new_weights - out.weights).max()),
-            float(np.abs(new_means - out.means).max()),
-            float(np.abs(new_covs - out.covs).max()),
-        )
+        delta = _max_change(GmmEstimate(new_weights, new_means, new_covs), out)
         out.weights, out.means, out.covs = new_weights, new_means, new_covs
-        out.responsibilities = resp
         out.starved = tuple(starved)
         if delta < tol:
             break
@@ -398,8 +390,8 @@ def split_select(est: GmmEstimate, log: ObservationLog) -> int:
     return int(np.argmax(split_scores(est, log)))
 
 
-def principal_split_scale(est: GmmEstimate, k: int, factor: float = 0.5) -> float:
-    """Mean offset for splitting component k at a fraction of its principal spread.
+def principal_split_scale(est: GmmEstimate, k: int) -> float:
+    """Mean offset for splitting component k at half its principal spread.
 
     This is `split_component`'s default seeding.  A vanishing offset leaves
     the two children at a symmetric configuration that is marginally stable
@@ -408,7 +400,7 @@ def principal_split_scale(est: GmmEstimate, k: int, factor: float = 0.5) -> floa
     deviation apart keeps the re-estimation in its fast regime.
     """
     vals = np.linalg.eigvalsh(est.covs[k])
-    return factor * math.sqrt(max(float(vals[-1]), 0.0))
+    return 0.5 * math.sqrt(max(float(vals[-1]), 0.0))
 
 
 def split_component(
@@ -433,13 +425,11 @@ def split_component(
     if not 0 <= k < est.n_components:
         raise ValueError(f"invalid split index {k}")
     points, weights = log.arrays()
-    resp = responsibilities(est, points)
-    parent_resp = resp[:, k]
+    parent_resp = responsibilities(est, points)[:, k]
 
     if eps_scale is None:
         eps_scale = principal_split_scale(est, k)
-    vals, vecs = np.linalg.eigh(est.covs[k])
-    axis = vecs[:, -1]
+    axis = np.linalg.eigh(est.covs[k])[1][:, -1]
     iso = math.sqrt(max(float(np.linalg.det(est.covs[k])), cov_floor**2))
     child_cov = iso * np.eye(2)
 
@@ -451,30 +441,24 @@ def split_component(
     new_covs = np.concatenate(
         [est.covs[keep], child_cov.reshape(1, 2, 2), child_cov.reshape(1, 2, 2)]
     )
-    c1, c2 = len(keep), len(keep) + 1
+    # Views of the last two rows: the children's fits below write through them.
+    children = GmmEstimate(new_weights[-2:], new_means[-2:], new_covs[-2:])
 
     total = weights.sum()
-    prev = (new_weights[c1:].copy(), new_means[c1:].copy(), new_covs[c1:].copy())
+    prev = children.copy()
     for _ in range(max(iters, 1)):
-        logs = np.empty((len(points), 2))
-        for idx, c in enumerate((c1, c2)):
-            wj = new_weights[c]
-            logw = math.log(wj) if wj > 0 else -np.inf
-            logs[:, idx] = logw + gaussian_log_density(points, new_means[c], new_covs[c])
-        share = np.exp(logs - _row_logsumexp(logs))
-        for idx, c in enumerate((c1, c2)):
-            weighted = share[:, idx] * parent_resp * weights
+        share = responsibilities(children, points)
+        for c in range(2):
+            weighted = share[:, c] * parent_resp * weights
             mass = weighted.sum()
             if mass <= 0:
                 continue
-            new_weights[c] = mass / total
-            new_means[c], new_covs[c] = _weighted_moments(weighted, mass, points, cov_floor)
-        delta = max(
-            float(np.abs(new_weights[c1:] - prev[0]).max()),
-            float(np.abs(new_means[c1:] - prev[1]).max()),
-            float(np.abs(new_covs[c1:] - prev[2]).max()),
-        )
-        prev = (new_weights[c1:].copy(), new_means[c1:].copy(), new_covs[c1:].copy())
+            children.weights[c] = mass / total
+            children.means[c], children.covs[c] = _weighted_moments(
+                weighted, mass, points, cov_floor
+            )
+        delta = _max_change(children, prev)
+        prev = children.copy()
         if delta < tol:
             break
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
@@ -486,7 +470,6 @@ def count_proposal(
     state: AICState,
     rng: np.random.Generator,
     em_iters: int,
-    max_components: int = 10,
     cov_floor: float = COV_FLOOR,
 ) -> GmmEstimate:
     """One component-count proposal round; returns the kept or adopted model.
@@ -495,7 +478,7 @@ def count_proposal(
     up or down with equal probability), builds the candidate by splitting the
     worst-fitting component or merging the most overlapping pair, refines it
     with `em_iters` full EM sweeps and chooses by `propose_component_count`.
-    A draw above `max_components` ends the round with `est` unchanged.
+    A draw above `MAX_COMPONENTS` ends the round with `est` unchanged.
     """
     m = est.n_components
     if m == 1:
@@ -504,7 +487,7 @@ def count_proposal(
         target = m + 1
     else:
         target = m - 1
-    if target > max_components:
+    if target > MAX_COMPONENTS:
         return est
     if target > m:
         cand = split_component(est, split_select(est, log), log, cov_floor=cov_floor)
@@ -521,7 +504,6 @@ def aic_model_search(
     rounds: int = 16,
     tau: float = 0.1,
     em_iters: int = 10,
-    max_components: int = 10,
     cov_floor: float = COV_FLOOR,
 ) -> GmmEstimate:
     """Fit a mixture while learning the component count.
@@ -532,5 +514,5 @@ def aic_model_search(
     est = em_iterate(log, initial_estimate(log, 1), em_iters, cov_floor=cov_floor)
     state = AICState(tau=tau)
     for _ in range(rounds):
-        est = count_proposal(est, log, state, rng, em_iters, max_components, cov_floor)
+        est = count_proposal(est, log, state, rng, em_iters, cov_floor)
     return est

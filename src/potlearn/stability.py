@@ -14,8 +14,9 @@ marginalizes over unobservable wake events (players that wake and re-select
 their current action), which is the ground truth the diagnostics are checked
 against.
 
-The exhaustive layers read one payoff table, ``U[state, player]``, made with
-one ``game.utilities`` call per joint action.  States are numbered in
+The exhaustive layers read one payoff table, ``U[state, player]``, whose
+column for player i is filled by one ``game.utility_row(i, .)`` call per
+profile of the other players.  States are numbered in
 ``game.joint_actions()`` order, so a joint action's index is its mixed-radix
 value (the last player's action varies fastest).  ``build_chain`` works on
 chunks of source states with numpy: for each wake mask it lays out the trial
@@ -58,6 +59,8 @@ _GTH_SLAB = 200_000
 # Work-array entries a chunk may hold: trial paths plus kernel entries in
 # build_chain, feasible pairs in the resistance enumerators.
 _CHUNK_ENTRIES = 1 << 17
+# Stationary-mass drop between noise levels that still counts as non-decreasing.
+_TREND_SLACK = 1e-9
 
 
 class InfeasibleTransitionError(ValueError):
@@ -244,19 +247,23 @@ class _Space:
 
 
 def _space(game: GameDefinition, max_states: int | None = None) -> _Space:
-    """Enumerate the joint actions and tabulate payoffs, after the state cap."""
+    """Enumerate the joint actions and tabulate payoffs, after the state cap.
+
+    One `utility_row(i, a)` call fills the states that differ from `a` only in i's action.
+    """
     n = game.joint_size
     if max_states is not None and n > max_states:
         raise ValueError(f"joint-action space has {n} states, cap is {max_states}")
     sizes = [game.n_actions(i) for i in range(game.n_players)]
     strides = np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))])
     states = tuple(game.joint_actions())
-    return _Space(
-        states=states,
-        actions=np.array(states, dtype=np.int64).reshape(n, len(sizes)),
-        strides=strides,
-        payoffs=np.array([game.utilities(a) for a in states]).reshape(n, len(sizes)),
-    )
+    actions = np.array(states, dtype=np.int64).reshape(n, len(sizes))
+    payoffs = np.empty((n, len(sizes)))
+    for i, m in enumerate(sizes):
+        own = np.arange(m) * strides[i]
+        for k in np.flatnonzero(actions[:, i] == 0).tolist():
+            payoffs[k + own, i] = game.utility_row(i, states[k])
+    return _Space(states=states, actions=actions, strides=strides, payoffs=payoffs)
 
 
 def _option_table(
@@ -503,12 +510,11 @@ def stochastically_stable_states(
     constraints: ConstrainedActionMap,
     noise_levels: Sequence[float] = (1e-1, 1e-2, 1e-3),
     mass_threshold: float = 0.05,
-    trend_slack: float = 1e-9,
 ) -> StableSetReport:
     """States whose stationary mass survives as the noise level shrinks.
 
     A state qualifies when its mass is at least `mass_threshold` at the
-    smallest noise level and non-decreasing (within `trend_slack`) along the
+    smallest noise level and non-decreasing (within `_TREND_SLACK`) along the
     whole schedule.
     """
     levels = tuple(float(e) for e in noise_levels)
@@ -532,7 +538,7 @@ def stochastically_stable_states(
         column = masses[:, k]
         if column[-1] < mass_threshold:
             continue
-        if all(b >= a - trend_slack for a, b in zip(column, column[1:])):
+        if all(b >= a - _TREND_SLACK for a, b in zip(column, column[1:])):
             stable.append(state)
     return StableSetReport(
         noise_levels=levels,
@@ -547,6 +553,7 @@ def stochastically_stable_states(
 
 
 def _own_values(game: GameDefinition, space: _Space) -> list[np.ndarray]:
+    """Per-player own-action payoffs of a separable game, else SeparabilityError."""
     values: list[np.ndarray] = []
     for i in range(game.n_players):
         # the first state playing action b for player i has every other player at 0
@@ -558,15 +565,6 @@ def _own_values(game: GameDefinition, space: _Space) -> list[np.ndarray]:
             raise SeparabilityError(i, space.states[first[k]], space.states[k])
         values.append(u[np.arange(game.n_actions(i)) * space.strides[i]])
     return values
-
-
-def separable_own_values(game: GameDefinition) -> list[np.ndarray]:
-    """Per-player own-action payoffs of a separable game.
-
-    Raises SeparabilityError naming the offending player and a witnessing
-    pair of profiles if any player's payoff varies with the others' actions.
-    """
-    return _own_values(game, _space(game))
 
 
 def _feasible_pairs(game: GameDefinition, constraints: ConstrainedActionMap, space: _Space):

@@ -47,16 +47,27 @@ class GaussianComponent:
         return cls(weight=d["weight"], mean=d["mean"], cov=d["cov"])
 
 
-def gaussian_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Bivariate normal density at each row of `points`."""
+def _mahalanobis(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared Mahalanobis distance of each row of `points`, and det(cov)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     det = float(np.linalg.det(cov))
     if det <= 0:
         raise ValueError("singular covariance")
     inv = np.linalg.inv(cov)
     diff = pts - np.asarray(mean, dtype=float)
-    quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
+    return np.einsum("ni,ij,nj->n", diff, inv, diff), det
+
+
+def gaussian_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Bivariate normal density at each row of `points`."""
+    quad, det = _mahalanobis(points, mean, cov)
     return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+
+
+def gaussian_log_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Log of the bivariate normal density at each row of `points`."""
+    quad, det = _mahalanobis(points, mean, cov)
+    return -math.log(2.0 * math.pi) - 0.5 * math.log(det) - 0.5 * quad
 
 
 class WorthField:

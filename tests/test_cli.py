@@ -48,6 +48,12 @@ def test_negative_iteration_override_exits_2(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_fractional_robot_count_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, robots=2.5)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "robots" in capsys.readouterr().err
+
+
 def test_run_determinism_bitwise(tmp_path):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

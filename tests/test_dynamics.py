@@ -82,6 +82,11 @@ class TestRevisionPolicy:
         with pytest.raises(ValueError):
             revision_probability(policy, 0.5, 1.1)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_drop_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError, match="drop_rate"):
+            RevisionPolicy(drop_rate=rate)
+
 
 class TestBinaryLogit:
     def test_weights_sum_to_one_exactly(self):

@@ -6,7 +6,8 @@ with the digest recorded before any performance work on the coverage payoff.
 A speed-up that changes a single bit of any column (positions, covered worth,
 potential or diagnostics) fails here.  Regenerate a digest only when a change
 of behaviour is intended, and say why in CHANGES.md.  The model-search
-digests pin the fitted mixture of `aic_model_search` the same way.
+digests pin the fitted mixture of `aic_model_search` the same way, and the
+oracle digests pin `OracleReport.resistances_csv()`.
 """
 import dataclasses
 import hashlib
@@ -14,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from potlearn.harness import ExperimentConfig, run_experiment
+from potlearn.harness import ExperimentConfig, load_game_spec, oracle_report, run_experiment
 from potlearn.mixtures import ObservationLog, aic_model_search
 from potlearn.rng import make_rng
+from potlearn.stability import StableSetReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,3 +143,47 @@ def test_model_search_digest_is_unchanged(s):
     for array in (est.weights, est.means, est.covs):
         digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
     assert digest.hexdigest() == MODEL_SEARCH_GOLDEN[s]
+
+
+def oracle_game(name: str, tmp_path: Path):
+    """The separable 2x2 example config, or the 4x4 two-robot built-in coverage game."""
+    if name == "separable-2x2":
+        return load_game_spec(ROOT / "configs" / "game_separable_2x2.yaml")
+    path = tmp_path / "coverage.yaml"
+    spec = {"builtin": "coverage", "grid_size": 4, "robots": 2, "placement_seed": 0}
+    path.write_text(yaml.safe_dump(spec))
+    return load_game_spec(path)
+
+
+# SHA-256 of `resistances_csv()` of `oracle_report` at its defaults, recorded
+# while the payoff table still took one `game.utilities` call per joint action.
+ORACLE_GOLDEN = {
+    "separable-2x2": "82008cdab4faafc5c237063b46a7d0382360a1bb40043faaa54c911f07f06431",
+    "coverage-4x4": "0946bbf4b5c6cc26063aaaf93b1b1b38573f9a85864dc9eb5a08f3d3e0195cdf",
+}
+# Stationary masses of some states at noise 1e-1, 1e-2 and 1e-3, recorded
+# with the digests.  GTH runs through BLAS products, whose last bits may vary
+# with the library, so these are compared to 1e-12 relative.
+ORACLE_STATIONARY = {
+    "separable-2x2": {
+        0: [0.012436989873019106, 0.0002426075995082785, 3.961324294856893e-06],
+        1: [0.07847210103607184, 0.009658382499501631, 0.0009950396747059973],
+        2: [0.12436989873019098, 0.02426075995082783, 0.003961324294857468],
+        3: [0.7847210103607181, 0.9658382499501623, 0.9950396747061416],
+    },
+    "coverage-4x4": {
+        0: [0.0006660548444032108, 0.0002169531105231368, 6.012236653744315e-05],
+        90: [0.016937472631968153, 0.027712651163247757, 0.03857641274474448],
+        255: [0.002155895069890723, 0.0022730089045372263, 0.002038867254565976],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_output_is_unchanged(name, tmp_path):
+    report = oracle_report(*oracle_game(name, tmp_path))
+    assert hashlib.sha256(report.resistances_csv().encode()).hexdigest() == ORACLE_GOLDEN[name]
+    for k, masses in ORACLE_STATIONARY[name].items():
+        assert report.stationary[:, k] == pytest.approx(masses, rel=1e-12, abs=0)
+    assert isinstance(report, StableSetReport)
+    assert report.stationary is report.masses

@@ -167,6 +167,21 @@ class TestConfig:
             ("aic_tau", float("nan")),
             ("cov_floor", 0.0),
             ("cov_floor", float("inf")),
+            ("robots", 2.5),
+            ("robots", True),
+            ("iterations", 2.5),
+            ("steady_tol", -1),
+            ("steady_tol", float("nan")),
+            ("grid_size", 9.5),
+            ("steady_window", 2.5),
+            ("worth_percentile", 150),
+            ("repeat_factor", -3),
+            ("drop_rate", float("nan")),
+            ("explore_wake", 1.5),
+            ("selection_step", 0.99),
+            ("seeds", ["a"]),
+            ("seeds", 3),
+            ("scenario_seed", "7"),
         ],
     )
     def test_invalid_value_rejected_by_name(self, key, value):

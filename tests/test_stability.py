@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import time
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from potlearn import coverage as cov
 from potlearn import harness, stability
 from potlearn.dynamics import (
     ConstrainedActionMap,
@@ -654,6 +656,44 @@ class TestResistanceExactness:
         game, cmap = separable_2x2()
         report = harness.oracle_report(game, cmap, noise_levels=(0.1,))
         assert report.resistances == reference_resistance_list(game, cmap)
+
+
+def flagged_coverage_game(grid, robots):
+    """Built-in coverage game with a flag under each robot, so foreign flags count."""
+    world = cov.CoverageWorld.create(harness.oracle_scale_field(7, grid), robots, make_rng(0, 99))
+    for i in range(robots):
+        cov.lay_flag(world, i)
+    return cov.as_game(world)
+
+
+class TestPayoffTable:
+    """`_space` fills player i's payoff column with n / m_i `utility_row` calls."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: flagged_coverage_game(4, 2),
+            lambda: flagged_coverage_game(3, 3),
+            lambda: random_non_separable()[0],
+        ],
+        ids=["coverage-4x4-2", "coverage-3x3-3", "table-3x4x2"],
+    )
+    def test_rows_equal_the_utilities_loop(self, make, monkeypatch):
+        game = make()
+        expected = np.array([game.utilities(a) for a in game.joint_actions()])
+        calls = []
+        row = GameDefinition.utility_row
+
+        def counting(self, player, action):
+            calls.append(player)
+            return row(self, player, action)
+
+        monkeypatch.setattr(GameDefinition, "utility_row", counting)
+        assert np.array_equal(stability._space(game).payoffs, expected)
+        n = game.joint_size
+        assert collections.Counter(calls) == {
+            i: n // game.n_actions(i) for i in range(game.n_players)
+        }
 
 
 class TestStateCap:
