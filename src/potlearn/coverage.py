@@ -22,8 +22,8 @@ A world keeps the raster of each read-only worth raster it is asked about
 read-only) for as long as that raster is alive; a read-only raster, and every
 array it is a view of, must therefore never change.  A writable `values`
 array is summed afresh on every call, so mutating it in place between calls
-is safe.  Positions and flags are never cached: callers may assign
-`positions` and edit `flags` directly.
+is safe.  Positions and flags are read-only: `commit_positions` and `lay_flag`
+write them and keep the per-cell foreign-flag owner map in step with the flags.
 """
 from __future__ import annotations
 
@@ -60,8 +60,7 @@ class CoverageWorld:
     """Grid world state: field, robot positions, flags, observation logs."""
 
     field_model: WorthField
-    positions: list[Cell]
-    flags: list[set[Cell]]
+    _positions: Sequence[Cell]
     logs: list[ObservationLog]
     cover_radius: float = 1.5
     move_costs: np.ndarray = field(default_factory=lambda: np.array([3e-5]))
@@ -72,17 +71,29 @@ class CoverageWorld:
     def __post_init__(self) -> None:
         if self.cover_radius <= 0:
             raise ValueError("cover_radius must be positive")
-        n = len(self.positions)
+        self._positions = tuple(tuple(p) for p in self._positions)
+        n = len(self._positions)
+        self._flags: tuple[frozenset[Cell], ...] = (frozenset(),) * n
+        # cell -> bitmask of the robots whose flag lies there
+        self._owners: dict[Cell, int] = {}
         self.move_costs = np.broadcast_to(
             np.asarray(self.move_costs, dtype=float), (n,)
         ).copy()
         if (self.move_costs <= 0).any():
             raise ValueError("move costs must be positive")
+        self.move_costs.setflags(write=False)
+        self._move_costs = self.move_costs.tolist()
         if not self.sensed_worths:
             self.sensed_worths = [[] for _ in range(n)]
         self._cover_offsets = _offsets_within(self.cover_radius)
-        # Two discs share no cell once their centres are this far apart on an axis.
-        self._overlap_reach = 2 * int(math.floor(self.cover_radius))
+        # Another robot's displacement (dx, dy) -> the offsets of its disc, in
+        # disc order, whose cells this robot's disc shares (none beyond 2 floor(r)).
+        disc, reach = set(self._cover_offsets), 2 * int(math.floor(self.cover_radius))
+        self._shared_offsets = {
+            (dx, dy): [(ox, oy) for ox, oy in self._cover_offsets if (dx + ox, dy + oy) in disc]
+            for dx in range(-reach, reach + 1)
+            for dy in range(-reach, reach + 1)
+        }
         # Measured with math.dist, exactly as visible_foreign_flag() measures.
         reach = int(math.floor(self.flag_range))
         self._flag_offsets = [
@@ -119,13 +130,10 @@ class CoverageWorld:
     ) -> "CoverageWorld":
         """World with robots placed uniformly at random on the grid."""
         L = field_model.grid_size
-        cells = [
-            (int(rng.integers(L)), int(rng.integers(L))) for _ in range(n_robots)
-        ]
+        cells = [(int(rng.integers(L)), int(rng.integers(L))) for _ in range(n_robots)]
         return cls(
             field_model=field_model,
-            positions=list(cells),
-            flags=[set() for _ in range(n_robots)],
+            _positions=cells,
             logs=[ObservationLog() for _ in range(n_robots)],
             cover_radius=cover_radius,
             move_costs=move_cost,
@@ -134,8 +142,16 @@ class CoverageWorld:
         )
 
     @property
+    def positions(self) -> tuple[Cell, ...]:
+        return self._positions
+
+    @property
+    def flags(self) -> tuple[frozenset[Cell], ...]:
+        return self._flags
+
+    @property
     def n_robots(self) -> int:
-        return len(self.positions)
+        return len(self._positions)
 
     @property
     def grid_size(self) -> int:
@@ -154,13 +170,9 @@ def neighbor_cells(world: CoverageWorld, position: Cell, radius: float) -> list[
     """Cells whose centroids lie within `radius` of the position's centroid."""
     L = world.grid_size
     x, y = position
-    if radius == world.cover_radius:
-        offsets = world._cover_offsets
-    else:
-        offsets = _offsets_within(radius)
     return [
         (x + dx, y + dy)
-        for dx, dy in offsets
+        for dx, dy in _offsets_within(radius)
         if 0 <= x + dx < L and 0 <= y + dy < L
     ]
 
@@ -239,20 +251,18 @@ def overlap_worth(
     Co-located robots each contribute the full shared worth, so three robots
     on one cell each see twice their covered worth here.
     """
-    pos = world.positions[robot] if position is None else position
-    grid = world.worth_values() if values is None else values
-    x, y = pos
-    reach = world._overlap_reach
-    own = None
+    x, y = world.positions[robot] if position is None else position
+    table, L = world._shared_offsets, world.grid_size
     total = 0.0
-    for j, other in enumerate(world.positions):
-        if j == robot or abs(other[0] - x) > reach or abs(other[1] - y) > reach:
+    for j, (ox, oy) in enumerate(world.positions):
+        shared = table.get((ox - x, oy - y))
+        if shared is None or j == robot:
             continue
-        if own is None:
-            own = set(neighbor_cells(world, pos, world.cover_radius))
-        for c in neighbor_cells(world, other, world.cover_radius):
-            if c in own:
-                total += float(grid[c])
+        grid = world.worth_values() if values is None else values
+        for dx, dy in shared:
+            cx, cy = ox + dx, oy + dy
+            if 0 <= cx < L and 0 <= cy < L:
+                total += grid.item(cx, cy)
     return total
 
 
@@ -317,25 +327,14 @@ def visible_foreign_flag(world: CoverageWorld, robot: int, cell: Cell, vantage: 
     """Whether `cell` carries another robot's flag detectable from `vantage`."""
     if math.dist(cell, vantage) > world.flag_range:
         return False
-    return any(
-        cell in world.flags[j] for j in range(world.n_robots) if j != robot
-    )
+    return bool(world._owners.get(cell, 0) & ~(1 << robot))
 
 
 def visible_foreign_flags(world: CoverageWorld, robot: int, vantage: Cell) -> set[Cell]:
     """Every cell carrying another robot's flag detectable from `vantage`."""
-    L = world.grid_size
     x, y = vantage
-    near = [
-        (x + dx, y + dy)
-        for dx, dy in world._flag_offsets
-        if 0 <= x + dx < L and 0 <= y + dy < L
-    ]
-    seen: set[Cell] = set()
-    for j, flags in enumerate(world.flags):
-        if j != robot:
-            seen.update(flags.intersection(near))
-    return seen
+    near = ((x + dx, y + dy) for dx, dy in world._flag_offsets)
+    return {c for c in near if world._owners.get(c, 0) & ~(1 << robot)}
 
 
 def constrained_moves(world: CoverageWorld, position: Cell) -> list[Cell]:
@@ -372,13 +371,11 @@ def utility(
             abs(x - old[0]) <= 1 and abs(y - old[1]) <= 1 and 0 <= x < L and 0 <= y < L
         ):
             raise ValueError(f"move {old} -> {new_pos} outside the constrained set")
-    move_cost = world.move_costs[robot] * math.dist(new_pos, old)
+    move_cost = world._move_costs[robot] * math.dist(new_pos, old)
     if visible_foreign_flag(world, robot, new_pos, old):
         return -move_cost
-    gain = covered_worth(world, robot, new_pos, values) - overlap_worth(
-        world, robot, new_pos, values
-    )
-    return gain - move_cost
+    covered = covered_worth_map(world, values).item(_on_grid(world, new_pos))
+    return covered - overlap_worth(world, robot, new_pos, values) - move_cost
 
 
 def potential(
@@ -416,8 +413,13 @@ def worth_threshold(world: CoverageWorld, robot: int) -> float:
     return float(np.percentile(seen, world.worth_percentile))
 
 
-def lay_flag(world: CoverageWorld, robot: int) -> None:
-    world.flags[robot].add(world.positions[robot])
+def lay_flag(world: CoverageWorld, robot: int, cell: Cell | None = None) -> None:
+    """Flag `cell` (by default the robot's own cell) as the robot's."""
+    cell = world.positions[robot] if cell is None else cell
+    if cell not in world._flags[robot]:
+        _on_grid(world, cell)
+        world._flags = tuple(f | {cell} if j == robot else f for j, f in enumerate(world._flags))
+        world._owners[cell] = world._owners.get(cell, 0) | 1 << robot
 
 
 def lay_flag_and_observe(world: CoverageWorld, robot: int) -> int:
@@ -440,7 +442,10 @@ def lay_flag_and_observe(world: CoverageWorld, robot: int) -> int:
 
 def commit_positions(world: CoverageWorld, new_positions: Sequence[Cell]) -> None:
     """Advance the world one iteration: adopt the new positions."""
-    world.positions = [tuple(p) for p in new_positions]
+    cells = tuple(tuple(p) for p in new_positions)
+    if len(cells) != world.n_robots:
+        raise ValueError(f"need {world.n_robots} positions, got {len(cells)}")
+    world._positions = cells
 
 
 def total_covered_worth(world: CoverageWorld, values: np.ndarray | None = None) -> float:

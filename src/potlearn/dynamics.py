@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import GameDefinition, JointAction, logit_map, replace_action
+from .games import GameDefinition, JointAction, draw_index, logit_map, replace_action
 
 WakeModel = float | Sequence[float] | Callable[[int, JointAction], float]
 
@@ -220,7 +220,7 @@ def lll_step(game: GameDefinition, state: LoglinearState) -> LoglinearState:
     """One uniformly random player resamples from the full-support logit."""
     i = int(state.rng.integers(game.n_players))
     probs = logit_map(game.utility_row(i, state.action), state.temperature)
-    choice = int(state.rng.choice(game.n_actions(i), p=probs))
+    choice = draw_index(probs, state.rng)
     state.awake = (i,)
     state.adopted = (i,) if choice != state.action[i] else ()
     state.action = replace_action(state.action, i, choice)

@@ -10,6 +10,7 @@ concurrently on shared game objects.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -272,6 +273,20 @@ def logit_map(scores: Sequence[float], temperature: float) -> np.ndarray:
     shifted = (s - s.max()) / temperature
     w = np.exp(shifted)
     return w / w.sum()
+
+
+def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """`rng.choice(len(p), p=p)`'s inverse-CDF draw without its overhead: the
+    same index and generator state after, and ValueError on bad weights.  Short
+    rows sum in Python floats, which round the running sum as numpy does."""
+    short = len(p) <= 16
+    cdf = list(itertools.accumulate(p.tolist())) if short else np.cumsum(p)
+    if not (0.0 < cdf[-1] < math.inf and p.min() >= 0.0):
+        raise ValueError("probabilities must be finite, non-negative and not all zero")
+    if short:
+        return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _first_improving(game: GameDefinition, profile: JointAction) -> JointAction | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -213,6 +213,7 @@ class RunRecord:
     wall_time: float = 0.0
     final_flags: tuple[tuple[tuple[int, int], ...], ...] = ()
     estimates: list[dict] = field(default_factory=list)
+    failed_proposals: Counter[str] = field(default_factory=Counter)  # by type; not in the CSV
 
     @property
     def iterations(self) -> int:
@@ -371,7 +372,7 @@ class _Run:
         rec.n.append(n)
         rec.covered.append(cov.total_covered_worth(world))
         rec.potential.append(phi)
-        rec.positions.append(tuple(world.positions))
+        rec.positions.append(world.positions)
         for key, value in diagnostics.items():
             rec.diagnostics[key].append(value)
         for i, flags in enumerate(world.flags):
@@ -395,6 +396,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     rasters: list[np.ndarray | None] = [None] * n_robots
     tau = config.aic_tau if config.aic_tau is not None else config.temperature
     aic_states = [mix.AICState(tau=tau) for _ in range(n_robots)]
+    failures = run.record.failed_proposals
     adoption_count = [0] * n_robots
 
     def refit(i: int, start: mix.GmmEstimate) -> None:
@@ -423,7 +425,9 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     for n in range(1, config.iterations + 1):
         if estimated and config.model_check_period and n % config.model_check_period == 0:
             for i in range(n_robots):
-                estimates[i] = _aic_round(estimates[i], world.logs[i], aic_states[i], rng, config)
+                estimates[i] = _aic_round(
+                    estimates[i], world.logs[i], aic_states[i], rng, config, failures
+                )
                 rasters[i] = _estimate_raster(estimates[i], field_model)
                 run.record.estimates.append(_estimate_snapshot(n, i, estimates[i]))
 
@@ -492,13 +496,15 @@ def _aic_round(
     state: mix.AICState,
     rng: np.random.Generator,
     config: ExperimentConfig,
+    failures: Counter[str],
 ) -> mix.GmmEstimate:
-    """One `mix.count_proposal` round; a proposal that fails keeps the estimate."""
+    """One `mix.count_proposal` round; a failed one keeps the estimate and counts in `failures`."""
     try:
         return mix.count_proposal(
             estimate, log, state, rng, config.em_iters, cov_floor=config.cov_floor
         )
-    except (ValueError, np.linalg.LinAlgError):
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        failures[type(exc).__name__] += 1
         return estimate
 
 

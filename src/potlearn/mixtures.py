@@ -287,15 +287,18 @@ def propose_component_count(
     candidate: GmmEstimate,
     log: ObservationLog,
     rng: np.random.Generator,
+    candidate_loglik: float | None = None,
 ) -> int:
     """Choose between the current and candidate component counts.
 
     Both models are scored by the negated criterion (larger is better) and
     the choice is a two-point logit at the state's temperature, so a clearly
     better model is kept almost surely while near-ties stay stochastic.
+    `candidate_loglik` is the candidate's log-likelihood on `log`, if known.
     """
+    loglik = log_likelihood(candidate, log) if candidate_loglik is None else candidate_loglik
     state.iaic_current = -aic(current, log)
-    state.iaic_candidate = -aic(candidate, log)
+    state.iaic_candidate = -aic_value(6 * candidate.n_components - 1, loglik)
     state.last_proposal = candidate.n_components
     p_keep, _ = binary_logit_weights(state.iaic_current, state.iaic_candidate, state.tau)
     if rng.random() < p_keep:
@@ -303,12 +306,15 @@ def propose_component_count(
     return candidate.n_components
 
 
-def merge_select(est: GmmEstimate, log: ObservationLog) -> tuple[int, int]:
-    """Pair whose posterior-responsibility vectors have the largest inner product."""
+def merge_select(
+    est: GmmEstimate, log: ObservationLog, resp: np.ndarray | None = None
+) -> tuple[int, int]:
+    """Pair whose posterior-responsibility vectors have the largest inner product;
+    `resp` (here and in the other split and merge steps) is the caller's E-step."""
     if est.n_components < 2:
         raise ValueError("need at least two components to merge")
     points, weights = log.arrays()
-    resp = responsibilities(est, points)
+    resp = responsibilities(est, points) if resp is None else resp
     best, best_pair = -1.0, (0, 1)
     for j in range(est.n_components):
         for j2 in range(j + 1, est.n_components):
@@ -323,6 +329,7 @@ def merge_components(
     pair: tuple[int, int],
     log: ObservationLog,
     cov_floor: float = COV_FLOOR,
+    resp: np.ndarray | None = None,
 ) -> GmmEstimate:
     """Replace a component pair by one merged component, re-fit in isolation.
 
@@ -337,7 +344,7 @@ def merge_components(
     if j == j2 or j2 >= est.n_components:
         raise ValueError(f"invalid merge pair {pair}")
     points, weights = log.arrays()
-    resp = responsibilities(est, points)
+    resp = responsibilities(est, points) if resp is None else resp
 
     w0 = est.weights[j] + est.weights[j2]
     mu0 = (est.weights[j] * est.means[j] + est.weights[j2] * est.means[j2]) / w0
@@ -356,7 +363,9 @@ def merge_components(
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
 
 
-def split_scores(est: GmmEstimate, log: ObservationLog) -> np.ndarray:
+def split_scores(
+    est: GmmEstimate, log: ObservationLog, resp: np.ndarray | None = None
+) -> np.ndarray:
     """Local divergence of each component's data from its own density.
 
     The responsibility-weighted empirical density is binned on unit grid
@@ -365,7 +374,7 @@ def split_scores(est: GmmEstimate, log: ObservationLog) -> np.ndarray:
     underfits its local data.
     """
     points, weights = log.arrays()
-    resp = responsibilities(est, points)
+    resp = responsibilities(est, points) if resp is None else resp
     bins = np.floor(points).astype(int)
     keys, inverse = np.unique(bins, axis=0, return_inverse=True)
     centers = keys + 0.5
@@ -386,8 +395,8 @@ def split_scores(est: GmmEstimate, log: ObservationLog) -> np.ndarray:
     return scores
 
 
-def split_select(est: GmmEstimate, log: ObservationLog) -> int:
-    return int(np.argmax(split_scores(est, log)))
+def split_select(est: GmmEstimate, log: ObservationLog, resp: np.ndarray | None = None) -> int:
+    return int(np.argmax(split_scores(est, log, resp)))
 
 
 def principal_split_scale(est: GmmEstimate, k: int) -> float:
@@ -411,6 +420,7 @@ def split_component(
     iters: int = 300,
     tol: float = 1e-8,
     cov_floor: float = COV_FLOOR,
+    resp: np.ndarray | None = None,
 ) -> GmmEstimate:
     """Replace one component by two children, re-fit in isolation.
 
@@ -425,7 +435,7 @@ def split_component(
     if not 0 <= k < est.n_components:
         raise ValueError(f"invalid split index {k}")
     points, weights = log.arrays()
-    parent_resp = responsibilities(est, points)[:, k]
+    parent_resp = (responsibilities(est, points) if resp is None else resp)[:, k]
 
     if eps_scale is None:
         eps_scale = principal_split_scale(est, k)
@@ -489,12 +499,14 @@ def count_proposal(
         target = m - 1
     if target > MAX_COMPONENTS:
         return est
+    resp = responsibilities(est, log.arrays()[0])
     if target > m:
-        cand = split_component(est, split_select(est, log), log, cov_floor=cov_floor)
+        k = split_select(est, log, resp)
+        cand = split_component(est, k, log, cov_floor=cov_floor, resp=resp)
     else:
-        cand = merge_components(est, merge_select(est, log), log, cov_floor=cov_floor)
+        cand = merge_components(est, merge_select(est, log, resp), log, cov_floor, resp)
     cand = em_iterate(log, cand, em_iters, cov_floor=cov_floor)
-    chosen = propose_component_count(state, est, cand, log, rng)
+    chosen = propose_component_count(state, est, cand, log, rng, cand.log_likelihood)
     return cand if chosen == cand.n_components else est
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import ConstrainedActionMap
-from .games import GameDefinition, argmax_ties, logit_map
+from .games import GameDefinition, argmax_ties, draw_index
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,6 @@ def q_update(
     q = state.q_values[player]
     q[played] += step * (payoff - q[played])
     return state
-
-
-def boltzmann_strategy(state: QState, player: int, temperature: float) -> np.ndarray:
-    """Logit distribution over the player's Q row."""
-    return logit_map(state.q_values[player], temperature)
 
 
 def soql_update(
@@ -207,11 +202,15 @@ def constrained_draw(
     allowed mass vanishes the draw is uniform over the allowed set.
     """
     idx = np.asarray(allowed, dtype=int)
-    weights = np.asarray(x, dtype=float)[idx]
+    return int(idx[_renormalized_draw(np.asarray(x, dtype=float)[idx], rng)])
+
+
+def _renormalized_draw(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn from `weights` renormalized; uniform once their mass vanishes."""
     total = weights.sum()
     if total <= 0.0:
-        return int(idx[rng.integers(len(idx))])
-    return int(idx[rng.choice(len(idx), p=weights / total)])
+        return int(rng.integers(len(weights)))
+    return draw_index(weights / total, rng)
 
 
 def commitment_zone_active(state: QState, params: SOQLParams) -> bool:
@@ -274,13 +273,15 @@ def ql_episode_step(
 
     Boltzmann selection over the Q row at the configured temperature, with
     the same constrained-draw masking and payoff masking as the second-order
-    learner; constant step size.
+    learner; constant step size.  Only the allowed actions' weights are formed,
+    shifted by the row maximum as in `logit_map`, so each keeps its bits.
     """
     draws: list[int] = []
     for i in range(game.n_players):
-        x = boltzmann_strategy(state, i, params.temperature)
+        q = state.q_values[i]
         allowed = constraints.allowed(i, state.actions[i])
-        draws.append(constrained_draw(x, allowed, rng))
+        weights = np.exp((q[list(allowed)] - q.max()) / params.temperature)
+        draws.append(allowed[_renormalized_draw(weights, rng)])
     realized = tuple(draws)
     state.payoffs = game.utilities(realized)
     for i in range(game.n_players):

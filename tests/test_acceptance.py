@@ -228,8 +228,8 @@ def test_criterion_5_coverage_game_has_an_exact_potential():
         [GaussianComponent(1.0, [2.0, 2.0], 1.8 * np.eye(2))], 4
     )
     world = cov.CoverageWorld.create(field, 2, make_rng(900))
-    world.flags[0].update({(1, 1), (0, 3)})
-    world.flags[1].update({(3, 2)})
+    for robot, cell in ((0, (1, 1)), (0, (0, 3)), (1, (3, 2))):
+        cov.lay_flag(world, robot, cell)
     rng = make_rng(901)
     base = list(world.positions)
     worst = 0.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -62,7 +63,7 @@ class TestCoveredAndOverlap:
 
     def test_uniform_interior_disc(self):
         world = flat_world()
-        world.positions[0] = (4, 4)
+        cov.commit_positions(world, [(4, 4), world.positions[1]])
         assert cov.covered_worth(world, 0, values=uniform_values(world)) == pytest.approx(
             0.09, abs=1e-15
         )
@@ -74,7 +75,7 @@ class TestCoveredAndOverlap:
         comp = GaussianComponent(1.0, [4.5, 4.5], 0.36 * np.eye(2))
         field = WorthField([comp], 9)
         world = cov.CoverageWorld.create(field, 1, make_rng(1))
-        world.positions[0] = (4, 4)
+        cov.commit_positions(world, [(4, 4)])
         covered = cov.covered_worth(world, 0)
         grid_sum = sum(
             field.raster()[c] for c in cov.neighbor_cells(world, (4, 4), 1.5)
@@ -84,12 +85,12 @@ class TestCoveredAndOverlap:
 
     def test_distant_robots_do_not_overlap(self):
         world = flat_world()
-        world.positions = [(0, 0), (7, 7)]  # distance > 2 * 1.5
+        cov.commit_positions(world, [(0, 0), (7, 7)])  # distance > 2 * 1.5
         assert cov.overlap_worth(world, 0, values=uniform_values(world)) == 0.0
 
     def test_colocated_pair_overlaps_fully(self):
         world = flat_world()
-        world.positions = [(4, 4), (4, 4)]
+        cov.commit_positions(world, [(4, 4), (4, 4)])
         vals = uniform_values(world)
         assert cov.overlap_worth(world, 0, values=vals) == pytest.approx(
             cov.covered_worth(world, 0, values=vals), abs=1e-15
@@ -97,7 +98,7 @@ class TestCoveredAndOverlap:
 
     def test_three_colocated_robots_double_count(self):
         world = flat_world(robots=3)
-        world.positions = [(4, 4), (4, 4), (4, 4)]
+        cov.commit_positions(world, [(4, 4), (4, 4), (4, 4)])
         vals = uniform_values(world)
         covered = cov.covered_worth(world, 0, values=vals)
         assert cov.overlap_worth(world, 0, values=vals) == pytest.approx(
@@ -108,43 +109,42 @@ class TestCoveredAndOverlap:
 class TestUtility:
     def test_lone_interior_robot_staying_put(self):
         world = flat_world()
-        world.positions = [(4, 4), (0, 0)]
-        world.positions[1] = (0, 0)
+        cov.commit_positions(world, [(4, 4), (0, 0)])
         vals = uniform_values(world)
         # the corner robot's disc is far from (4, 4): zero overlap
         u = cov.utility(world, 0, (4, 4), (4, 4), values=vals)
         assert u == pytest.approx(0.09 - 0.04, abs=1e-12) or u <= 0.09
-        world.positions[1] = (7, 7)
+        cov.commit_positions(world, [world.positions[0], (7, 7)])
         assert cov.utility(world, 0, (4, 4), (4, 4), values=vals) == pytest.approx(
             0.09, abs=1e-15
         )
 
     def test_unit_move_pays_the_energy_cost(self):
         world = flat_world(move_cost=3e-5)
-        world.positions = [(4, 4), (7, 7)]
+        cov.commit_positions(world, [(4, 4), (7, 7)])
         vals = uniform_values(world)
         u = cov.utility(world, 0, (4, 3), (4, 4), values=vals)
         assert u == pytest.approx(0.09 - 3e-5, abs=1e-15)
 
     def test_foreign_flag_kills_the_coverage_term(self):
         world = flat_world(move_cost=3e-5)
-        world.positions = [(4, 4), (7, 7)]
-        world.flags[1].add((4, 3))
+        cov.commit_positions(world, [(4, 4), (7, 7)])
+        cov.lay_flag(world, 1, (4, 3))
         u = cov.utility(world, 0, (4, 3), (4, 4), values=uniform_values(world))
         assert u == pytest.approx(-3e-5 * 1.0, abs=1e-18)
         assert u <= 0.0
 
     def test_own_flag_does_not_suppress(self):
         world = flat_world()
-        world.positions = [(4, 4), (7, 7)]
-        world.flags[0].add((4, 3))
+        cov.commit_positions(world, [(4, 4), (7, 7)])
+        cov.lay_flag(world, 0, (4, 3))
         u = cov.utility(world, 0, (4, 3), (4, 4), values=uniform_values(world))
         assert u > 0.0
 
     def test_undetectable_flag_beyond_twice_the_radius(self):
         world = flat_world()
-        world.positions = [(0, 0), (7, 7)]
-        world.flags[1].add((4, 4))
+        cov.commit_positions(world, [(0, 0), (7, 7)])
+        cov.lay_flag(world, 1, (4, 4))
         # evaluating a teleport move far away: flag at (4, 4) is beyond
         # detection range from (0, 0), so the coverage term survives
         u = cov.utility(
@@ -170,7 +170,7 @@ class TestUtility:
 class TestPotential:
     def test_single_robot_potential_is_its_utility(self):
         world = flat_world(robots=1)
-        world.positions = [(4, 4)]
+        cov.commit_positions(world, [(4, 4)])
         moves = cov.constrained_moves(world, (4, 4))
         joint_new = [moves[3]]
         assert cov.potential(world, joint_new) == pytest.approx(
@@ -180,8 +180,8 @@ class TestPotential:
     def test_unilateral_deviations_match_exactly(self):
         rng = make_rng(5)
         world = flat_world(grid=4, robots=2, seed=6)
-        world.flags[0].update({(1, 1), (2, 3)})
-        world.flags[1].update({(0, 3)})
+        for robot, cell in ((0, (1, 1)), (0, (2, 3)), (1, (0, 3))):
+            cov.lay_flag(world, robot, cell)
         base = list(world.positions)
         for _ in range(200):
             i = int(rng.integers(2))
@@ -197,17 +197,17 @@ class TestPotential:
 
     def test_all_robots_on_foreign_zero_worth_flags(self):
         world = flat_world(move_cost=2e-4)
-        world.positions = [(0, 0), (7, 7)]
-        world.flags[0].add((6, 7))
-        world.flags[1].add((1, 0))
+        cov.commit_positions(world, [(0, 0), (7, 7)])
+        cov.lay_flag(world, 0, (6, 7))
+        cov.lay_flag(world, 1, (1, 0))
         joint_new = [(1, 0), (6, 7)]
         phi = cov.potential(world, joint_new, values=np.zeros((8, 8)))
         assert phi == pytest.approx(-2e-4 * 2.0, abs=1e-15)
 
     def test_exhaustive_potential_certificate_on_small_world(self):
         world = flat_world(grid=4, robots=2, seed=7)
-        world.flags[0].add((1, 1))
-        world.flags[1].add((3, 0))
+        cov.lay_flag(world, 0, (1, 1))
+        cov.lay_flag(world, 1, (3, 0))
         game = cov.as_game(world)
         phi = {
             a: cov.potential(
@@ -252,7 +252,7 @@ class TestMovesAndFlags:
 
     def test_flag_idempotent_log_grows(self):
         world = flat_world()
-        world.positions[0] = (2, 2)
+        cov.commit_positions(world, [(2, 2), world.positions[1]])
         cov.lay_flag_and_observe(world, 0)
         cov.lay_flag_and_observe(world, 0)
         assert world.flags[0] == {(2, 2)}
@@ -260,9 +260,9 @@ class TestMovesAndFlags:
 
     def test_fresh_cell_extends_the_flag_trace(self):
         world = flat_world()
-        world.positions[0] = (2, 2)
+        cov.commit_positions(world, [(2, 2), world.positions[1]])
         cov.lay_flag(world, 0)
-        world.positions[0] = (2, 3)
+        cov.commit_positions(world, [(2, 3), world.positions[1]])
         cov.lay_flag(world, 0)
         assert world.flags[0] == {(2, 2), (2, 3)}
 
@@ -273,7 +273,7 @@ class TestMovesAndFlags:
             key=lambda c: world.worth_values()[c],
         )
         world.sensed_worths[0] = [1e-6, 2e-6, 1e-5]  # low history -> low threshold
-        world.positions[0] = peak
+        cov.commit_positions(world, [peak, world.positions[1]])
         multiplicity = cov.lay_flag_and_observe(world, 0)
         f_peak = float(world.worth_values()[peak])
         threshold = float(np.percentile(world.sensed_worths[0], 60.0))
@@ -283,7 +283,7 @@ class TestMovesAndFlags:
     def test_total_covered_worth_sums_robots(self):
         world = flat_world()
         vals = uniform_values(world)
-        world.positions = [(4, 4), (4, 4)]
+        cov.commit_positions(world, [(4, 4), (4, 4)])
         assert cov.total_covered_worth(world, vals) == pytest.approx(0.18, abs=1e-14)
 
 
@@ -292,7 +292,7 @@ class TestBestResponseOnGrid:
         comp = GaussianComponent(1.0, [4.5, 4.5], 0.25 * np.eye(2))
         field = WorthField([comp], 9)
         world = cov.CoverageWorld.create(field, 1, make_rng(8))
-        world.positions = [(3, 4)]  # one step west of the peak cell (4, 4)
+        cov.commit_positions(world, [(3, 4)])  # one step west of the peak cell (4, 4)
         moves = cov.constrained_moves(world, (3, 4))
         best = max(moves, key=lambda c: cov.utility(world, 0, c, (3, 4)))
         assert best == (4, 4)
@@ -301,7 +301,7 @@ class TestBestResponseOnGrid:
         comp = GaussianComponent(1.0, [4.5, 4.5], 0.25 * np.eye(2))
         field = WorthField([comp], 9)
         world = cov.CoverageWorld.create(field, 1, make_rng(9))
-        world.positions = [(3, 4)]
+        cov.commit_positions(world, [(3, 4)])
         game = cov.as_game(world)
         context = (cov.cell_index(world, (3, 4)),)
         br = best_response_set(game, 0, context)
@@ -453,7 +453,7 @@ def coverage_cases(draw):
     world = cov.CoverageWorld.create(
         field, robots, make_rng(seed), cover_radius=radius, move_cost=3e-5
     )
-    world.positions = list(positions)
+    cov.commit_positions(world, positions)
     flag_range = 2.0 * radius
     cells = list(np.ndindex(L, L))
     rim = [
@@ -463,7 +463,8 @@ def coverage_cases(draw):
     ]
     for j in range(robots):
         pool = rim if rim and draw(st_.booleans()) else cells
-        world.flags[j].update(draw(st_.lists(st_.sampled_from(pool), max_size=6)))
+        for cell in draw(st_.lists(st_.sampled_from(pool), max_size=6)):
+            cov.lay_flag(world, j, cell)
     kind = draw(st_.sampled_from(("field", "writable", "estimate")))
     values = None
     if kind == "writable":
@@ -566,3 +567,104 @@ class TestDiscSumDifferential:
         world = flat_world()
         with pytest.raises(ValueError, match="off the"):
             cov.covered_worth(world, 0, (-1, 3))
+
+
+def ref_visible_flags(world, robot, vantage):
+    """Set-based foreign-flag scan, as written before the owner map."""
+    L = world.grid_size
+    reach = int(math.floor(world.flag_range))
+    near = [
+        (vantage[0] + dx, vantage[1] + dy)
+        for dx in range(-reach, reach + 1)
+        for dy in range(-reach, reach + 1)
+        if math.dist((dx, dy), (0, 0)) <= world.flag_range
+        and 0 <= vantage[0] + dx < L
+        and 0 <= vantage[1] + dy < L
+    ]
+    seen = set()
+    for j, flags in enumerate(world.flags):
+        if j != robot:
+            seen.update(flags.intersection(near))
+    return seen
+
+
+@st_.composite
+def writer_sequences(draw):
+    """A world and a random sequence of position commits and flag layings."""
+    L = draw(st_.integers(1, 9))
+    robots = draw(st_.integers(1, 4))
+    radius = draw(st_.sampled_from(RADII))
+    world = flat_world(grid=L, robots=robots, cover_radius=radius)
+    cell = st_.tuples(st_.integers(0, L - 1), st_.integers(0, L - 1))
+    for _ in range(draw(st_.integers(0, 25))):
+        kind = draw(st_.sampled_from(("commit", "own", "cell")))
+        if kind == "commit":
+            cov.commit_positions(world, draw(st_.lists(cell, min_size=robots, max_size=robots)))
+        elif kind == "own":
+            cov.lay_flag(world, draw(st_.integers(0, robots - 1)))
+        else:
+            cov.lay_flag(world, draw(st_.integers(0, robots - 1)), draw(cell))
+    return world
+
+
+class TestWorldWriters:
+    @given(writer_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_owner_map_follows_the_flag_sets(self, world):
+        rebuilt = {}
+        for robot, flags in enumerate(world.flags):
+            for c in flags:
+                rebuilt[c] = rebuilt.get(c, 0) | 1 << robot
+        assert world._owners == rebuilt
+        L = world.grid_size
+        for robot in range(world.n_robots):
+            for vantage in np.ndindex(L, L):
+                assert cov.visible_foreign_flags(world, robot, vantage) == ref_visible_flags(
+                    world, robot, vantage
+                )
+                for c in [(x, y) for x in range(-1, L + 1) for y in range(-1, L + 1)]:
+                    assert cov.visible_foreign_flag(world, robot, c, vantage) == ref_flagged(
+                        world, robot, c, vantage
+                    )
+
+    def test_state_changes_only_through_the_writers(self):
+        world = flat_world()
+        with pytest.raises(AttributeError):
+            world.positions = [(0, 0), (1, 1)]
+        with pytest.raises(TypeError):
+            world.positions[0] = (0, 0)
+        with pytest.raises(AttributeError):
+            world.flags[0].add((3, 3))
+        with pytest.raises(AttributeError):
+            world.flags = [set(), set()]
+        with pytest.raises(ValueError):
+            world.move_costs[0] = 1.0
+        assert world.flags == (frozenset(), frozenset())
+
+    def test_writers_reject_bad_input(self):
+        world = flat_world()
+        with pytest.raises(ValueError, match="need 2 positions"):
+            cov.commit_positions(world, [(0, 0)])
+        with pytest.raises(ValueError, match="off the"):
+            cov.lay_flag(world, 0, (8, 0))
+        assert world.flags == (frozenset(), frozenset())
+
+
+class TestSharedOffsetOverlap:
+    @pytest.mark.parametrize("radius", RADII + (0.3, 4.0))
+    def test_every_displacement_matches_the_disc_walk(self, radius):
+        reach = 2 * int(math.floor(radius))
+        L = reach + 3
+        world = flat_world(grid=L, robots=2, cover_radius=radius)
+        values = np.random.default_rng(L).random((L, L))
+        edge = (0, L // 2, L - 1)
+        for anchor in itertools.product(edge, edge):
+            for dx, dy in itertools.product(range(-reach, reach + 1), repeat=2):
+                other = (anchor[0] + dx, anchor[1] + dy)
+                if not (0 <= other[0] < L and 0 <= other[1] < L):
+                    continue
+                cov.commit_positions(world, [anchor, other])
+                for robot in (0, 1):
+                    assert cov.overlap_worth(world, robot, values=values) == ref_overlap(
+                        world, robot, values=values
+                    )

@@ -13,6 +13,7 @@ from potlearn.games import (
     best_response_set,
     check_simplex,
     construct_potential,
+    draw_index,
     expected_utility,
     improvement_path,
     is_pure_nash,
@@ -256,6 +257,39 @@ class TestLogitMap:
         base = logit_map(scores, temperature=tau)
         shifted = logit_map([s + shift for s in scores], temperature=tau)
         assert np.abs(base - shifted).max() <= 1e-12
+
+
+class TestDrawIndex:
+    """The inverse-CDF draw against `Generator.choice(p=...)`."""
+
+    @pytest.mark.parametrize("size", [1, 2, 9, 16, 17, 1600])
+    def test_same_index_and_generator_state_as_choice(self, size):
+        source = make_rng(size)
+        for trial in range(300):
+            weights = source.random(size) ** source.integers(1, 8)
+            # zero out some entries, never all of them
+            weights[source.random(size) < 0.3] = 0.0
+            if not weights.any():
+                weights[source.integers(size)] = 1.0
+            p = weights / weights.sum()
+            ours, theirs = make_rng(trial, size), make_rng(trial, size)
+            assert draw_index(p, ours) == theirs.choice(size, p=p)
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("size", [3, 40])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+    def test_rejects_non_finite_or_negative_weights_like_choice(self, bad, size):
+        p = np.full(size, 1.25 / (size - 1))
+        p[size // 2] = bad
+        with pytest.raises(ValueError):
+            make_rng(0).choice(size, p=p)
+        with pytest.raises(ValueError):
+            draw_index(p, make_rng(0))
+
+    @pytest.mark.parametrize("size", [4, 40])
+    def test_rejects_all_zero_weights(self, size):
+        with pytest.raises(ValueError):
+            draw_index(np.zeros(size), make_rng(0))
 
 
 class TestImprovementPath:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import yaml
@@ -231,7 +233,7 @@ class TestRunners:
         field = config.scenario()
         world = cov.CoverageWorld.create(field, 3, np.random.default_rng(0))
         for row, positions in enumerate(record.positions):
-            world.positions = list(positions)
+            cov.commit_positions(world, positions)
             assert abs(record.covered[row] - cov.total_covered_worth(world)) <= 1e-12
 
     def test_estimated_mode_logs_both_potentials(self):
@@ -258,8 +260,30 @@ class TestRunners:
         estimate = mix.em_iterate(log, mix.initial_estimate(log, 1), 5)
         monkeypatch.setattr(mix, "split_component", failing_split)
         config = small_config(environment="estimated-field")
-        kept = harness._aic_round(estimate, log, mix.AICState(), make_rng(0), config)
+        kept = harness._aic_round(estimate, log, mix.AICState(), make_rng(0), config, Counter())
         assert kept is estimate
+
+    def test_failed_proposals_are_counted_by_exception_type(self, monkeypatch):
+        def failing_proposal(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular covariance")
+
+        log = mix.ObservationLog()
+        log.extend([(1.5, 2.5), (3.5, 2.5), (2.5, 4.5)], multiplicity=2)
+        estimate = mix.em_iterate(log, mix.initial_estimate(log, 1), 5)
+        monkeypatch.setattr(mix, "count_proposal", failing_proposal)
+        config = small_config(
+            environment="estimated-field", iterations=60, model_check_period=25
+        )
+        failures = Counter(ValueError=2)
+        kept = harness._aic_round(estimate, log, mix.AICState(), make_rng(0), config, failures)
+        assert kept is estimate
+        assert failures == {"ValueError": 2, "LinAlgError": 1}
+        record = run_experiment(config, seed=5)
+        assert record.iterations == 60
+        # every boundary keeps the single starting component of each robot
+        assert {snap["components"] for snap in record.estimates} == {1}
+        assert record.failed_proposals == {"LinAlgError": 2 * config.robots}
+        assert "LinAlgError" not in record.to_csv() + record.estimates_csv()
 
     def test_estimated_mode_snapshots_mixture_estimates(self):
         config = small_config(
@@ -438,9 +462,9 @@ class TestAllCellUtilities:
         assert _all_cell_utilities is cov.utility_row
         field = generate_scenario(5, 10)
         world = cov.CoverageWorld.create(field, 3, np.random.default_rng(2))
-        world.positions = [(2, 3), (3, 4), (8, 8)]  # overlapping pair + loner
-        world.flags[1].update({(2, 2), (4, 4), (9, 9)})
-        world.flags[2].update({(0, 0)})
+        cov.commit_positions(world, [(2, 3), (3, 4), (8, 8)])  # overlapping pair + loner
+        for robot, cell in ((1, (2, 2)), (1, (4, 4)), (1, (9, 9)), (2, (0, 0))):
+            cov.lay_flag(world, robot, cell)
         table = _all_cell_utilities(world, 0, None)
         for ix in range(10):
             for iy in range(10):

@@ -7,13 +7,12 @@ from hypothesis import strategies as st_
 
 from potlearn import coverage as cov
 from potlearn.dynamics import ConstrainedActionMap
-from potlearn.games import GameDefinition, check_simplex
+from potlearn.games import GameDefinition, check_simplex, logit_map
 from potlearn.qlearning import (
     QState,
     SOQLParams,
     adaptive_step,
     best_response_indices,
-    boltzmann_strategy,
     commitment_zone_active,
     constrained_draw,
     greedy_update,
@@ -66,24 +65,6 @@ class TestFirstOrderUpdate:
         state = single_player_state()
         with pytest.raises(ValueError):
             q_update(state, 0, 0, 1.0, 0.0)
-
-
-class TestBoltzmann:
-    def test_equal_row_is_uniform(self):
-        state = single_player_state(4)
-        assert np.allclose(boltzmann_strategy(state, 0, 1.0), 0.25, atol=1e-15)
-
-    def test_unit_temperature_values(self):
-        state = single_player_state()
-        state.q_values[0][:] = [1.0, 0.0]
-        out = boltzmann_strategy(state, 0, 1.0)
-        assert out[0] == pytest.approx(math.e / (1 + math.e), abs=1e-12)
-
-    def test_cold_limit_concentrates(self):
-        state = single_player_state()
-        state.q_values[0][:] = [1.0, 0.0]
-        out = boltzmann_strategy(state, 0, 1e-9)
-        assert out[0] >= 1.0 - 1e-12
 
 
 class TestSecondOrderUpdate:
@@ -287,6 +268,40 @@ class TestConstrainedDraw:
         assert seen == {0, 1}
 
 
+def ref_boltzmann_draw(q_row, allowed, temperature, rng):
+    """The first-order draw as written before: a logit over the whole Q row,
+    restricted to the allowed set and drawn with `Generator.choice`."""
+    idx = np.asarray(allowed)
+    weights = logit_map(q_row, temperature)[idx]
+    total = weights.sum()
+    if total <= 0.0:
+        return int(idx[rng.integers(len(idx))])
+    return int(idx[rng.choice(len(idx), p=weights / total)])
+
+
+class TestAllowedSetBoltzmannDraw:
+    def test_draws_match_the_whole_row_logit(self):
+        field = WorthField([GaussianComponent(1.0, [3.0, 3.0], 4.0 * np.eye(2))], 6)
+        world = cov.CoverageWorld.create(field, 3, make_rng(0))
+        game, moves = cov.as_game(world), cov.moves_constraint_map(world)
+        source = make_rng(1)
+        for trial in range(300):
+            params = SOQLParams(temperature=float(source.choice([1e-3, 0.1, 10.0])))
+            state = QState.initial([36] * 3, [int(a) for a in source.integers(36, size=3)])
+            for q in state.q_values:
+                q[:] = source.normal(scale=float(source.choice([1e-4, 1.0, 100.0])), size=36)
+            rows = [q.copy() for q in state.q_values]
+            rng, ref_rng = make_rng(trial), make_rng(trial)
+            allowed = [moves.allowed(i, state.actions[i]) for i in range(3)]
+            expected = tuple(
+                ref_boltzmann_draw(rows[i], allowed[i], params.temperature, ref_rng)
+                for i in range(3)
+            )
+            _, realized = ql_episode_step(game, state, params, moves, rng)
+            assert realized == expected
+            assert rng.random() == ref_rng.random()
+
+
 class TestEpisodes:
     def test_identical_interest_game_commits_quickly(self):
         table = np.array([[1.0, 0.0], [0.0, 0.6]])
@@ -350,7 +365,7 @@ class TestCoveragePayoffConvention:
     def world(order):
         field = WorthField([GaussianComponent(1.0, [4.2, 5.7], 9.0 * np.eye(2))], 10)
         world = cov.CoverageWorld.create(field, 3, make_rng(0), cover_radius=1.5)
-        world.positions = [TestCoveragePayoffConvention.START[k] for k in order]
+        cov.commit_positions(world, [TestCoveragePayoffConvention.START[k] for k in order])
         for i in range(3):
             cov.lay_flag(world, i)
         return world
