@@ -24,19 +24,20 @@ array it is a view of, must therefore never change.  A writable `values`
 array is summed afresh on every call, so mutating it in place between calls
 is safe.  Positions and flags are read-only: `commit_positions` and `lay_flag`
 write them and keep the per-cell foreign-flag owner map in step with the flags.
+`sense` only reads: what a robot records of its sensing (the observation log
+of an estimated-field run) is kept by the runner, not by the world.
 """
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import ConstrainedActionMap
 from .games import GameDefinition, JointAction
-from .mixtures import ObservationLog, worth_weighted_multiplicity
 from .worthfield import WorthField
 
 Cell = tuple[int, int]
@@ -57,34 +58,22 @@ _MOORE = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 @dataclass
 class CoverageWorld:
-    """Grid world state: field, robot positions, flags, observation logs."""
+    """Grid world state: field, robot positions, flags and the move cost per unit step."""
 
     field_model: WorthField
     _positions: Sequence[Cell]
-    logs: list[ObservationLog]
     cover_radius: float = 1.5
-    move_costs: np.ndarray = field(default_factory=lambda: np.array([3e-5]))
-    repeat_factor: int = 3
-    worth_percentile: float = 60.0
-    sensed_worths: list[list[float]] = field(default_factory=list)
+    move_cost: float = 3e-5
 
     def __post_init__(self) -> None:
-        if self.cover_radius <= 0:
-            raise ValueError("cover_radius must be positive")
+        self.move_cost = float(self.move_cost)
+        for key in ("cover_radius", "move_cost"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)!r}")
         self._positions = tuple(tuple(p) for p in self._positions)
-        n = len(self._positions)
-        self._flags: tuple[frozenset[Cell], ...] = (frozenset(),) * n
+        self._flags: tuple[frozenset[Cell], ...] = (frozenset(),) * len(self._positions)
         # cell -> bitmask of the robots whose flag lies there
         self._owners: dict[Cell, int] = {}
-        self.move_costs = np.broadcast_to(
-            np.asarray(self.move_costs, dtype=float), (n,)
-        ).copy()
-        if (self.move_costs <= 0).any():
-            raise ValueError("move costs must be positive")
-        self.move_costs.setflags(write=False)
-        self._move_costs = self.move_costs.tolist()
-        if not self.sensed_worths:
-            self.sensed_worths = [[] for _ in range(n)]
         self._cover_offsets = _offsets_within(self.cover_radius)
         # Another robot's displacement (dx, dy) -> the offsets of its disc, in
         # disc order, whose cells this robot's disc shares (none beyond 2 floor(r)).
@@ -124,22 +113,12 @@ class CoverageWorld:
         n_robots: int,
         rng: np.random.Generator,
         cover_radius: float = 1.5,
-        move_cost: float | Sequence[float] = 3e-5,
-        repeat_factor: int = 3,
-        worth_percentile: float = 60.0,
+        move_cost: float = 3e-5,
     ) -> "CoverageWorld":
         """World with robots placed uniformly at random on the grid."""
         L = field_model.grid_size
         cells = [(int(rng.integers(L)), int(rng.integers(L))) for _ in range(n_robots)]
-        return cls(
-            field_model=field_model,
-            _positions=cells,
-            logs=[ObservationLog() for _ in range(n_robots)],
-            cover_radius=cover_radius,
-            move_costs=move_cost,
-            repeat_factor=repeat_factor,
-            worth_percentile=worth_percentile,
-        )
+        return cls(field_model, cells, cover_radius, move_cost)
 
     @property
     def positions(self) -> tuple[Cell, ...]:
@@ -313,7 +292,7 @@ def utility_row(
     old = world.positions[robot]
     for c in visible_foreign_flags(world, robot, old):
         gain[c] = 0.0
-    return gain - world.move_costs[robot] * step_lengths(world, old)
+    return gain - world.move_cost * step_lengths(world, old)
 
 
 def step_lengths(world: CoverageWorld, origin: Cell) -> np.ndarray:
@@ -371,7 +350,7 @@ def utility(
             abs(x - old[0]) <= 1 and abs(y - old[1]) <= 1 and 0 <= x < L and 0 <= y < L
         ):
             raise ValueError(f"move {old} -> {new_pos} outside the constrained set")
-    move_cost = world._move_costs[robot] * math.dist(new_pos, old)
+    move_cost = world.move_cost * math.dist(new_pos, old)
     if visible_foreign_flag(world, robot, new_pos, old):
         return -move_cost
     covered = covered_worth_map(world, values).item(_on_grid(world, new_pos))
@@ -396,21 +375,10 @@ def potential(
 
 
 def sense(world: CoverageWorld, robot: int) -> tuple[float, float]:
-    """Worth and gradient magnitude at the robot's cell, recorded for normalization."""
+    """Worth and gradient magnitude at the robot's cell."""
     pos = world.positions[robot]
-    centroid = (pos[0] + 0.5, pos[1] + 0.5)
     f = float(world.worth_values()[pos])
-    g = world.field_model.local_gradient(centroid)
-    world.sensed_worths[robot].append(f)
-    return f, g
-
-
-def worth_threshold(world: CoverageWorld, robot: int) -> float:
-    """Adaptive worthwhile-signal threshold: a percentile of sensed worths."""
-    seen = world.sensed_worths[robot]
-    if not seen:
-        return 0.0
-    return float(np.percentile(seen, world.worth_percentile))
+    return f, world.field_model.local_gradient((pos[0] + 0.5, pos[1] + 0.5))
 
 
 def lay_flag(world: CoverageWorld, robot: int, cell: Cell | None = None) -> None:
@@ -420,24 +388,6 @@ def lay_flag(world: CoverageWorld, robot: int, cell: Cell | None = None) -> None
         _on_grid(world, cell)
         world._flags = tuple(f | {cell} if j == robot else f for j, f in enumerate(world._flags))
         world._owners[cell] = world._owners.get(cell, 0) | 1 << robot
-
-
-def lay_flag_and_observe(world: CoverageWorld, robot: int) -> int:
-    """Flag the robot's cell and log it with worth-weighted multiplicity.
-
-    Revisits leave the flag set unchanged (set semantics) but always add log
-    entries.  Returns the multiplicity used.
-    """
-    pos = world.positions[robot]
-    lay_flag(world, robot)
-    f = float(world.worth_values()[pos])
-    threshold = worth_threshold(world, robot)
-    if threshold > 0:
-        multiplicity = worth_weighted_multiplicity(f, threshold, world.repeat_factor)
-    else:
-        multiplicity = 1
-    world.logs[robot].append((pos[0] + 0.5, pos[1] + 0.5), multiplicity)
-    return multiplicity
 
 
 def commit_positions(world: CoverageWorld, new_positions: Sequence[Cell]) -> None:

@@ -62,6 +62,30 @@ def _range(default, low: float, high: float = math.inf, strict: bool = False):
     return field(default=default, metadata={"range": (low, high, strict), "text": text})
 
 
+def _check_ranges(spec) -> None:
+    """Reject a numeric field of the dataclass `spec` outside its `_range`,
+    naming the field; float fields are stored as floats."""
+    # Field types are annotation strings here (postponed evaluation).
+    for f in fields(spec):
+        key, value = f.name, getattr(spec, f.name)
+        if f.type not in ("int", "float", "float | None") or value is None:
+            continue
+        low, high, strict = f.metadata.get("range", (-math.inf, math.inf, False))
+        try:
+            number = math.nan if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        in_range = (low < number if strict else low <= number) and number <= high
+        if not (math.isfinite(number) and in_range) or (
+            f.type == "int" and not isinstance(value, numbers.Integral)
+        ):
+            what = "an integer" if f.type == "int" else "a finite number"
+            what += f.metadata.get("text", "")
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        if f.type != "int":
+            setattr(spec, key, number)
+
+
 @dataclass
 class ExperimentConfig:
     """Flat experiment description; every knob the runners consume."""
@@ -107,25 +131,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown environment {self.environment!r}")
         if self.environment == "estimated-field" and self.algorithm not in LOGLINEAR:
             raise ConfigError("estimated-field mode applies to log-linear learners")
-        # Field types are annotation strings here (postponed evaluation).
-        for f in fields(self):
-            key, value = f.name, getattr(self, f.name)
-            if f.type not in ("int", "float", "float | None") or value is None:
-                continue
-            low, high, strict = f.metadata.get("range", (-math.inf, math.inf, False))
-            try:
-                number = math.nan if isinstance(value, bool) else float(value)
-            except (TypeError, ValueError):
-                number = math.nan
-            in_range = (low < number if strict else low <= number) and number <= high
-            if not (math.isfinite(number) and in_range) or (
-                f.type == "int" and not isinstance(value, numbers.Integral)
-            ):
-                what = "an integer" if f.type == "int" else "a finite number"
-                what += f.metadata.get("text", "")
-                raise ConfigError(f"{key} must be {what}, got {value!r}")
-            if f.type != "int":
-                setattr(self, key, number)
+        _check_ranges(self)
         seeds = self.seeds if isinstance(self.seeds, (list, tuple)) else [None]
         if any(type(s) is bool or not isinstance(s, numbers.Integral) or s < 0 for s in seeds):
             raise ConfigError(f"seeds must be non-negative integers, got {self.seeds!r}")
@@ -174,22 +180,10 @@ class ExperimentConfig:
         return generate_scenario(self.scenario_seed, self.grid_size)
 
     def revision_policy(self) -> RevisionPolicy:
-        return RevisionPolicy(
-            explore_wake=self.explore_wake,
-            climb_wake=self.climb_wake,
-            settle_wake=self.settle_wake,
-            drop_rate=self.drop_rate,
-            prob_clamp=self.prob_clamp,
-        )
+        return RevisionPolicy(**{f.name: getattr(self, f.name) for f in fields(RevisionPolicy)})
 
     def soql_params(self) -> SOQLParams:
-        return SOQLParams(
-            aggregation_step=self.aggregation_step,
-            selection_step=self.selection_step,
-            perturbation_size=self.perturbation_size,
-            commitment_threshold=self.commitment_threshold,
-            temperature=self.temperature,
-        )
+        return SOQLParams(**{f.name: getattr(self, f.name) for f in fields(SOQLParams)})
 
 
 def _float_repr(v: float) -> str:
@@ -346,8 +340,6 @@ class _Run:
             self.rng,
             cover_radius=config.cover_radius,
             move_cost=config.move_cost,
-            repeat_factor=config.repeat_factor,
-            worth_percentile=config.worth_percentile,
         )
         columns = list(diagnostics) + [f"flags{i}" for i in range(config.robots)]
         self.record = RunRecord(
@@ -398,20 +390,30 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     aic_states = [mix.AICState(tau=tau) for _ in range(n_robots)]
     failures = run.record.failed_proposals
     adoption_count = [0] * n_robots
+    # What each robot has observed: the cells it adopted, weighted by their
+    # worth against the worths it has sensed.  Estimated mode only.
+    logs = [mix.ObservationLog() for _ in range(n_robots)]
+    sensed_worths: list[list[float]] = [[] for _ in range(n_robots)]
+
+    def observe(i: int) -> None:
+        x, y = world.positions[i]
+        multiplicity = mix.sensed_multiplicity(
+            float(world.worth_values()[x, y]),
+            sensed_worths[i],
+            config.worth_percentile,
+            config.repeat_factor,
+        )
+        logs[i].append((x + 0.5, y + 0.5), multiplicity)
 
     def refit(i: int, start: mix.GmmEstimate) -> None:
-        estimates[i] = mix.em_iterate(
-            world.logs[i], start, config.em_iters, cov_floor=config.cov_floor
-        )
+        estimates[i] = mix.em_iterate(logs[i], start, config.em_iters, cov_floor=config.cov_floor)
         rasters[i] = _estimate_raster(estimates[i], field_model)
 
-    if estimated:
-        for i in range(n_robots):
-            cov.lay_flag_and_observe(world, i)
-            refit(i, mix.initial_estimate(world.logs[i], 1))
-    else:
-        for i in range(n_robots):
-            cov.lay_flag(world, i)
+    for i in range(n_robots):
+        cov.lay_flag(world, i)
+        if estimated:
+            observe(i)
+            refit(i, mix.initial_estimate(logs[i], 1))
     max_f = [0.0] * n_robots
     max_g = [0.0] * n_robots
     # Robots decide on their own rasters; `rasters` entries are replaced as
@@ -426,7 +428,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
         if estimated and config.model_check_period and n % config.model_check_period == 0:
             for i in range(n_robots):
                 estimates[i] = _aic_round(
-                    estimates[i], world.logs[i], aic_states[i], rng, config, failures
+                    estimates[i], logs[i], aic_states[i], rng, config, failures
                 )
                 rasters[i] = _estimate_raster(estimates[i], field_model)
                 run.record.estimates.append(_estimate_snapshot(n, i, estimates[i]))
@@ -435,6 +437,8 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             sensed = []
             for i in range(n_robots):
                 f, g = cov.sense(world, i)
+                if estimated:
+                    sensed_worths[i].append(f)
                 max_f[i] = max(max_f[i], f)
                 max_g[i] = max(max_g[i], g)
                 sensed.append((f, g))
@@ -464,13 +468,12 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             diagnostics["potential_est"] = float(sum(game.utilities(state.action)))
         cov.commit_positions(world, new_positions)
         for i in range(n_robots):
+            cov.lay_flag(world, i)
             if estimated and i in state.adopted:
-                cov.lay_flag_and_observe(world, i)
+                observe(i)
                 adoption_count[i] += 1
                 if adoption_count[i] % config.em_period == 0:
                     refit(i, estimates[i])
-            else:
-                cov.lay_flag(world, i)
 
         if run.log(n, phi, diagnostics):
             break
@@ -729,67 +732,79 @@ def load_game_spec(path: str | Path) -> tuple[GameDefinition, ConstrainedActionM
 
     Either an explicit matrix game (`actions` counts or label lists plus one
     row-major `utilities` list per player) or a built-in (`builtin: coverage`
-    with grid/robot parameters).  Unknown keys are rejected by name.
+    with grid/robot parameters).  Unknown keys and bad values are rejected by name.
     """
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ConfigError("game spec must hold a mapping")
-    if "builtin" in raw:
-        return _builtin_game(raw)
+    builtin = "builtin" in raw
     known = {"players", "actions", "utilities"}
+    if builtin:
+        known = {f.name for f in fields(_CoverageSpec)}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown game spec key {key!r}")
+    if builtin:
+        return _builtin_game(_CoverageSpec(**raw))
     if "actions" not in raw or "utilities" not in raw:
         raise ConfigError("game spec needs 'actions' and 'utilities'")
     actions = raw["actions"]
-    if all(isinstance(a, int) for a in actions):
-        labels = [[f"a{j}" for j in range(n)] for n in actions]
-    else:
-        labels = [list(a) for a in actions]
+    if not isinstance(actions, list) or not actions or not all(
+        type(a) is int and a > 0 or isinstance(a, list) and a for a in actions
+    ):
+        raise ConfigError(f"actions must list action counts > 0 or labels, got {actions!r}")
+    labels = [[f"a{j}" for j in range(a)] if type(a) is int else list(a) for a in actions]
     shape = tuple(len(l) for l in labels)
     utilities = raw["utilities"]
-    if len(utilities) != len(shape):
-        raise ConfigError("need one utility table per player")
+    if not isinstance(utilities, list) or len(utilities) != len(shape):
+        raise ConfigError("utilities must hold one table per player")
     tables = []
     for row in utilities:
-        flat = np.asarray(row, dtype=float)
+        try:
+            flat = np.asarray(row, dtype=float)
+        except (TypeError, ValueError):
+            flat = np.array(math.nan)
+        if not np.isfinite(flat).all():
+            raise ConfigError(f"utilities must hold finite numbers, got {row!r}")
         if flat.size != math.prod(shape):
             raise ConfigError(
                 f"utility table length {flat.size} does not match joint space {math.prod(shape)}"
             )
         tables.append(flat.reshape(shape))
-    players = raw.get("players")
-    if isinstance(players, int):
+    players = raw.get("players", len(shape))
+    if type(players) is int:
         players = [f"p{i}" for i in range(players)]
+    if not isinstance(players, list) or len(players) != len(shape):
+        raise ConfigError(f"players must count or name the {len(shape)} players, got {players!r}")
     game = GameDefinition.from_tables(tables, players=players, action_labels=labels)
     return game, ConstrainedActionMap.complete(game)
 
 
-def _builtin_game(raw: dict) -> tuple[GameDefinition, ConstrainedActionMap]:
-    known = {
-        "builtin",
-        "grid_size",
-        "robots",
-        "scenario_seed",
-        "placement_seed",
-        "cover_radius",
-        "move_cost",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown game spec key {key!r}")
-    name = raw["builtin"]
-    if name != "coverage":
-        raise ConfigError(f"unknown builtin game {name!r}")
-    grid = int(raw.get("grid_size", 4))
-    robots = int(raw.get("robots", 2))
+@dataclass
+class _CoverageSpec:
+    """The keys of a `builtin: coverage` game spec and their defaults."""
+
+    builtin: str
+    grid_size: int = _range(4, 1)
+    robots: int = _range(2, 1)
+    scenario_seed: int = _range(7, 0)
+    placement_seed: int = _range(0, 0)
+    cover_radius: float = _range(1.5, 0.0, strict=True)
+    move_cost: float = _range(3e-5, 0.0, strict=True)
+
+    def __post_init__(self) -> None:
+        if self.builtin != "coverage":
+            raise ConfigError(f"unknown builtin game {self.builtin!r}")
+        _check_ranges(self)
+
+
+def _builtin_game(spec: _CoverageSpec) -> tuple[GameDefinition, ConstrainedActionMap]:
     world = cov.CoverageWorld.create(
-        oracle_scale_field(int(raw.get("scenario_seed", 7)), grid),
-        robots,
-        make_rng(int(raw.get("placement_seed", 0)), 99),
-        cover_radius=float(raw.get("cover_radius", 1.5)),
-        move_cost=float(raw.get("move_cost", 3e-5)),
+        oracle_scale_field(spec.scenario_seed, spec.grid_size),
+        spec.robots,
+        make_rng(spec.placement_seed, 99),
+        cover_radius=spec.cover_radius,
+        move_cost=spec.move_cost,
     )
     return cov.as_game(world), cov.moves_constraint_map(world)
 

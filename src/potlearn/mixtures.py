@@ -256,6 +256,17 @@ def worth_weighted_multiplicity(f_value: float, f_mode: float, repeat_factor: in
     return 1 + repeat_factor * int(math.floor(f_value / f_mode + 0.5))
 
 
+def sensed_multiplicity(
+    f_value: float, sensed: Sequence[float], percentile: float, repeat_factor: int
+) -> int:
+    """`worth_weighted_multiplicity` against the adaptive worthwhile threshold,
+    the `percentile`-th percentile of the sensed worths; 1 while that is not positive."""
+    threshold = float(np.percentile(sensed, percentile)) if len(sensed) else 0.0
+    if threshold > 0:
+        return worth_weighted_multiplicity(f_value, threshold, repeat_factor)
+    return 1
+
+
 def aic_value(n_parameters: int, loglik: float) -> float:
     """Information criterion: two times the parameter count minus 2 ln L."""
     return 2.0 * n_parameters - 2.0 * loglik

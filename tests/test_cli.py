@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -86,6 +87,40 @@ def test_oracle_rejects_malformed_spec(tmp_path, capsys):
     game.write_text(yaml.safe_dump({"actions": [2], "utilities": [[0, 1]], "bogus": 3}))
     assert main(["oracle", "--game", str(game)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+GAME_SPECS = {
+    "builtin": {"builtin": "coverage", "grid_size": 3, "robots": 2},
+    "table": {"actions": [2, 2], "utilities": [[0, 0, 1, 1], [0, 1, 0, 1]]},
+}
+
+
+@pytest.mark.parametrize(
+    "kind,key,value",
+    [
+        ("builtin", "grid_size", 2.5),
+        ("builtin", "grid_size", 3.9),
+        ("builtin", "robots", 2.5),
+        ("builtin", "robots", True),
+        ("builtin", "move_cost", math.inf),
+        ("builtin", "move_cost", "abc"),
+        ("builtin", "cover_radius", math.nan),
+        ("builtin", "placement_seed", -1),
+        ("table", "actions", [2, 2.5]),
+        ("table", "actions", 3),
+        ("table", "actions", [2, True]),
+        ("table", "players", 2.5),
+        ("table", "players", 3),
+        ("table", "utilities", [[0, 0, 1, "x"], [0, 1, 0, 1]]),
+        ("table", "utilities", [[0, 0, 1, math.nan], [0, 1, 0, 1]]),
+    ],
+)
+def test_oracle_bad_spec_value_exits_2_naming_its_key(tmp_path, capsys, kind, key, value):
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump({**GAME_SPECS[kind], key: value}))
+    assert main(["oracle", "--game", str(game), "--out-dir", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,12 @@ from potlearn import coverage as cov
 from potlearn.dynamics import validate_constraints
 from potlearn.games import best_response_set, replace_action, verify_potential
 from potlearn.harness import _estimate_raster
-from potlearn.mixtures import GmmEstimate, worth_weighted_multiplicity
+from potlearn.mixtures import (
+    GmmEstimate,
+    ObservationLog,
+    sensed_multiplicity,
+    worth_weighted_multiplicity,
+)
 from potlearn.rng import make_rng
 from potlearn.worthfield import GaussianComponent, WorthField
 
@@ -253,10 +258,13 @@ class TestMovesAndFlags:
     def test_flag_idempotent_log_grows(self):
         world = flat_world()
         cov.commit_positions(world, [(2, 2), world.positions[1]])
-        cov.lay_flag_and_observe(world, 0)
-        cov.lay_flag_and_observe(world, 0)
+        log = ObservationLog()
+        for _ in range(2):
+            cov.lay_flag(world, 0)
+            f, _ = cov.sense(world, 0)
+            log.append((2.5, 2.5), sensed_multiplicity(f, [], 60.0, 3))
         assert world.flags[0] == {(2, 2)}
-        assert len(world.logs[0]) == 2
+        assert len(log) == 2
 
     def test_fresh_cell_extends_the_flag_trace(self):
         world = flat_world()
@@ -272,13 +280,17 @@ class TestMovesAndFlags:
             ((x, y) for x in range(8) for y in range(8)),
             key=lambda c: world.worth_values()[c],
         )
-        world.sensed_worths[0] = [1e-6, 2e-6, 1e-5]  # low history -> low threshold
+        sensed = [1e-6, 2e-6, 1e-5]  # low history -> low threshold
         cov.commit_positions(world, [peak, world.positions[1]])
-        multiplicity = cov.lay_flag_and_observe(world, 0)
-        f_peak = float(world.worth_values()[peak])
-        threshold = float(np.percentile(world.sensed_worths[0], 60.0))
+        f_peak, _ = cov.sense(world, 0)
+        assert f_peak == float(world.worth_values()[peak])
+        multiplicity = sensed_multiplicity(f_peak, sensed, 60.0, 3)
+        threshold = float(np.percentile(sensed, 60.0))
         assert multiplicity == worth_weighted_multiplicity(f_peak, threshold, 3)
         assert multiplicity >= 1 + 3
+        log = ObservationLog()
+        log.append((peak[0] + 0.5, peak[1] + 0.5), multiplicity)
+        assert len(log) == multiplicity
 
     def test_total_covered_worth_sums_robots(self):
         world = flat_world()
@@ -373,7 +385,7 @@ def ref_utility(world, robot, new_pos, old_pos=None, values=None, enforce_reacha
     old = world.positions[robot] if old_pos is None else old_pos
     if enforce_reachable and new_pos not in cov.constrained_moves(world, old):
         raise ValueError("unreachable")
-    move_cost = world.move_costs[robot] * math.dist(new_pos, old)
+    move_cost = world.move_cost * math.dist(new_pos, old)
     if ref_flagged(world, robot, new_pos, old):
         return -move_cost
     gain = ref_covered(world, robot, new_pos, values) - ref_overlap(world, robot, new_pos, values)
@@ -417,7 +429,7 @@ def ref_all_cell_utilities(world, robot, values):
                 gain[c] = 0.0
     xs = np.arange(L)
     dist = np.hypot(xs[:, None] - old[0], xs[None, :] - old[1])
-    return gain - world.move_costs[robot] * dist
+    return gain - world.move_cost * dist
 
 
 RADII = (0.5, 1.0, 1.2, 1.5, math.sqrt(2.0), 2.0, 2.3, 2.5, math.sqrt(8.0), 3.0, 3.7)
@@ -637,9 +649,12 @@ class TestWorldWriters:
             world.flags[0].add((3, 3))
         with pytest.raises(AttributeError):
             world.flags = [set(), set()]
-        with pytest.raises(ValueError):
-            world.move_costs[0] = 1.0
         assert world.flags == (frozenset(), frozenset())
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, 0.0, -3e-5])
+    def test_create_rejects_a_move_cost_not_finite_and_positive(self, cost):
+        with pytest.raises(ValueError, match="move_cost"):
+            flat_world(move_cost=cost)
 
     def test_writers_reject_bad_input(self):
         world = flat_world()

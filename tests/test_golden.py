@@ -97,6 +97,12 @@ GOLDEN = {
     ("soql-fig7", 1): "fd3e38a8f0d8e6fa1ca030b350f2916cacb6468523c76f36e275349595bd632b",
     ("psblll-estimated", 0): "253bf522fa126e261c7b2cd74cfa8d1ce22c42d4a165db6a090d0bafc1130207",
     ("psblll-estimated", 1): "dcd79ffdb855c95579ea9e51357d1ed3890bf39c71c6a7689c26488a7272d7db",
+    # Recorded while CoverageWorld still held the observation logs and the
+    # sensed-worth history of the estimated-field runs.
+    ("blll-estimated", 0): "375b58e3c67516f66122afcff9d7e8c66b1f0f92457760f36404898452ea9e23",
+    ("blll-estimated", 1): "d8bd69f9c219de7a1e67a35f6c5de272e5c6661f343afe5dd5db9bd328db53b9",
+    ("lll-estimated", 0): "8035dee79c25ae387455a2172852d3abefeff909fc80159b75e106bfd4609ae9",
+    ("lll-estimated", 1): "dd0783998d142c6d5580af9ab28a9dc6b8e99aed1d29fab206733afac69546fa",
 }
 
 

@@ -21,6 +21,7 @@ from potlearn.mixtures import (
     principal_split_scale,
     propose_component_count,
     responsibilities,
+    sensed_multiplicity,
     split_component,
     split_scores,
     split_select,
@@ -198,6 +199,12 @@ class TestWorthWeightedMultiplicity:
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
             worth_weighted_multiplicity(0.1, 0.0, 3)
+
+
+class TestSensedMultiplicity:
+    @pytest.mark.parametrize("sensed", [[], [0.0, 0.0, 0.0, 1.0], [-1.0]])
+    def test_no_positive_threshold_logs_once(self, sensed):
+        assert sensed_multiplicity(5.0, sensed, 60.0, 3) == 1
 
 
 class TestAic:
