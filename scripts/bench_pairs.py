@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the committed benchmark, summarised as JSON.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W \\
+        --pairs N --out BENCH_<n>.json [--seed S] [--logs DIR]
+
+Each pair runs `python3 perfbench/run.py --workload W --seed S`, unmodified,
+once in each checkout; the first run of a pair alternates between the two
+sides so that host drift falls on both.  Only the last line of each run's
+output (the JSON object of end-to-end metrics) and the `environment:` line
+are read.  For each gated metric of the change's BENCHMARK.json the summary
+holds the median and quartiles per side, the relative change of the medians
+and the number of pairs in which the change was better.  The entry replaces
+any entry of the same workload and seed already in `--out`, so one file can
+hold several workloads.  `--logs` keeps every run's full output.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ENV_PREFIX = "environment: "
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[str, dict, str]:
+    """One benchmark run in `checkout`: its environment line, last JSON line and output."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: benchmark exited with {proc.returncode}:\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    env = next((line[len(ENV_PREFIX):] for line in lines if line.startswith(ENV_PREFIX)), "")
+    return env, json.loads(lines[-1]), proc.stdout
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles, interpolated between the sorted values as numpy does."""
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def summarise(gated: list[dict], runs: dict[str, list[dict]]) -> dict:
+    metrics = {}
+    for metric in gated:
+        name = metric["name"]
+        side = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(side["parent"], side["change"]))
+        parent, change = quartiles(side["parent"]), quartiles(side["change"])
+        metrics[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": parent,
+            "change": change,
+            "relative_change": change["median"] / parent["median"] - 1.0,
+            "change_wins": wins,
+        }
+    return metrics
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--logs", type=Path, default=None)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    gated = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    environments = set()
+    if args.logs:
+        args.logs.mkdir(parents=True, exist_ok=True)
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            env, result, output = run_once(sides[side], args.workload, args.seed)
+            environments.add(env)
+            runs[side].append(result)
+            if args.logs:
+                (args.logs / f"{args.workload}-seed{args.seed}-{side}-{k}.txt").write_text(output)
+            value = result["metrics"]["unit_cost_us"]["value"]
+            print(f"pair {k} {side}: unit_cost_us {value:.6g}", flush=True)
+
+    entry = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "order": "alternating, parent first in even pairs",
+        "environment": sorted(environments),
+        "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+        "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
+        "metrics": summarise(gated, runs),
+    }
+    existing = json.loads(args.out.read_text()) if args.out.exists() else []
+    kept = [e for e in existing if (e["workload"], e["seed"]) != (args.workload, args.seed)]
+    args.out.write_text(json.dumps(kept + [entry], indent=1) + "\n")
+    for name, m in entry["metrics"].items():
+        print(
+            f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
+            f"({m['relative_change']:+.1%}), change better in {m['change_wins']}/{args.pairs}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

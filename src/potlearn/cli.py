@@ -55,6 +55,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"final covered worth {record.final_covered():.6f} "
         f"(field mass {record.field_total_mass:.6f}), wall {record.wall_time:.2f}s"
     )
+    if record.failed_proposals:
+        counts = sorted(record.failed_proposals.items())
+        print("component-count proposals failed: " + ", ".join(f"{k} {v}" for k, v in counts))
     print("wrote " + ", ".join(str(p) for p in written))
     return 0
 

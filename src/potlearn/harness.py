@@ -427,10 +427,11 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     for n in range(1, config.iterations + 1):
         if estimated and config.model_check_period and n % config.model_check_period == 0:
             for i in range(n_robots):
-                estimates[i] = _aic_round(
-                    estimates[i], logs[i], aic_states[i], rng, config, failures
-                )
-                rasters[i] = _estimate_raster(estimates[i], field_model)
+                kept = estimates[i]
+                estimates[i] = _aic_round(kept, logs[i], aic_states[i], rng, config, failures)
+                # A kept estimate keeps its raster, and coverage its disc sums.
+                if estimates[i] is not kept:
+                    rasters[i] = _estimate_raster(estimates[i], field_model)
                 run.record.estimates.append(_estimate_snapshot(n, i, estimates[i]))
 
         if estimated or config.algorithm == "psblll":

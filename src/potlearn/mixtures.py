@@ -13,12 +13,15 @@ component whose local data diverges most from its own density.  Merge and
 split re-estimate only the affected components, leaving the rest untouched;
 a split seeds its children half a principal standard deviation apart.
 `count_proposal` is the one proposal round: the online runs and the offline
-`aic_model_search` both play it.
+`aic_model_search` both play it.  A candidate is a pure function of the
+estimate, the log and the target count, so the round's `AICState` keeps the
+candidates built from one (estimate, log, log revision) and reuses them until
+the estimate is replaced or the log grows.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +57,11 @@ class ObservationLog:
         self._weights[key] = self._weights.get(key, 0) + int(multiplicity)
         self._revision += 1
 
+    @property
+    def revision(self) -> int:
+        """Number of appends so far; the log changes only through `append`."""
+        return self._revision
+
     def extend(self, points: Sequence[Sequence[float]], multiplicity: int = 1) -> None:
         for p in points:
             self.append(p, multiplicity)
@@ -67,12 +75,14 @@ class ObservationLog:
         return sum(self._weights.values())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique points (k, 2) and their multiplicities (k,)."""
+        """Unique points (k, 2) and their multiplicities (k,), both read-only."""
         if not self._weights:
             raise EmptyLogError("observation log is empty")
         if self._cache is None or self._cache[0] != self._revision:
             pts = np.array(list(self._weights.keys()), dtype=float)
             w = np.array(list(self._weights.values()), dtype=float)
+            pts.setflags(write=False)
+            w.setflags(write=False)
             self._cache = (self._revision, pts, w)
         return self._cache[1], self._cache[2]
 
@@ -284,12 +294,22 @@ def aic(est: GmmEstimate, log: ObservationLog) -> float:
 
 @dataclass
 class AICState:
-    """Bookkeeping of the component-count proposals."""
+    """Bookkeeping of the component-count proposals.
+
+    `_candidates` holds what `count_proposal` built for one basis: the
+    estimate object, the log object and the log's revision, then a dict from
+    (target count, EM sweeps, covariance floor) to the refined candidate.  A
+    round on another basis (an adopted candidate, a refit, an append to the
+    log) drops it, so at most a split and a merge candidate are held.
+    """
 
     tau: float = 0.1
     last_proposal: int | None = None
     iaic_current: float | None = None
     iaic_candidate: float | None = None
+    _candidates: tuple[GmmEstimate, ObservationLog, int, dict] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def propose_component_count(
@@ -499,7 +519,10 @@ def count_proposal(
     up or down with equal probability), builds the candidate by splitting the
     worst-fitting component or merging the most overlapping pair, refines it
     with `em_iters` full EM sweeps and chooses by `propose_component_count`.
-    A draw above `MAX_COMPONENTS` ends the round with `est` unchanged.
+    A draw above `MAX_COMPONENTS` ends the round with `est` unchanged.  A
+    candidate already built on the same estimate and unchanged log is taken
+    from `state` instead of being rebuilt; it is the same model bit for bit,
+    and the round draws the same random numbers.
     """
     m = est.n_components
     if m == 1:
@@ -510,13 +533,20 @@ def count_proposal(
         target = m - 1
     if target > MAX_COMPONENTS:
         return est
-    resp = responsibilities(est, log.arrays()[0])
-    if target > m:
-        k = split_select(est, log, resp)
-        cand = split_component(est, k, log, cov_floor=cov_floor, resp=resp)
-    else:
-        cand = merge_components(est, merge_select(est, log, resp), log, cov_floor, resp)
-    cand = em_iterate(log, cand, em_iters, cov_floor=cov_floor)
+    memo = state._candidates
+    if memo is None or memo[0] is not est or memo[1] is not log or memo[2] != log.revision:
+        memo = state._candidates = (est, log, log.revision, {})
+    built = memo[3]
+    key = (target, em_iters, cov_floor)
+    cand = built.get(key)
+    if cand is None:
+        resp = responsibilities(est, log.arrays()[0])
+        if target > m:
+            k = split_select(est, log, resp)
+            cand = split_component(est, k, log, cov_floor=cov_floor, resp=resp)
+        else:
+            cand = merge_components(est, merge_select(est, log, resp), log, cov_floor, resp)
+        cand = built[key] = em_iterate(log, cand, em_iters, cov_floor=cov_floor)
     chosen = propose_component_count(state, est, cand, log, rng, cand.log_likelihood)
     return cand if chosen == cand.n_components else est
 

@@ -85,6 +85,7 @@ class WorthField:
         self.components = comps
         self.grid_size = int(grid_size)
         self._raster: np.ndarray | None = None
+        self._gradients: dict[tuple[int, int], float] = {}
 
     @property
     def n_components(self) -> int:
@@ -125,12 +126,22 @@ class WorthField:
         """Magnitude of the finite-difference worth gradient at a centroid.
 
         Central differences over neighboring centroids, one-sided at grid
-        boundaries.
+        boundaries.  Points are clamped onto the grid; each cell's value is
+        computed once and kept.
         """
+        L = self.grid_size
+        cell = (
+            min(max(int(math.floor(point[0])), 0), L - 1),
+            min(max(int(math.floor(point[1])), 0), L - 1),
+        )
+        value = self._gradients.get(cell)
+        if value is None:
+            value = self._gradients[cell] = self._cell_gradient(*cell)
+        return value
+
+    def _cell_gradient(self, ix: int, iy: int) -> float:
         raster = self.raster()
         L = self.grid_size
-        ix = min(max(int(math.floor(point[0])), 0), L - 1)
-        iy = min(max(int(math.floor(point[1])), 0), L - 1)
 
         def axis_slope(i: int, values: np.ndarray) -> float:
             if L == 1:

@@ -55,6 +55,31 @@ def test_fractional_robot_count_exits_2(tmp_path, capsys):
     assert "robots" in capsys.readouterr().err
 
 
+def test_run_reports_failed_proposals(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from potlearn import mixtures
+
+    def failing_split(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular covariance")
+
+    cfg = write_config(
+        tmp_path, environment="estimated-field", params={"model_check_period": 20}
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert "proposals failed" not in capsys.readouterr().out
+    header = (out / "run_psblll_1.csv").read_text().splitlines()[0]
+    monkeypatch.setattr(mixtures, "split_component", failing_split)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # two robots, three proposal rounds, every one a split of one component
+    assert "component-count proposals failed: LinAlgError 6" in lines
+    csv = (out / "run_psblll_1.csv").read_text()
+    assert csv.splitlines()[0] == header
+    assert "LinAlgError" not in csv
+
+
 def test_run_determinism_bitwise(tmp_path):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -244,6 +244,37 @@ class TestRunners:
         assert "potential_est" in record.diagnostics
         assert len(record.diagnostics["potential_est"]) == record.iterations
 
+    def test_estimate_raster_runs_only_for_changed_estimates(self, monkeypatch):
+        rastered = []
+        real_raster = harness._estimate_raster
+
+        def raster(estimate, field_model):
+            rastered.append(estimate)
+            return real_raster(estimate, field_model)
+
+        rounds = []
+        real_round = harness._aic_round
+
+        def aic_round(estimate, *args):
+            result = real_round(estimate, *args)
+            if len(rounds) % 2:  # every other round hands back an equal new object
+                result = result.copy()
+            rounds.append((estimate, result))
+            return result
+
+        monkeypatch.setattr(harness, "_estimate_raster", raster)
+        monkeypatch.setattr(harness, "_aic_round", aic_round)
+        config = small_config(
+            environment="estimated-field", iterations=200, model_check_period=25
+        )
+        run_experiment(config, seed=5)
+        changed = [new for old, new in rounds if new is not old]
+        assert changed and len(changed) < len(rounds)
+        # every estimate in use was rasterised once when it appeared: a kept
+        # one is not rasterised again, a changed one is
+        assert len({id(e) for e in rastered}) == len(rastered)
+        assert all(any(new is e for e in rastered) for new in changed)
+
     @pytest.mark.parametrize("environment", ["known-field", "estimated-field"])
     def test_zero_model_check_period_runs_without_proposals(self, environment):
         config = small_config(environment=environment, iterations=30, model_check_period=0)

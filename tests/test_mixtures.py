@@ -1,10 +1,13 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from potlearn import mixtures as mix
 from potlearn.mixtures import (
     AICState,
     EmptyLogError,
@@ -13,6 +16,7 @@ from potlearn.mixtures import (
     aic,
     aic_model_search,
     aic_value,
+    count_proposal,
     em_iterate,
     initial_estimate,
     log_likelihood,
@@ -482,3 +486,166 @@ class TestModelSearch:
         log = cluster_log(make_rng(30), [(20.0, 20.0)], sigma=2.5, n_per=2000)
         est = aic_model_search(log, make_rng(31), rounds=10)
         assert est.n_components == 1
+
+
+class TestLogRevision:
+    def test_revision_counts_appends_and_is_read_only(self):
+        log = ObservationLog()
+        assert log.revision == 0
+        log.append((1.5, 2.5))
+        log.extend([(1.5, 2.5), (0.5, 0.5)], multiplicity=2)
+        assert log.revision == 3
+        with pytest.raises(AttributeError):
+            log.revision = 0
+
+    def test_cached_arrays_are_read_only(self):
+        log = ObservationLog()
+        log.extend([(1.5, 2.5), (3.5, 0.5)])
+        points, weights = log.arrays()
+        for array in (points, weights):
+            with pytest.raises(ValueError):
+                array[0] = 7.0
+        log.append((9.5, 9.5))
+        assert len(log.arrays()[0]) == 3
+
+
+class ScriptedRng:
+    """Returns the given `random()` values in order; the only draw `count_proposal` makes."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+class TestCandidateMemo:
+    """`count_proposal` builds a candidate once per (estimate, log, revision)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = {"split": 0, "em": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mix, "split_component", counted("split", mix.split_component))
+        monkeypatch.setattr(mix, "em_iterate", counted("em", mix.em_iterate))
+        return calls
+
+    @staticmethod
+    def one_cluster():
+        log = cluster_log(make_rng(40), [(20.0, 20.0)], sigma=2.5, n_per=400)
+        return log, em_iterate(log, initial_estimate(log, 1), 10)
+
+    def test_second_rejected_round_on_an_unchanged_log_builds_nothing(self, builds):
+        log, est = self.one_cluster()
+        state = AICState(tau=0.1)
+        # a single component always proposes a split; a draw of 0 keeps it
+        assert count_proposal(est, log, state, ScriptedRng(0.0), 10) is est
+        assert builds == {"split": 1, "em": 1}
+        scores = (state.iaic_current, state.iaic_candidate)
+        assert count_proposal(est, log, state, ScriptedRng(0.0), 10) is est
+        assert builds == {"split": 1, "em": 1}
+        assert (state.iaic_current, state.iaic_candidate) == scores
+
+    def test_an_append_between_rounds_forces_a_rebuild(self, builds):
+        log, est = self.one_cluster()
+        state = AICState(tau=0.1)
+        count_proposal(est, log, state, ScriptedRng(0.0), 10)
+        log.append((20.5, 20.5))
+        count_proposal(est, log, state, ScriptedRng(0.0), 10)
+        assert builds == {"split": 2, "em": 2}
+
+    def test_other_sweep_counts_are_not_served_from_the_memo(self, builds):
+        log, est = self.one_cluster()
+        state = AICState(tau=0.1)
+        count_proposal(est, log, state, ScriptedRng(0.0), 10)
+        count_proposal(est, log, state, ScriptedRng(0.0), 3)
+        assert builds == {"split": 2, "em": 2}
+
+    def test_an_adopted_candidate_becomes_the_new_basis(self, builds):
+        log = two_cluster_log(41)
+        one = em_iterate(log, initial_estimate(log, 1), 10)
+        state = AICState(tau=0.1)
+        builds.update(em=0)  # the starting fit above
+        two = count_proposal(one, log, state, ScriptedRng(0.5), 10)
+        assert two.n_components == 2
+        assert builds == {"split": 1, "em": 1}
+        # 0.0 draws the split target (3 components) and keeps `two`
+        assert count_proposal(two, log, state, ScriptedRng(0.0, 0.0), 10) is two
+        assert builds == {"split": 2, "em": 2}
+        assert count_proposal(two, log, state, ScriptedRng(0.0, 0.0), 10) is two
+        assert builds == {"split": 2, "em": 2}
+        # the old estimate is no longer the basis
+        count_proposal(one, log, state, ScriptedRng(0.0), 10)
+        assert builds == {"split": 3, "em": 3}
+
+    def test_a_failing_build_raises_on_every_round(self, monkeypatch):
+        def failing_split(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular covariance")
+
+        log, est = self.one_cluster()
+        monkeypatch.setattr(mix, "split_component", failing_split)
+        state = AICState(tau=0.1)
+        for _ in range(3):
+            with pytest.raises(np.linalg.LinAlgError):
+                count_proposal(est, log, state, ScriptedRng(0.0), 10)
+
+
+def unmemoised_model_search(log, rng, rounds, tau=0.1, em_iters=10):
+    """`aic_model_search` with a fresh `AICState` every round, so nothing is reused."""
+    est = em_iterate(log, initial_estimate(log, 1), em_iters)
+    for _ in range(rounds):
+        est = count_proposal(est, log, AICState(tau=tau), rng, em_iters)
+    return est
+
+
+def benchmark_search_log(true_m, seed=0):
+    """The benchmark's `search_m<true_m>` log at workload seed `seed`, logged in order."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    log = ObservationLog()
+    for p in inputs._search_points(seed, true_m):
+        log.append(p)
+    return log
+
+
+class TestModelSearchMemoDifferential:
+    """The memoised model search returns the unmemoised search's mixture bit for bit,
+    after scoring the same candidates in every round."""
+
+    @staticmethod
+    def assert_same(monkeypatch, log, make, rounds=14):
+        scored = []
+
+        def recorded(state, current, candidate, *args):
+            chosen = propose_component_count(state, current, candidate, *args)
+            scored.append((state.iaic_current, state.iaic_candidate, chosen))
+            return chosen
+
+        monkeypatch.setattr(mix, "propose_component_count", recorded)
+        got = aic_model_search(log, make(), rounds=rounds)
+        got_scores, scored[:] = scored[:], []
+        want = unmemoised_model_search(log, make(), rounds)
+        assert got_scores == scored
+        for name in ("weights", "means", "covs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.log_likelihood == want.log_likelihood
+
+    @pytest.mark.parametrize("s", [1, 4, 7, 8])
+    def test_criterion7_logs(self, monkeypatch, s):
+        from test_golden import criterion7_log
+
+        self.assert_same(monkeypatch, criterion7_log(s), lambda: make_rng(1000 + s))
+
+    @pytest.mark.parametrize("true_m", [2, 3, 4, 5])
+    def test_benchmark_search_logs(self, monkeypatch, true_m):
+        # the benchmark seeds numpy's generator directly
+        log = benchmark_search_log(true_m)
+        self.assert_same(monkeypatch, log, lambda: np.random.default_rng(1000 + true_m))

@@ -66,6 +66,47 @@ class TestGradient:
         assert field.local_gradient((0.5, 0.5)) > 0
 
 
+def scalar_gradient(field, point):
+    """The per-call finite-difference gradient, as computed before it was memoised."""
+    raster = field.raster()
+    L = field.grid_size
+    ix = min(max(int(math.floor(point[0])), 0), L - 1)
+    iy = min(max(int(math.floor(point[1])), 0), L - 1)
+
+    def axis_slope(i, values):
+        if L == 1:
+            return 0.0
+        lo, hi = max(i - 1, 0), min(i + 1, L - 1)
+        return (float(values[hi]) - float(values[lo])) / float(hi - lo)
+
+    return math.hypot(axis_slope(ix, raster[:, iy]), axis_slope(iy, raster[ix, :]))
+
+
+class TestGradientMemo:
+    @pytest.mark.parametrize("setting", ["fig5", "fig7"])
+    def test_every_cell_equals_the_scalar_code(self, setting):
+        from test_golden import golden_config
+
+        field = golden_config(f"psblll-{setting}").scenario()
+        L = field.grid_size
+        cells = [(x, y) for x in range(L) for y in range(L)]
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            for x, y in cells:
+                point = (x + 0.5, y + 0.5)
+                assert field.local_gradient(point) == scalar_gradient(field, point)
+
+    def test_off_grid_points_clamp_like_the_scalar_code(self):
+        field = single_component_field(mean=(2.0, 5.0), var=2.0, grid=8)
+        for point in [(-3.0, 0.5), (0.5, 41.0), (7.99, -0.01), (100.0, 100.0), (3.2, 7.7)]:
+            assert field.local_gradient(point) == scalar_gradient(field, point)
+            assert field.local_gradient(point) == scalar_gradient(field, point)
+
+    def test_one_cell_grid(self):
+        field = WorthField([GaussianComponent(1.0, [0.5, 0.5], np.eye(2))], 1)
+        assert field.local_gradient((0.5, 0.5)) == 0.0
+        assert field.local_gradient((3.0, -2.0)) == scalar_gradient(field, (3.0, -2.0))
+
+
 class TestComponentValidation:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError):
