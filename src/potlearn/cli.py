@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import Counter
 from pathlib import Path
 
 import yaml
@@ -22,6 +23,13 @@ def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _print_failed_proposals(failed: Counter[str]) -> None:
+    """One line of component-count proposals that raised, by exception type."""
+    if failed:
+        counts = ", ".join(f"{k} {v}" for k, v in sorted(failed.items()))
+        print(f"component-count proposals failed: {counts}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -55,9 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"final covered worth {record.final_covered():.6f} "
         f"(field mass {record.field_total_mass:.6f}), wall {record.wall_time:.2f}s"
     )
-    if record.failed_proposals:
-        counts = sorted(record.failed_proposals.items())
-        print("component-count proposals failed: " + ", ".join(f"{k} {v}" for k, v in counts))
+    _print_failed_proposals(record.failed_proposals)
     print("wrote " + ", ".join(str(p) for p in written))
     return 0
 
@@ -70,6 +76,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     (out / "sweep.svg").write_text(harness.sweep_svg(report))
     ok = [c for c in report.cells if c.error is None]
     print(f"sweep: {len(ok)}/{len(report.cells)} cells succeeded")
+    _print_failed_proposals(sum((c.record.failed_proposals for c in ok), Counter()))
     for cell in report.failures():
         print(
             f"  config {cell.config_index} seed {cell.seed} failed: {cell.error}",

@@ -29,6 +29,10 @@ from .games import GameDefinition, JointAction, draw_index, logit_map, replace_a
 
 WakeModel = float | Sequence[float] | Callable[[int, JointAction], float]
 
+# Keeps every revision probability strictly inside (0, 1): each player can
+# always both wake and sleep.
+PROB_CLAMP = 1e-6
+
 
 @dataclass(frozen=True)
 class ConstrainedActionMap:
@@ -134,14 +138,14 @@ class RevisionPolicy:
     rp(., 1) = climb_wake.  settle_wake documents the intended wake level for
     a settled player (high signal, flat gradient); it is not a curve
     parameter -- tune drop_rate to move that regime.  Output is clamped to
-    [prob_clamp, 1 - prob_clamp] to keep probabilities strictly inside (0, 1).
+    [PROB_CLAMP, 1 - PROB_CLAMP] (1e-6) to keep probabilities strictly inside
+    (0, 1).
     """
 
     explore_wake: float = 1.0     # wake probability with nothing sensed
     climb_wake: float = 0.5       # wake probability at maximal gradient
     settle_wake: float = 0.1      # documented target once settled on a peak
     drop_rate: float = 4.0
-    prob_clamp: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0 < self.explore_wake <= 1:
@@ -150,8 +154,6 @@ class RevisionPolicy:
             raise ValueError("climb_wake must be in (0, 1)")
         if not self.drop_rate > 0:
             raise ValueError("drop_rate must be positive")
-        if not 0 < self.prob_clamp < 0.5:
-            raise ValueError("prob_clamp must be in (0, 0.5)")
 
     @property
     def anchor(self) -> float:
@@ -172,8 +174,7 @@ def revision_probability(policy: RevisionPolicy, signal: float, gradient: float)
         raw = policy.climb_wake
     else:
         raw = (policy.climb_wake - decay) * gradient + decay
-    lo = policy.prob_clamp
-    return min(max(raw, lo), 1.0 - lo)
+    return min(max(raw, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
 @dataclass

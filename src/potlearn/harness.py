@@ -68,7 +68,7 @@ def _check_ranges(spec) -> None:
     # Field types are annotation strings here (postponed evaluation).
     for f in fields(spec):
         key, value = f.name, getattr(spec, f.name)
-        if f.type not in ("int", "float", "float | None") or value is None:
+        if f.type not in ("int", "float"):
             continue
         low, high, strict = f.metadata.get("range", (-math.inf, math.inf, False))
         try:
@@ -109,7 +109,6 @@ class ExperimentConfig:
     climb_wake: float = 0.5
     settle_wake: float = _range(0.1, 0.0, 1.0)
     drop_rate: float = 4.0
-    prob_clamp: float = 1e-6
     # q-learning
     aggregation_step: float = 0.97
     selection_step: float = 0.5
@@ -121,8 +120,6 @@ class ExperimentConfig:
     model_check_period: int = _range(50, 0)
     em_iters: int = _range(10, 1)
     em_period: int = _range(1, 1)
-    aic_tau: float | None = _range(None, 0.0, strict=True)
-    cov_floor: float = _range(0.25, 0.0, strict=True)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -386,8 +383,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     n_robots = config.robots
     estimates: list[mix.GmmEstimate | None] = [None] * n_robots
     rasters: list[np.ndarray | None] = [None] * n_robots
-    tau = config.aic_tau if config.aic_tau is not None else config.temperature
-    aic_states = [mix.AICState(tau=tau) for _ in range(n_robots)]
+    aic_states = [mix.AICState(tau=config.temperature) for _ in range(n_robots)]
     failures = run.record.failed_proposals
     adoption_count = [0] * n_robots
     # What each robot has observed: the cells it adopted, weighted by their
@@ -406,7 +402,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
         logs[i].append((x + 0.5, y + 0.5), multiplicity)
 
     def refit(i: int, start: mix.GmmEstimate) -> None:
-        estimates[i] = mix.em_iterate(logs[i], start, config.em_iters, cov_floor=config.cov_floor)
+        estimates[i] = mix.em_iterate(logs[i], start, config.em_iters)
         rasters[i] = _estimate_raster(estimates[i], field_model)
 
     for i in range(n_robots):
@@ -504,9 +500,7 @@ def _aic_round(
 ) -> mix.GmmEstimate:
     """One `mix.count_proposal` round; a failed one keeps the estimate and counts in `failures`."""
     try:
-        return mix.count_proposal(
-            estimate, log, state, rng, config.em_iters, cov_floor=config.cov_floor
-        )
+        return mix.count_proposal(estimate, log, state, rng, config.em_iters)
     except (ValueError, np.linalg.LinAlgError) as exc:
         failures[type(exc).__name__] += 1
         return estimate

@@ -172,15 +172,15 @@ def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _weighted_moments(
-    weighted: np.ndarray, mass: float, points: np.ndarray, cov_floor: float
+    weighted: np.ndarray, mass: float, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and floored covariance of `points` under weights summing to `mass`.
+    """Mean and `COV_FLOOR`-floored covariance of `points` under weights summing to `mass`.
 
     The caller passes `mass` in, so each caller keeps its own summation order.
     """
     mean = weighted @ points / mass
     diff = points - mean
-    return mean, _floor_covariance((diff.T * weighted) @ diff / mass, cov_floor)
+    return mean, _floor_covariance((diff.T * weighted) @ diff / mass, COV_FLOOR)
 
 
 def initial_estimate(log: ObservationLog, n_components: int = 1) -> GmmEstimate:
@@ -191,7 +191,7 @@ def initial_estimate(log: ObservationLog, n_components: int = 1) -> GmmEstimate:
     offsets, all sharing the data covariance.
     """
     points, weights = log.arrays()
-    mean, cov = _weighted_moments(weights, weights.sum(), points, COV_FLOOR)
+    mean, cov = _weighted_moments(weights, weights.sum(), points)
     if n_components == 1:
         return GmmEstimate(
             weights=np.ones(1), means=mean.reshape(1, 2), covs=cov.reshape(1, 2, 2)
@@ -208,17 +208,11 @@ def initial_estimate(log: ObservationLog, n_components: int = 1) -> GmmEstimate:
     )
 
 
-def em_iterate(
-    log: ObservationLog,
-    est: GmmEstimate,
-    iters: int,
-    tol: float = 1e-6,
-    cov_floor: float = COV_FLOOR,
-) -> GmmEstimate:
-    """Run up to `iters` full EM sweeps; stop early when parameters settle.
+def em_iterate(log: ObservationLog, est: GmmEstimate, iters: int) -> GmmEstimate:
+    """Run up to `iters` full EM sweeps; stop early when no parameter moves by 1e-6.
 
     Weighted maximum-likelihood updates of weights, means, and covariances;
-    covariance eigenvalues are floored.  Components whose total
+    covariance eigenvalues are floored at `COV_FLOOR`.  Components whose total
     responsibility falls below a vanishing fraction of the log are flagged
     as starved and their weight floored (they keep their location, becoming
     natural merge candidates).  The input estimate is not mutated.
@@ -238,15 +232,13 @@ def em_iterate(
             if j in starved:
                 new_weights[j] = STARVE_FRACTION
                 continue
-            new_means[j], new_covs[j] = _weighted_moments(
-                weighted[:, j], mass[j], points, cov_floor
-            )
+            new_means[j], new_covs[j] = _weighted_moments(weighted[:, j], mass[j], points)
         if starved:
             new_weights = new_weights / new_weights.sum()
         delta = _max_change(GmmEstimate(new_weights, new_means, new_covs), out)
         out.weights, out.means, out.covs = new_weights, new_means, new_covs
         out.starved = tuple(starved)
-        if delta < tol:
+        if delta < 1e-6:
             break
     out.log_likelihood = log_likelihood(out, log)
     return out
@@ -298,9 +290,9 @@ class AICState:
 
     `_candidates` holds what `count_proposal` built for one basis: the
     estimate object, the log object and the log's revision, then a dict from
-    (target count, EM sweeps, covariance floor) to the refined candidate.  A
-    round on another basis (an adopted candidate, a refit, an append to the
-    log) drops it, so at most a split and a merge candidate are held.
+    (target count, EM sweeps) to the refined candidate.  A round on another
+    basis (an adopted candidate, a refit, an append to the log) drops it, so
+    at most a split and a merge candidate are held.
     """
 
     tau: float = 0.1
@@ -359,7 +351,6 @@ def merge_components(
     est: GmmEstimate,
     pair: tuple[int, int],
     log: ObservationLog,
-    cov_floor: float = COV_FLOOR,
     resp: np.ndarray | None = None,
 ) -> GmmEstimate:
     """Replace a component pair by one merged component, re-fit in isolation.
@@ -390,7 +381,7 @@ def merge_components(
     mass = weighted.sum()
     if mass > 0:
         new_weights[-1] = mass / weights.sum()
-        new_means[-1], new_covs[-1] = _weighted_moments(weighted, mass, points, cov_floor)
+        new_means[-1], new_covs[-1] = _weighted_moments(weighted, mass, points)
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
 
 
@@ -449,8 +440,6 @@ def split_component(
     log: ObservationLog,
     eps_scale: float | None = None,
     iters: int = 300,
-    tol: float = 1e-8,
-    cov_floor: float = COV_FLOOR,
     resp: np.ndarray | None = None,
 ) -> GmmEstimate:
     """Replace one component by two children, re-fit in isolation.
@@ -461,7 +450,8 @@ def split_component(
     `principal_split_scale(est, k)`, half the parent's principal standard
     deviation).  Partial re-estimation divides the parent's posterior mass
     between the children in proportion to their densities, for up to `iters`
-    sweeps or until the children settle; other components are untouched.
+    sweeps or until no child parameter moves by 1e-8; other components are
+    untouched.
     """
     if not 0 <= k < est.n_components:
         raise ValueError(f"invalid split index {k}")
@@ -471,7 +461,7 @@ def split_component(
     if eps_scale is None:
         eps_scale = principal_split_scale(est, k)
     axis = np.linalg.eigh(est.covs[k])[1][:, -1]
-    iso = math.sqrt(max(float(np.linalg.det(est.covs[k])), cov_floor**2))
+    iso = math.sqrt(max(float(np.linalg.det(est.covs[k])), COV_FLOOR**2))
     child_cov = iso * np.eye(2)
 
     keep = [j for j in range(est.n_components) if j != k]
@@ -495,12 +485,10 @@ def split_component(
             if mass <= 0:
                 continue
             children.weights[c] = mass / total
-            children.means[c], children.covs[c] = _weighted_moments(
-                weighted, mass, points, cov_floor
-            )
+            children.means[c], children.covs[c] = _weighted_moments(weighted, mass, points)
         delta = _max_change(children, prev)
         prev = children.copy()
-        if delta < tol:
+        if delta < 1e-8:
             break
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
 
@@ -511,7 +499,6 @@ def count_proposal(
     state: AICState,
     rng: np.random.Generator,
     em_iters: int,
-    cov_floor: float = COV_FLOOR,
 ) -> GmmEstimate:
     """One component-count proposal round; returns the kept or adopted model.
 
@@ -520,9 +507,10 @@ def count_proposal(
     worst-fitting component or merging the most overlapping pair, refines it
     with `em_iters` full EM sweeps and chooses by `propose_component_count`.
     A draw above `MAX_COMPONENTS` ends the round with `est` unchanged.  A
-    candidate already built on the same estimate and unchanged log is taken
-    from `state` instead of being rebuilt; it is the same model bit for bit,
-    and the round draws the same random numbers.
+    candidate already built on the same estimate and unchanged log, for the
+    same (target, `em_iters`), is taken from `state` instead of being
+    rebuilt; it is the same model bit for bit, and the round draws the same
+    random numbers.
     """
     m = est.n_components
     if m == 1:
@@ -537,16 +525,16 @@ def count_proposal(
     if memo is None or memo[0] is not est or memo[1] is not log or memo[2] != log.revision:
         memo = state._candidates = (est, log, log.revision, {})
     built = memo[3]
-    key = (target, em_iters, cov_floor)
+    key = (target, em_iters)
     cand = built.get(key)
     if cand is None:
         resp = responsibilities(est, log.arrays()[0])
         if target > m:
             k = split_select(est, log, resp)
-            cand = split_component(est, k, log, cov_floor=cov_floor, resp=resp)
+            cand = split_component(est, k, log, resp=resp)
         else:
-            cand = merge_components(est, merge_select(est, log, resp), log, cov_floor, resp)
-        cand = built[key] = em_iterate(log, cand, em_iters, cov_floor=cov_floor)
+            cand = merge_components(est, merge_select(est, log, resp), log, resp)
+        cand = built[key] = em_iterate(log, cand, em_iters)
     chosen = propose_component_count(state, est, cand, log, rng, cand.log_likelihood)
     return cand if chosen == cand.n_components else est
 
@@ -555,17 +543,15 @@ def aic_model_search(
     log: ObservationLog,
     rng: np.random.Generator,
     rounds: int = 16,
-    tau: float = 0.1,
-    em_iters: int = 10,
-    cov_floor: float = COV_FLOOR,
 ) -> GmmEstimate:
     """Fit a mixture while learning the component count.
 
-    Starts from one EM-refined component, then plays `rounds` rounds of
-    `count_proposal`.
+    Starts from one component refined by 10 EM sweeps, then plays `rounds`
+    rounds of `count_proposal` with 10 EM sweeps per candidate, at the
+    default `AICState` temperature 0.1.
     """
-    est = em_iterate(log, initial_estimate(log, 1), em_iters, cov_floor=cov_floor)
-    state = AICState(tau=tau)
+    est = em_iterate(log, initial_estimate(log, 1), 10)
+    state = AICState()
     for _ in range(rounds):
-        est = count_proposal(est, log, state, rng, em_iters, cov_floor)
+        est = count_proposal(est, log, state, rng, 10)
     return est

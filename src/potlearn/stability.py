@@ -34,11 +34,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import networkx as nx
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import (
     ConstrainedActionMap,
@@ -47,6 +45,9 @@ from .dynamics import (
     validate_constraints,
 )
 from .games import GameDefinition, JointAction
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DENSE_SOLVE_LIMIT = 2000
 # States eliminated together by one block of _gth_stationary.
@@ -61,6 +62,11 @@ _GTH_SLAB = 200_000
 _CHUNK_ENTRIES = 1 << 17
 # Stationary-mass drop between noise levels that still counts as non-decreasing.
 _TREND_SLACK = 1e-9
+# stationary_distribution's residual bound and power-iteration sweep cap.
+_STATIONARY_TOL = 1e-10
+_POWER_SWEEPS = 200_000
+# Largest game min_resistance_tree searches exhaustively, in joint actions.
+_TREE_MAX_STATES = 12
 
 
 class InfeasibleTransitionError(ValueError):
@@ -231,9 +237,9 @@ class PerturbedChain:
         return len(self.states)
 
     def row_sums(self) -> np.ndarray:
-        if sp.issparse(self.kernel):
-            return np.asarray(self.kernel.sum(axis=1)).ravel()
-        return self.kernel.sum(axis=1)
+        if isinstance(self.kernel, np.ndarray):
+            return self.kernel.sum(axis=1)
+        return np.asarray(self.kernel.sum(axis=1)).ravel()
 
 
 @dataclass(frozen=True)
@@ -410,6 +416,8 @@ def build_chain(
             r, c = np.nonzero(block)
             triplets.append((block[r, c], r + lo, c))
     if not dense:
+        import scipy.sparse as sp
+
         values, rows, cols = (np.concatenate(t) for t in zip(*triplets))
         kernel = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
     index = {a: k for k, a in enumerate(space.states)}
@@ -456,33 +464,31 @@ def _residual(kernel: np.ndarray | sp.csr_matrix, pi: np.ndarray) -> float:
     return float(np.abs(np.asarray(pi @ kernel).ravel() - pi).sum())
 
 
-def stationary_distribution(
-    chain: PerturbedChain, tol: float = 1e-10, max_iter: int = 200_000
-) -> np.ndarray:
+def stationary_distribution(chain: PerturbedChain) -> np.ndarray:
     """Stationary probabilities of the chain.
 
     Small chains are solved exactly by GTH elimination; larger (sparse)
     chains fall back to power iteration, raising if the residual does not
-    reach `tol` within `max_iter` sweeps.
+    reach 1e-10 (`_STATIONARY_TOL`) within 200,000 sweeps (`_POWER_SWEEPS`).
     """
     kernel = chain.kernel
     n = chain.n_states
     if n <= DENSE_SOLVE_LIMIT:
-        dense = kernel.toarray() if sp.issparse(kernel) else kernel
+        dense = kernel if isinstance(kernel, np.ndarray) else kernel.toarray()
         pi = _gth_stationary(dense)
         residual = _residual(dense, pi)
-        if residual > max(tol, 1e-12 * n):
-            raise StationaryConvergenceError(f"GTH residual {residual:.3e} > {tol}")
+        if residual > max(_STATIONARY_TOL, 1e-12 * n):
+            raise StationaryConvergenceError(f"GTH residual {residual:.3e} > {_STATIONARY_TOL}")
         return pi
     pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_POWER_SWEEPS):
         nxt = np.asarray(pi @ kernel).ravel()
         nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() <= tol:
+        if np.abs(nxt - pi).sum() <= _STATIONARY_TOL:
             return nxt
         pi = nxt
     raise StationaryConvergenceError(
-        f"power iteration did not converge within {max_iter} sweeps"
+        f"power iteration did not converge within {_POWER_SWEEPS} sweeps"
     )
 
 
@@ -693,22 +699,24 @@ def min_resistance_tree(
     game: GameDefinition,
     constraints: ConstrainedActionMap,
     root: JointAction,
-    max_states: int = 12,
 ) -> MinResistanceTree:
     """Minimum-total-resistance spanning in-tree toward `root`.
 
     Edges are all feasible transitions (single- and multi-deviator).  The
     optimum is found by Edmonds' arborescence algorithm on the edge-reversed
     graph with the root's parent edges removed; the total resistance of the
-    tree is the root's stochastic potential.
+    tree is the root's stochastic potential.  Games of more than 12 joint
+    actions (`_TREE_MAX_STATES`) are refused.
     """
-    if game.joint_size > max_states:
+    if game.joint_size > _TREE_MAX_STATES:
         raise ValueError(
-            f"{game.joint_size} states exceed the exhaustive-search cap {max_states}"
+            f"{game.joint_size} states exceed the exhaustive-search cap {_TREE_MAX_STATES}"
         )
     states = list(game.joint_actions())
     if root not in set(states):
         raise ValueError(f"root {root} is not a joint action of the game")
+    import networkx as nx
+
     reversed_graph = nx.DiGraph()
     reversed_graph.add_nodes_from(states)
     for a, b, _, r in transition_resistances(game, constraints):
@@ -728,9 +736,6 @@ def min_resistance_tree(
 
 
 def stochastic_potential(
-    game: GameDefinition,
-    constraints: ConstrainedActionMap,
-    root: JointAction,
-    max_states: int = 12,
+    game: GameDefinition, constraints: ConstrainedActionMap, root: JointAction
 ) -> float:
-    return min_resistance_tree(game, constraints, root, max_states).total_resistance
+    return min_resistance_tree(game, constraints, root).total_resistance

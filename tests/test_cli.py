@@ -96,6 +96,30 @@ def test_sweep_subcommand(tmp_path):
     ET.fromstring((out / "sweep.svg").read_text())
 
 
+def test_sweep_reports_failed_proposals(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from potlearn import mixtures
+
+    def failing_split(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular covariance")
+
+    cfg = write_config(
+        tmp_path, environment="estimated-field", params={"model_check_period": 20}
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert "proposals failed" not in capsys.readouterr().out
+    monkeypatch.setattr(mixtures, "split_component", failing_split)
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # two seeds, two robots, three proposal rounds, every one a split of one component
+    assert lines[:2] == [
+        "sweep: 2/2 cells succeeded",
+        "component-count proposals failed: LinAlgError 12",
+    ]
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     game = tmp_path / "game.yaml"
     game.write_text(yaml.safe_dump({"actions": [2], "utilities": [[0.0, 1.0]]}))

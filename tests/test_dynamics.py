@@ -52,7 +52,7 @@ class TestRevisionPolicy:
             assert revision_probability(policy, f, 1.0) == policy.climb_wake
 
     def test_zero_signal_anchor_is_explore_probability_clamped(self):
-        policy = RevisionPolicy(explore_wake=1.0, prob_clamp=1e-6)
+        policy = RevisionPolicy(explore_wake=1.0)
         # raw value is exactly explore_wake = 1, clamped into the open interval
         assert revision_probability(policy, 0.0, 0.0) == 1.0 - 1e-6
 
@@ -73,7 +73,7 @@ class TestRevisionPolicy:
     def test_output_strictly_inside_unit_interval(self, f, g):
         policy = RevisionPolicy()
         p = revision_probability(policy, f, g)
-        assert policy.prob_clamp <= p <= 1 - policy.prob_clamp
+        assert 1e-6 <= p <= 1 - 1e-6
 
     def test_domain_validation(self):
         policy = RevisionPolicy()

@@ -1,4 +1,7 @@
+import re
 from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +187,7 @@ class TestConfig:
             ("seeds", ["a"]),
             ("seeds", 3),
             ("scenario_seed", "7"),
+            ("grid_size", None),
         ],
     )
     def test_invalid_value_rejected_by_name(self, key, value):
@@ -204,6 +208,17 @@ class TestConfig:
         )
         field = config.scenario()
         assert field.n_components == 3
+
+    def test_readme_config_table_names_every_param(self):
+        """README names each config field: run controls in its prose, the rest in
+        its key table; the scenario fields come from the `scenario` section."""
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        controls = re.search(r"top-level run controls\s*\(([^)]*)\)", text).group(1)
+        header = "| key | meaning | allowed | default |"
+        rows = text[text.index(header) :].split("\n\n", 1)[0].splitlines()[2:]
+        table = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        params = {f.name for f in fields(ExperimentConfig)} - set(re.findall(r"`(\w+)`", controls))
+        assert table == params - {"scenario_seed", "scenario_components"}
 
 
 class TestRunners:

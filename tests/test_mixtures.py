@@ -113,7 +113,7 @@ class TestEmIterate:
     def test_single_component_closed_form_after_one_sweep(self):
         log = two_cluster_log(1)
         points, weights = log.arrays()
-        est = em_iterate(log, initial_estimate(log, 1), iters=1, cov_floor=1e-6)
+        est = em_iterate(log, initial_estimate(log, 1), iters=1)
         total = weights.sum()
         mean = weights @ points / total
         diff = points - mean

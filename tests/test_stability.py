@@ -1,6 +1,10 @@
 import collections
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -768,3 +772,29 @@ class TestChainCapture:
         game, cmap = separable_2x2()
         harness.oracle_report(game, cmap, noise_levels=(0.1, 0.01))
         assert calls == [0.1, 0.01]
+
+
+IMPORT_PROBE = """
+import json, sys
+import potlearn, potlearn.cli
+loaded = sorted(m for m in ("networkx", "scipy.sparse") if m in sys.modules)
+from potlearn.dynamics import ConstrainedActionMap
+from potlearn.games import GameDefinition
+from potlearn.stability import min_resistance_tree
+game = GameDefinition.from_tables([[2.0, 5.0]])
+tree = min_resistance_tree(game, ConstrainedActionMap.complete(game), (1,))
+print(json.dumps([loaded, tree.total_resistance]))
+"""
+
+
+def test_import_loads_neither_networkx_nor_scipy_sparse():
+    """Only `min_resistance_tree` needs networkx, and only chains over
+    `DENSE_SOLVE_LIMIT` states need scipy.sparse; importing the package loads neither."""
+    src = str(Path(stability.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], 0.0]
