@@ -16,7 +16,7 @@ from .worthfield import generate_scenario
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(float(v) for v in text.split(",")) if text.strip() else ()
 
 
 def _out_dir(path: str) -> Path:

@@ -25,9 +25,14 @@ weights of every trial at once, and sums every accept pattern into the rows
 with ``np.bincount``.  ``_gth_stationary`` is blocked GTH elimination: it
 eliminates ``_GTH_BLOCK`` states at a time, keeping only the block's rows and
 columns current, then updates the leading submatrix with one rank-block
-product; every term stays a sum of non-negative products.  The resistance
-enumerators visit only the feasible targets of each source, the product of
-the players' allowed sets.
+product; every term stays a sum of non-negative products.  It works only
+inside the kernel's bandwidth b, the largest |i - j| over its nonzero
+entries.  Constrained actions keep b small: a Moore move changes a robot's
+cell index by at most grid + 1, so in mixed-radix order the 6x6-grid,
+2-robot coverage chain has b = 259 of 1295.  Eliminating state k combines
+entries within b of k only, so fill stays inside the band, and the solve
+skips only entries that stay exactly zero.  The resistance enumerators visit only the
+feasible targets of each source, the product of the players' allowed sets.
 """
 from __future__ import annotations
 
@@ -424,6 +429,22 @@ def build_chain(
     return PerturbedChain(states=space.states, index=index, kernel=kernel, noise=eps)
 
 
+def _bandwidth(p: np.ndarray) -> int:
+    """Largest |i - j| over the nonzero entries p[i, j], read _GTH_BLOCK rows at a time.
+
+    An all-zero row reads as full width, which only widens the window.
+    """
+    n = p.shape[0]
+    b = 0
+    for r in range(0, n, _GTH_BLOCK):
+        nonzero = p[r : r + _GTH_BLOCK] != 0.0
+        rows = np.arange(r, r + len(nonzero))
+        first = nonzero.argmax(axis=1)
+        last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+        b = max(b, int((rows - first).max()), int((last - rows).max()))
+    return b
+
+
 def _gth_stationary(kernel: np.ndarray) -> np.ndarray:
     """Stationary vector of a row-stochastic matrix by GTH elimination.
 
@@ -434,28 +455,39 @@ def _gth_stationary(kernel: np.ndarray) -> np.ndarray:
     applies the block's earlier steps to row k and column k only; the
     leading submatrix then takes the whole block's update as one product of
     the block's columns and rows, in row slabs.
+
+    Every slice starts at the edge of the kernel's bandwidth b, the largest
+    |i - j| over its nonzero entries: at w = max(lo - b, 0) for the block
+    [lo, top) and at max(k - b, 0) in the back substitution.  GTH never
+    pivots, and eliminating k adds p[i, k] * p[k, j] to p[i, j] only where
+    both factors are nonzero, so i and j lie within b below k and fill stays
+    inside the band.  Entries outside the window are exact zeros that
+    would add nothing to any sum.  A full kernel has b = n - 1 and w = 0.
     """
     p = np.array(kernel, dtype=float)
     n = p.shape[0]
+    b = _bandwidth(p)
     for top in range(n, 1, -_GTH_BLOCK):
         lo = max(top - _GTH_BLOCK, 1)
+        w = max(lo - b, 0)
         for k in range(top - 1, lo - 1, -1):
             if k + 1 < top:
-                p[k, :k] += p[k, k + 1 : top] @ p[k + 1 : top, :k]
-                p[:k, k] += p[:k, k + 1 : top] @ p[k + 1 : top, k]
-            s = p[k, :k].sum()
+                p[k, w:k] += p[k, k + 1 : top] @ p[k + 1 : top, w:k]
+                p[w:k, k] += p[w:k, k + 1 : top] @ p[k + 1 : top, k]
+            s = p[k, w:k].sum()
             if s <= 0.0:
                 raise StationaryConvergenceError(
                     "chain is reducible: no escape mass from a trapped block"
                 )
-            p[:k, k] /= s
-        slab = max(1, _GTH_SLAB // ((top - lo) * lo))
-        for r in range(0, lo, slab):
-            p[r : r + slab, :lo] += p[r : r + slab, lo:top] @ p[lo:top, :lo]
+            p[w:k, k] /= s
+        slab = max(1, _GTH_SLAB // ((top - lo) * (lo - w)))
+        for r in range(w, lo, slab):
+            p[r : r + slab, w:lo] += p[r : r + slab, lo:top] @ p[lo:top, w:lo]
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):
-        pi[k] = pi[:k] @ p[:k, k]
+        start = max(k - b, 0)
+        pi[k] = pi[start:k] @ p[start:k, k]
     return pi / pi.sum()
 
 
@@ -521,9 +553,14 @@ def stochastically_stable_states(
 
     A state qualifies when its mass is at least `mass_threshold` at the
     smallest noise level and non-decreasing (within `_TREND_SLACK`) along the
-    whole schedule.
+    whole schedule.  An empty schedule or a non-finite threshold is a
+    ValueError.
     """
     levels = tuple(float(e) for e in noise_levels)
+    if not levels:
+        raise ValueError("noise_levels must name at least one noise level")
+    if not math.isfinite(mass_threshold):
+        raise ValueError(f"mass_threshold must be finite, got {mass_threshold}")
     if any(not 0 < e < 1 for e in levels):
         raise ValueError("noise levels must lie in (0, 1)")
     if any(b >= a for a, b in zip(levels, levels[1:])):

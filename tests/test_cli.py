@@ -173,6 +173,23 @@ def test_oracle_bad_spec_value_exits_2_naming_its_key(tmp_path, capsys, kind, ke
 
 
 @pytest.mark.parametrize(
+    "args,name",
+    [
+        (["--mass-threshold", "nan"], "mass_threshold"),
+        (["--mass-threshold", "inf"], "mass_threshold"),
+        (["--noise", ""], "noise_levels"),
+    ],
+)
+def test_oracle_bad_argument_exits_2_naming_it(tmp_path, capsys, args, name):
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump(GAME_SPECS["builtin"]))
+    out = tmp_path / "out"
+    assert main(["oracle", "--game", str(game), "--out-dir", str(out), *args]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key,value", [("em_period", 0), ("temperature", 0.0), ("aic_tau", 0), ("cov_floor", 0.0)]
 )
 def test_invalid_config_value_exits_2(tmp_path, capsys, key, value):

@@ -236,6 +236,20 @@ class TestStochasticallyStableStates:
                 game, 0.5, ConstrainedActionMap.complete(game), (1e-3, 1e-2)
             )
 
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("noise_levels", {"noise_levels": ()}),
+            ("mass_threshold", {"mass_threshold": math.nan}),
+            ("mass_threshold", {"mass_threshold": math.inf}),
+            ("mass_threshold", {"mass_threshold": -math.inf}),
+        ],
+    )
+    def test_oracle_rejects_bad_argument_by_name(self, name, kwargs):
+        game, cmap = separable_2x2()
+        with pytest.raises(ValueError, match=name):
+            harness.oracle_report(game, cmap, **kwargs)
+
 
 class TestResistanceIdentity:
     def test_separable_game_has_zero_violations(self):
@@ -432,6 +446,24 @@ def reference_gth(kernel):
     return pi / pi.sum()
 
 
+BLOCK = stability._GTH_BLOCK
+
+
+def wide_range_kernel(n, lower, upper):
+    """Row-stochastic kernel with nonzeros at most `lower` below and `upper`
+    above the diagonal, both widths reached; entries span 40 orders of
+    magnitude, a fifth of them zero, and the off-diagonals keep it irreducible."""
+    rng = np.random.default_rng([n, lower, upper])
+    kernel = rng.random((n, n)) * 10.0 ** -rng.integers(0, 40, size=(n, n))
+    kernel[rng.random((n, n)) < 0.2] = 0.0
+    kernel = np.triu(np.tril(kernel, upper), -lower)
+    kernel[np.arange(1, n), np.arange(n - 1)] += 1e-3
+    kernel[np.arange(n - 1), np.arange(1, n)] += 1e-3
+    kernel[lower, 0] += 1e-20
+    kernel[0, upper] += 1e-20
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
 def assert_kernels_match(kernel, ref):
     dense = kernel.toarray() if sp.issparse(kernel) else np.asarray(kernel)
     off = ~np.eye(len(ref), dtype=bool)
@@ -530,6 +562,68 @@ class TestChainDifferential:
         np.testing.assert_allclose(
             stability._gth_stationary(kernel), reference_gth(kernel), rtol=1e-12, atol=0
         )
+
+    @pytest.mark.parametrize("n", [2 * BLOCK - 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize(
+        "lower,upper",
+        [
+            (1, 1),
+            (BLOCK - 1, BLOCK - 1),
+            (BLOCK, BLOCK),
+            (BLOCK + 1, BLOCK + 1),
+            (None, None),
+            (3, BLOCK + 2),
+            (BLOCK + 2, 3),
+        ],
+    )
+    def test_banded_gth_matches_sequential_gth(self, n, lower, upper):
+        # None is the full width n - 1; the last two bands are asymmetric
+        lower = n - 1 if lower is None else lower
+        upper = n - 1 if upper is None else upper
+        kernel = wide_range_kernel(n, lower, upper)
+        assert stability._bandwidth(kernel) == max(lower, upper)
+        np.testing.assert_allclose(
+            stability._gth_stationary(kernel), reference_gth(kernel), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("corner", [(-1, 0), (0, -1)])
+    def test_single_corner_entry_widens_the_band(self, corner):
+        n = 2 * BLOCK + 1
+        kernel = wide_range_kernel(n, 1, 1)
+        kernel[corner] = 1e-30
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        assert stability._bandwidth(kernel) == n - 1
+        np.testing.assert_allclose(
+            stability._gth_stationary(kernel), reference_gth(kernel), rtol=1e-12, atol=0
+        )
+
+    def test_moore_coverage_chain_solves_in_its_band(self, tmp_path):
+        path = tmp_path / "game.yaml"
+        path.write_text("builtin: coverage\ngrid_size: 5\nrobots: 2\n")
+        game, cmap = harness.load_game_spec(path)
+        chain = build_chain(game, 0.5, cmap, 1e-2)
+        rows, cols = np.nonzero(chain.kernel)
+        band = int(np.abs(rows - cols).max())
+        assert chain.n_states == 625
+        assert stability._bandwidth(chain.kernel) == band < chain.n_states - 1
+        np.testing.assert_allclose(
+            stationary_distribution(chain), reference_gth(chain.kernel), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("split", [3, BLOCK // 2, BLOCK - 3, BLOCK + BLOCK // 2, 2 * BLOCK - 3])
+    def test_reducible_banded_chain_raises_in_any_block(self, split):
+        # two closed classes meeting at `split`, each banded to |i - j| <= 3:
+        # splits fall a block deep (near its bottom, middle and top) and in
+        # the middle and near the top of the first block eliminated
+        n = 2 * BLOCK + 1
+        kernel = np.zeros((n, n))
+        for lo, hi in ((0, split), (split, n)):
+            kernel[lo:hi, lo:hi] = 1.0
+        kernel = np.triu(np.tril(kernel, 3), -3)
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        assert stability._bandwidth(kernel) == 3
+        with pytest.raises(StationaryConvergenceError):
+            stability._gth_stationary(kernel)
 
     @pytest.mark.parametrize("split", [1, 5, None])
     def test_reducible_chain_raises_in_any_block(self, split):
