@@ -7,10 +7,13 @@
 Each pair runs `python3 perfbench/run.py --workload W --seed S`, unmodified,
 once in each checkout; the first run of a pair alternates between the two
 sides so that host drift falls on both.  Only the last line of each run's
-output (the JSON object of end-to-end metrics) and the `environment:` line
-are read.  For each gated metric of the change's BENCHMARK.json the summary
-holds the median and quartiles per side, the relative change of the medians
-and the number of pairs in which the change was better.  The entry replaces
+output (the JSON object of end-to-end metrics), the `environment:` line and
+the `host slowdown` line are read.  For each gated metric of the change's
+BENCHMARK.json the summary holds the median and quartiles per side, the
+relative change of the medians and the number of pairs in which the change
+was better.  `runs` lists, per side and in pair order, whether each run went
+first or second in its pair and its host-slowdown reading, so order effects
+and drift of the slowdown divisor can be read from the file.  The entry replaces
 any entry of the same workload and seed already in `--out`, so one file can
 hold several workloads.  `--logs` keeps every run's full output.
 """
@@ -24,17 +27,27 @@ import sys
 from pathlib import Path
 
 ENV_PREFIX = "environment: "
+SLOWDOWN_PREFIX = "host slowdown "
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> tuple[str, dict, str]:
-    """One benchmark run in `checkout`: its environment line, last JSON line and output."""
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[str, float | None, dict, str]:
+    """One benchmark run in `checkout`: its environment line, host-slowdown
+    reading (None if the run printed none), last JSON line and output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: benchmark exited with {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     env = next((line[len(ENV_PREFIX):] for line in lines if line.startswith(ENV_PREFIX)), "")
-    return env, json.loads(lines[-1]), proc.stdout
+    slowdown = next(
+        (
+            float(line.strip()[len(SLOWDOWN_PREFIX):].split()[0])
+            for line in lines
+            if line.strip().startswith(SLOWDOWN_PREFIX)
+        ),
+        None,
+    )
+    return env, slowdown, json.loads(lines[-1]), proc.stdout
 
 
 def quartiles(values: list[float]) -> dict:
@@ -81,15 +94,17 @@ def main(argv: list[str] | None = None) -> int:
     gated = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    placed: dict[str, list[dict]] = {"parent": [], "change": []}
     environments = set()
     if args.logs:
         args.logs.mkdir(parents=True, exist_ok=True)
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            env, result, output = run_once(sides[side], args.workload, args.seed)
+        for position, side in zip(("first", "second"), order):
+            env, slowdown, result, output = run_once(sides[side], args.workload, args.seed)
             environments.add(env)
             runs[side].append(result)
+            placed[side].append({"pair": k, "position": position, "host_slowdown": slowdown})
             if args.logs:
                 (args.logs / f"{args.workload}-seed{args.seed}-{side}-{k}.txt").write_text(output)
             value = result["metrics"]["unit_cost_us"]["value"]
@@ -104,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
         "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
         "metrics": summarise(gated, runs),
+        "runs": placed,
     }
     existing = json.loads(args.out.read_text()) if args.out.exists() else []
     kept = [e for e in existing if (e["workload"], e["seed"]) != (args.workload, args.seed)]

@@ -138,6 +138,11 @@ class ExperimentConfig:
             self.soql_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.scenario_components is not None:
+            try:
+                self.scenario()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"scenario.components: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

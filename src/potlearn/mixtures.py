@@ -15,8 +15,19 @@ a split seeds its children half a principal standard deviation apart.
 `count_proposal` is the one proposal round: the online runs and the offline
 `aic_model_search` both play it.  A candidate is a pure function of the
 estimate, the log and the target count, so the round's `AICState` keeps the
-candidates built from one (estimate, log, log revision) and reuses them until
-the estimate is replaced or the log grows.
+candidates built from one (estimate, log, log revision), and that estimate's
+own score, and reuses them until the estimate is replaced or the log grows.
+
+Every EM-family sweep (`responsibilities`, `em_iterate`, the partial
+re-estimation in `split_component`, `GmmEstimate.density`) evaluates all
+components with one stacked `worthfield.gaussian_log_density` call and floors
+all refitted covariances with one `eigh`.  The rule that keeps the results
+bit for bit equal to one call per component: only per-matrix LAPACK calls
+(`det`, `inv`, `eigh`) are batched, since on a stack they return each
+matrix's own result; each caller keeps its summation order (`em_iterate` sums
+its masses along axis 0, a split child sums its own weight vector); and the
+quadratic-form `einsum` and the `math.log` of each determinant stay per
+component, as the stacked `einsum` and `np.log` round differently.
 """
 from __future__ import annotations
 
@@ -54,6 +65,8 @@ class ObservationLog:
         if multiplicity < 1:
             raise ValueError("multiplicity must be at least 1")
         key = (float(point[0]), float(point[1]))
+        if not (math.isfinite(key[0]) and math.isfinite(key[1])):
+            raise ValueError(f"observation point must be finite, got {key!r}")
         self._weights[key] = self._weights.get(key, 0) + int(multiplicity)
         self._revision += 1
 
@@ -127,18 +140,16 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True) / m
         out = np.log1p(s) + np.log(m) + a_max
-        return np.where(np.isfinite(out), out, np.log(np.exp(a).sum(axis=1, keepdims=True)))
+        finite = np.isfinite(out)
+        if finite.all():
+            return out
+        return np.where(finite, out, np.log(np.exp(a).sum(axis=1, keepdims=True)))
 
 
 def component_log_densities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
     """log(weight_j * g_j(point)) for every point and component, shape (n, M)."""
-    n = len(np.atleast_2d(points))
-    out = np.empty((n, est.n_components))
-    for j in range(est.n_components):
-        wj = est.weights[j]
-        logw = math.log(wj) if wj > 0 else -np.inf
-        out[:, j] = logw + gaussian_log_density(points, est.means[j], est.covs[j])
-    return out
+    logw = np.array([math.log(w) if w > 0 else -math.inf for w in est.weights.tolist()])
+    return logw + gaussian_log_density(points, est.means, est.covs)
 
 
 def mixture_log_density(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
@@ -156,31 +167,36 @@ def log_likelihood(est: GmmEstimate, log: ObservationLog) -> float:
     return float(weights @ mixture_log_density(est, points))
 
 
-def _max_change(a: GmmEstimate, b: GmmEstimate) -> float:
-    """Largest absolute difference of any weight, mean or covariance entry."""
-    return max(
-        float(np.abs(a.weights - b.weights).max()),
-        float(np.abs(a.means - b.means).max()),
-        float(np.abs(a.covs - b.covs).max()),
-    )
+def _params(est: GmmEstimate) -> np.ndarray:
+    """Every weight, mean and covariance entry in one vector, so that the
+    largest change between sweeps is one `abs().max()`."""
+    return np.concatenate((est.weights, est.means.ravel(), est.covs.ravel()))
 
 
-def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+def _floor_covariance(covs: np.ndarray, floor: float) -> np.ndarray:
+    """Covariances (..., 2, 2), symmetrised, with eigenvalues raised to `floor`;
+    one `eigh` for the whole stack."""
+    vals, vecs = np.linalg.eigh(0.5 * (covs + covs.swapaxes(-1, -2)))
     vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+    return (vecs * vals[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def _weighted_moments(
-    weighted: np.ndarray, mass: float, points: np.ndarray
+    weighted: Sequence[np.ndarray], masses: Sequence[float], points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and `COV_FLOOR`-floored covariance of `points` under weights summing to `mass`.
+    """Means (K, 2) and `COV_FLOOR`-floored covariances (K, 2, 2) of `points`
+    under each of K weight vectors, the k-th summing to `masses[k]`.
 
-    The caller passes `mass` in, so each caller keeps its own summation order.
+    The caller passes the masses in, so each caller keeps its own summation
+    order; each moment is computed per weight vector, the floor once for all.
     """
-    mean = weighted @ points / mass
-    diff = points - mean
-    return mean, _floor_covariance((diff.T * weighted) @ diff / mass, COV_FLOOR)
+    means = np.empty((len(masses), 2))
+    raw = np.empty((len(masses), 2, 2))
+    for k, (w, mass) in enumerate(zip(weighted, masses)):
+        means[k] = w @ points / mass
+        diff = points - means[k]
+        raw[k] = (diff.T * w) @ diff / mass
+    return means, _floor_covariance(raw, COV_FLOOR)
 
 
 def initial_estimate(log: ObservationLog, n_components: int = 1) -> GmmEstimate:
@@ -191,11 +207,10 @@ def initial_estimate(log: ObservationLog, n_components: int = 1) -> GmmEstimate:
     offsets, all sharing the data covariance.
     """
     points, weights = log.arrays()
-    mean, cov = _weighted_moments(weights, weights.sum(), points)
+    means, covs = _weighted_moments([weights], [weights.sum()], points)
     if n_components == 1:
-        return GmmEstimate(
-            weights=np.ones(1), means=mean.reshape(1, 2), covs=cov.reshape(1, 2, 2)
-        )
+        return GmmEstimate(weights=np.ones(1), means=means, covs=covs)
+    mean, cov = means[0], covs[0]
     vals, vecs = np.linalg.eigh(cov)
     axis = vecs[:, -1]
     spread = math.sqrt(vals[-1])
@@ -220,24 +235,27 @@ def em_iterate(log: ObservationLog, est: GmmEstimate, iters: int) -> GmmEstimate
     points, weights = log.arrays()
     total = weights.sum()
     out = est.copy()
+    prev = _params(out)
     for _ in range(iters):
         resp = responsibilities(out, points)
         weighted = resp * weights[:, None]
         mass = weighted.sum(axis=0)
         starved = [j for j in range(out.n_components) if mass[j] < STARVE_FRACTION * total]
+        live = [j for j in range(out.n_components) if j not in starved]
         new_weights = mass / total
         new_means = out.means.copy()
         new_covs = out.covs.copy()
-        for j in range(out.n_components):
-            if j in starved:
-                new_weights[j] = STARVE_FRACTION
-                continue
-            new_means[j], new_covs[j] = _weighted_moments(weighted[:, j], mass[j], points)
+        new_means[live], new_covs[live] = _weighted_moments(
+            [weighted[:, j] for j in live], [mass[j] for j in live], points
+        )
         if starved:
+            new_weights[starved] = STARVE_FRACTION
             new_weights = new_weights / new_weights.sum()
-        delta = _max_change(GmmEstimate(new_weights, new_means, new_covs), out)
         out.weights, out.means, out.covs = new_weights, new_means, new_covs
         out.starved = tuple(starved)
+        params = _params(out)
+        delta = np.abs(params - prev).max()
+        prev = params
         if delta < 1e-6:
             break
     out.log_likelihood = log_likelihood(out, log)
@@ -288,11 +306,12 @@ def aic(est: GmmEstimate, log: ObservationLog) -> float:
 class AICState:
     """Bookkeeping of the component-count proposals.
 
-    `_candidates` holds what `count_proposal` built for one basis: the
+    `_candidates` holds what the rounds computed for one basis: the
     estimate object, the log object and the log's revision, then a dict from
-    (target count, EM sweeps) to the refined candidate.  A round on another
-    basis (an adopted candidate, a refit, an append to the log) drops it, so
-    at most a split and a merge candidate are held.
+    (target count, EM sweeps) to the refined candidate and from "current" to
+    the basis estimate's score.  A round on another basis (an adopted
+    candidate, a refit, an append to the log) drops it, so at most a split
+    and a merge candidate are held.
     """
 
     tau: float = 0.1
@@ -302,6 +321,15 @@ class AICState:
     _candidates: tuple[GmmEstimate, ObservationLog, int, dict] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+
+def _basis_memo(state: AICState, est: GmmEstimate, log: ObservationLog) -> dict:
+    """The dict `state` keeps for (`est`, `log` at its revision), replacing one
+    kept for any other basis."""
+    memo = state._candidates
+    if memo is None or memo[0] is not est or memo[1] is not log or memo[2] != log.revision:
+        memo = state._candidates = (est, log, log.revision, {})
+    return memo[3]
 
 
 def propose_component_count(
@@ -318,9 +346,14 @@ def propose_component_count(
     the choice is a two-point logit at the state's temperature, so a clearly
     better model is kept almost surely while near-ties stay stochastic.
     `candidate_loglik` is the candidate's log-likelihood on `log`, if known.
+    The current model's score is kept with the state's candidate memo, so a
+    later round on the same estimate and unchanged log reuses it.
     """
     loglik = log_likelihood(candidate, log) if candidate_loglik is None else candidate_loglik
-    state.iaic_current = -aic(current, log)
+    kept = _basis_memo(state, current, log)
+    if "current" not in kept:
+        kept["current"] = -aic(current, log)
+    state.iaic_current = kept["current"]
     state.iaic_candidate = -aic_value(6 * candidate.n_components - 1, loglik)
     state.last_proposal = candidate.n_components
     p_keep, _ = binary_logit_weights(state.iaic_current, state.iaic_candidate, state.tau)
@@ -381,7 +414,7 @@ def merge_components(
     mass = weighted.sum()
     if mass > 0:
         new_weights[-1] = mass / weights.sum()
-        new_means[-1], new_covs[-1] = _weighted_moments(weighted, mass, points)
+        new_means[-1:], new_covs[-1:] = _weighted_moments([weighted], [mass], points)
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
 
 
@@ -400,6 +433,7 @@ def split_scores(
     bins = np.floor(points).astype(int)
     keys, inverse = np.unique(bins, axis=0, return_inverse=True)
     centers = keys + 0.5
+    densities = np.exp(gaussian_log_density(centers, est.means, est.covs))
     scores = np.empty(est.n_components)
     for k in range(est.n_components):
         weighted = resp[:, k] * weights
@@ -410,8 +444,7 @@ def split_scores(
         binned = np.zeros(len(keys))
         np.add.at(binned, inverse, weighted)
         p = binned / total
-        q = np.exp(gaussian_log_density(centers, est.means[k], est.covs[k]))
-        q = np.maximum(q, 1e-300)
+        q = np.maximum(densities[:, k], 1e-300)
         mask = p > 0
         scores[k] = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     return scores
@@ -476,18 +509,20 @@ def split_component(
     children = GmmEstimate(new_weights[-2:], new_means[-2:], new_covs[-2:])
 
     total = weights.sum()
-    prev = children.copy()
+    prev = _params(children)
     for _ in range(max(iters, 1)):
         share = responsibilities(children, points)
-        for c in range(2):
-            weighted = share[:, c] * parent_resp * weights
-            mass = weighted.sum()
-            if mass <= 0:
-                continue
-            children.weights[c] = mass / total
-            children.means[c], children.covs[c] = _weighted_moments(weighted, mass, points)
-        delta = _max_change(children, prev)
-        prev = children.copy()
+        weighted = [share[:, c] * parent_resp * weights for c in range(2)]
+        masses = [w.sum() for w in weighted]
+        live = [c for c in range(2) if not masses[c] <= 0]  # a NaN mass is fitted, so it surfaces
+        for c in live:
+            children.weights[c] = masses[c] / total
+        children.means[live], children.covs[live] = _weighted_moments(
+            [weighted[c] for c in live], [masses[c] for c in live], points
+        )
+        params = _params(children)
+        delta = np.abs(params - prev).max()
+        prev = params
         if delta < 1e-8:
             break
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
@@ -521,10 +556,7 @@ def count_proposal(
         target = m - 1
     if target > MAX_COMPONENTS:
         return est
-    memo = state._candidates
-    if memo is None or memo[0] is not est or memo[1] is not log or memo[2] != log.revision:
-        memo = state._candidates = (est, log, log.revision, {})
-    built = memo[3]
+    built = _basis_memo(state, est, log)
     key = (target, em_iters)
     cand = built.get(key)
     if cand is None:

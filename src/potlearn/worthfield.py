@@ -28,11 +28,13 @@ class GaussianComponent:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float).reshape(2))
         cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
         object.__setattr__(self, "cov", cov)
-        if self.weight < 0:
-            raise ValueError("component weight must be non-negative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"component weight must be finite and >= 0, got {self.weight!r}")
+        if not (np.isfinite(self.mean).all() and np.isfinite(cov).all()):
+            raise ValueError("component mean and covariance must be finite")
         if abs(cov[0, 1] - cov[1, 0]) > 1e-12:
             raise ValueError("covariance must be symmetric")
-        if np.linalg.det(cov) <= 0 or cov[0, 0] <= 0:
+        if not (np.linalg.det(cov) > 0 and cov[0, 0] > 0):
             raise ValueError("covariance must be positive-definite")
 
     def to_dict(self) -> dict:
@@ -47,27 +49,46 @@ class GaussianComponent:
         return cls(weight=d["weight"], mean=d["mean"], cov=d["cov"])
 
 
-def _mahalanobis(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Squared Mahalanobis distance of each row of `points`, and det(cov)."""
+def _mahalanobis(
+    points: np.ndarray, means: np.ndarray, covs: np.ndarray
+) -> tuple[np.ndarray, list[float]]:
+    """Squared Mahalanobis distance of each row of `points` from each of the
+    stacked means (M, 2) under the stacked covariances (M, 2, 2), shape (n, M),
+    and the M determinants as floats.  A single mean (2,) and covariance (2, 2)
+    is a stack of one.
+
+    `det` and `inv` run once on the stack, which matches per-matrix calls bit for
+    bit; the quadratic form stays one `einsum` per component, since the stacked
+    subscripts sum in another order.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    det = float(np.linalg.det(cov))
-    if det <= 0:
-        raise ValueError("singular covariance")
-    inv = np.linalg.inv(cov)
-    diff = pts - np.asarray(mean, dtype=float)
-    return np.einsum("ni,ij,nj->n", diff, inv, diff), det
+    means = np.asarray(means, dtype=float).reshape(-1, 2)
+    covs = np.asarray(covs, dtype=float).reshape(-1, 2, 2)
+    dets = np.linalg.det(covs).tolist()
+    # `not <` also rejects NaN; a NaN or infinite entry makes its determinant NaN or infinite
+    if not all(0 < d < math.inf for d in dets):
+        raise ValueError("singular or non-finite covariance")
+    invs = np.linalg.inv(covs)
+    quad = np.empty((len(pts), len(means)))
+    for j in range(len(means)):
+        diff = pts - means[j]
+        quad[:, j] = np.einsum("ni,ij,nj->n", diff, invs[j], diff)
+    return quad, dets
 
 
-def gaussian_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Bivariate normal density at each row of `points`."""
-    quad, det = _mahalanobis(points, mean, cov)
-    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+def gaussian_density(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Bivariate normal density of each stacked component at each row of `points`, (n, M)."""
+    quad, dets = _mahalanobis(points, means, covs)
+    return np.exp(-0.5 * quad) / np.array([2.0 * math.pi * math.sqrt(d) for d in dets])
 
 
-def gaussian_log_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log of the bivariate normal density at each row of `points`."""
-    quad, det = _mahalanobis(points, mean, cov)
-    return -math.log(2.0 * math.pi) - 0.5 * math.log(det) - 0.5 * quad
+def gaussian_log_density(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Log of each stacked component's bivariate normal density at each row of
+    `points`, (n, M).  The constant of each component is scalar `math` arithmetic
+    (`np.log` may round differently)."""
+    quad, dets = _mahalanobis(points, means, covs)
+    consts = np.array([-math.log(2.0 * math.pi) - 0.5 * math.log(d) for d in dets])
+    return consts - 0.5 * quad
 
 
 class WorthField:
@@ -102,7 +123,7 @@ class WorthField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts))
         for c in self.components:
-            out += c.weight * gaussian_density(pts, c.mean, c.cov)
+            out += c.weight * gaussian_density(pts, c.mean, c.cov)[:, 0]
         return out
 
     def evaluate(self, point: Sequence[float]) -> float:

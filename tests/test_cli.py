@@ -198,6 +198,16 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_nan_scenario_component_exits_2_naming_the_key(tmp_path, capsys):
+    component = {"weight": 1.0, "mean": [math.nan, 5.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    cfg = write_config(tmp_path, scenario={"components": [component]})
+    assert ".nan" in cfg.read_text()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "scenario.components" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
     assert "error" in capsys.readouterr().err

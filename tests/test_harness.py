@@ -209,6 +209,21 @@ class TestConfig:
         field = config.scenario()
         assert field.n_components == 3
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"weight": 1.0, "mean": [float("nan"), 5.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            {"weight": 1.0, "mean": [5.0, 5.0], "cov": [[float("nan"), 0.0], [0.0, 1.0]]},
+            {"weight": 1.0, "mean": [5.0, float("inf")], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            {"weight": float("nan"), "mean": [5.0, 5.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            {"weight": 1.0, "mean": [5.0, 5.0], "cov": [[1.0, 1.0], [1.0, 1.0]]},
+            {"weight": 1.0, "mean": [5.0, 5.0]},
+        ],
+    )
+    def test_bad_scenario_component_rejected_at_load(self, bad):
+        with pytest.raises(ConfigError, match="scenario.components"):
+            ExperimentConfig.from_dict({"grid_size": 10, "scenario": {"components": [bad]}})
+
     def test_readme_config_table_names_every_param(self):
         """README names each config field: run controls in its prose, the rest in
         its key table; the scenario fields come from the `scenario` section."""

@@ -30,10 +30,14 @@ from potlearn.mixtures import (
     split_scores,
     split_select,
     worth_weighted_multiplicity,
+    COV_FLOOR,
+    MAX_COMPONENTS,
+    component_log_densities,
     _floor_covariance,
     _row_logsumexp,
 )
 from potlearn.rng import make_rng
+from potlearn.worthfield import gaussian_log_density
 
 
 def snapped(points, grid=40):
@@ -107,6 +111,13 @@ class TestObservationLog:
     def test_multiplicity_domain(self):
         with pytest.raises(ValueError):
             ObservationLog().append((0.5, 0.5), multiplicity=0)
+
+    @pytest.mark.parametrize("point", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_non_finite_point_rejected_by_name(self, point):
+        log = ObservationLog()
+        with pytest.raises(ValueError, match=r"finite, got \(.*(nan|inf)"):
+            log.append(point)
+        assert log.n_unique == 0 and log.revision == 0
 
 
 class TestEmIterate:
@@ -188,6 +199,93 @@ class TestEmIterate:
         assert out.starved == (1,)
         assert out.weights[1] > 0
         assert abs(out.weights.sum() - 1.0) <= 1e-12
+
+
+def random_covs(rng, m):
+    a = rng.normal(size=(m, 2, 2))
+    return a @ a.swapaxes(1, 2) + 0.1 * np.eye(2)
+
+
+def rotated_covs(eigenvalue_pairs, angles):
+    """Covariances R diag(l0, l1) R^T with the given eigenvalues and rotations."""
+    out = []
+    for (l0, l1), t in zip(eigenvalue_pairs, angles):
+        r = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        out.append((r * [l0, l1]) @ r.T)
+    return np.array(out)
+
+
+class TestBatchedKernel:
+    """The stacked kernel and floor against one call per component, compared with
+    `np.array_equal`: batching may only drop calls, never change a bit."""
+
+    @pytest.mark.parametrize("m", range(1, MAX_COMPONENTS + 1))
+    @pytest.mark.parametrize("n", [1, 2, 3, 300])
+    def test_component_log_densities_match_per_component_calls(self, m, n):
+        rng = make_rng(100 * m + n)
+        est = GmmEstimate(
+            weights=rng.dirichlet(np.ones(m)),
+            means=rng.uniform(0.0, 40.0, size=(m, 2)),
+            covs=random_covs(rng, m),
+        )
+        points = np.floor(rng.uniform(0.0, 40.0, size=(n, 2))) + 0.5
+        got = component_log_densities(est, points)
+        assert got.shape == (n, m)
+        for j in range(m):
+            single = gaussian_log_density(points, est.means[j], est.covs[j])
+            assert single.shape == (n, 1)
+            assert np.array_equal(got[:, j], math.log(est.weights[j]) + single[:, 0])
+
+    def test_zero_weight_component_has_minus_infinity(self):
+        est = GmmEstimate(np.array([1.0, 0.0]), np.zeros((2, 2)), np.array([np.eye(2)] * 2))
+        logs = component_log_densities(est, np.array([[0.5, 0.5]]))
+        assert np.isfinite(logs[0, 0]) and logs[0, 1] == -np.inf
+
+    def test_stacked_floor_matches_per_matrix_calls(self):
+        below, at, above = 0.1, COV_FLOOR, 3.0
+        pairs = list(itertools.product([below, at, above], repeat=2)) + [(1e-9, 0.0)]
+        angles = make_rng(7).uniform(0.0, math.pi, size=len(pairs))
+        covs = rotated_covs(pairs, angles)
+        stacked = _floor_covariance(covs, COV_FLOOR)
+        assert stacked.shape == covs.shape
+        for cov, got in zip(covs, stacked):
+            # the 2-d arithmetic of one matrix, written out
+            vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+            want = (vecs * np.maximum(vals, COV_FLOOR)) @ vecs.T
+            assert np.array_equal(got, _floor_covariance(cov, COV_FLOOR))
+            assert np.array_equal(got, want)
+            assert np.linalg.eigvalsh(got).min() >= COV_FLOOR * (1 - 1e-12)
+
+    def test_starved_component_stays_unfloored_and_keeps_its_location(self):
+        log = cluster_log(make_rng(8), [(10.0, 10.0)], sigma=1.5, n_per=500)
+        spike = np.array([[0.01, 0.002], [0.002, 0.02]])  # both eigenvalues below the floor
+        est = GmmEstimate(
+            weights=np.array([0.998, 0.001, 0.001]),
+            means=np.array([[10.0, 10.0], [39.0, 39.0], [-30.0, 5.0]]),
+            covs=np.array([np.eye(2) * 2, spike, np.eye(2) * 0.5]),
+        )
+        out = em_iterate(log, est, iters=3)
+        assert out.starved == (1, 2)
+        for j in (1, 2):
+            assert np.array_equal(out.means[j], est.means[j])
+            assert np.array_equal(out.covs[j], est.covs[j])
+        assert np.linalg.eigvalsh(out.covs[0]).min() >= COV_FLOOR * (1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((2, 2)), [[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+         [[1.0, 0.0], [0.0, -1.0]]],
+        ids=["singular", "nan", "inf", "indefinite"],
+    )
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_one_bad_covariance_in_the_stack_raises(self, bad, position):
+        covs = np.repeat(np.eye(2)[None], 5, axis=0)
+        covs[position] = bad
+        est = GmmEstimate(np.full(5, 0.2), np.zeros((5, 2)), covs)
+        with pytest.raises(ValueError, match="singular or non-finite covariance"):
+            responsibilities(est, np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="singular or non-finite covariance"):
+            gaussian_log_density(np.array([[0.5, 0.5]]), est.means, covs)
 
 
 class TestWorthWeightedMultiplicity:
@@ -551,6 +649,28 @@ class TestCandidateMemo:
         assert count_proposal(est, log, state, ScriptedRng(0.0), 10) is est
         assert builds == {"split": 1, "em": 1}
         assert (state.iaic_current, state.iaic_candidate) == scores
+
+    def test_second_rejected_round_does_not_rescore_the_current_model(self, monkeypatch):
+        log, est = self.one_cluster()
+        passes = []
+
+        def counted(model, log_):
+            passes.append(model is est)
+            return log_likelihood(model, log_)
+
+        monkeypatch.setattr(mix, "log_likelihood", counted)
+        state = AICState(tau=0.1)
+        assert count_proposal(est, log, state, ScriptedRng(0.0), 10) is est
+        assert passes.count(True) == 1
+        first = state.iaic_current
+        passes.clear()
+        assert count_proposal(est, log, state, ScriptedRng(0.0), 10) is est
+        assert passes == []
+        assert state.iaic_current == first == -aic(est, log)
+        passes.clear()
+        log.append((20.5, 20.5))
+        count_proposal(est, log, state, ScriptedRng(0.0), 10)
+        assert passes.count(True) == 1
 
     def test_an_append_between_rounds_forces_a_rebuild(self, builds):
         log, est = self.one_cluster()

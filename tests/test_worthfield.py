@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from potlearn.worthfield import GaussianComponent, WorthField, generate_scenario
+from potlearn.mixtures import MAX_COMPONENTS
+from potlearn.worthfield import (
+    GaussianComponent,
+    WorthField,
+    gaussian_density,
+    gaussian_log_density,
+    generate_scenario,
+)
 
 
 def single_component_field(mean=(20.0, 20.0), var=4.0, grid=40):
@@ -107,6 +114,57 @@ class TestGradientMemo:
         assert field.local_gradient((3.0, -2.0)) == scalar_gradient(field, (3.0, -2.0))
 
 
+def one_component_kernel(points, mean, cov):
+    """The bivariate normal of one component: its own `det`, `inv` and `einsum`.
+
+    Returns the log density and the density, each written as a one-component
+    kernel computes it."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    det = float(np.linalg.det(cov))
+    diff = pts - mean
+    quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
+    log = -math.log(2.0 * math.pi) - 0.5 * math.log(det) - 0.5 * quad
+    return log, np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+
+
+class TestStackedKernel:
+    """The stacked kernel against one-component calls, compared with `np.array_equal`."""
+
+    @pytest.mark.parametrize("m", range(1, MAX_COMPONENTS + 1))
+    @pytest.mark.parametrize("n", [1, 2, 3, 301])
+    def test_stack_matches_one_component_calls(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        means = rng.uniform(0.0, 40.0, size=(m, 2))
+        a = rng.normal(size=(m, 2, 2))
+        covs = a @ a.swapaxes(1, 2) + 0.25 * np.eye(2)
+        points = rng.uniform(0.0, 40.0, size=(n, 2))
+        logs = gaussian_log_density(points, means, covs)
+        dens = gaussian_density(points, means, covs)
+        assert logs.shape == dens.shape == (n, m)
+        for j in range(m):
+            want_log, want_dens = one_component_kernel(points, means[j], covs[j])
+            assert np.array_equal(logs[:, j], want_log)
+            assert np.array_equal(dens[:, j], want_dens)
+            assert np.array_equal(gaussian_log_density(points, means[j], covs[j])[:, 0], want_log)
+
+    def test_field_density_keeps_the_one_component_sum(self):
+        field = generate_scenario(3, 24, (4, 4))
+        points = field.centroids()
+        want = np.zeros(len(points))
+        for c in field.components:
+            want += c.weight * one_component_kernel(points, c.mean, c.cov)[1]
+        assert np.array_equal(field.density(points), want)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [[[0.0, 0.0], [0.0, 0.0]], [[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]],
+        ids=["singular", "nan", "inf"],
+    )
+    def test_bad_covariance_raises(self, cov):
+        with pytest.raises(ValueError, match="singular or non-finite covariance"):
+            gaussian_log_density([[1.0, 1.0]], [0.0, 0.0], cov)
+
+
 class TestComponentValidation:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError):
@@ -119,6 +177,22 @@ class TestComponentValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             GaussianComponent(-0.1, [0.0, 0.0], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "weight,mean,cov",
+        [
+            (math.nan, [0.0, 0.0], np.eye(2)),
+            (math.inf, [0.0, 0.0], np.eye(2)),
+            (1.0, [math.nan, 5.0], np.eye(2)),
+            (1.0, [0.0, -math.inf], np.eye(2)),
+            (1.0, [0.0, 0.0], [[math.nan, 0.0], [0.0, 1.0]]),
+            (1.0, [0.0, 0.0], [[1.0, 0.0], [0.0, math.nan]]),
+            (1.0, [0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_non_finite_value_rejected(self, weight, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianComponent(weight, mean, cov)
 
 
 class TestGenerateScenario:
