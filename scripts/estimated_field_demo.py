@@ -3,38 +3,40 @@
 
 Robots log observations as they move, fit mixtures online (with periodic
 split/merge component-count proposals), and evaluate candidate moves on
-their own estimates while bookkeeping tracks the true field.  Emits the run
-CSV, the per-boundary estimate snapshots, and the final world rendering.
+their own estimates while bookkeeping tracks the true field.  The run is
+`configs/psblll_estimated.yaml`; each flag given overrides its config value.
+Emits the run CSV, the per-boundary estimate snapshots, and the final world
+rendering.
 """
 import argparse
+import dataclasses
 from pathlib import Path
 
 from potlearn import coverage
 from potlearn.harness import ExperimentConfig, run_experiment
 
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "psblll_estimated.yaml"
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--grid-size", type=int, default=20)
-    parser.add_argument("--robots", type=int, default=3)
-    parser.add_argument("--iterations", type=int, default=1500)
-    parser.add_argument("--scenario-seed", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--grid-size", type=int, default=None)
+    parser.add_argument("--robots", type=int, default=None)
+    parser.add_argument("--iterations", type=int, default=None)
+    parser.add_argument("--scenario-seed", type=int, default=None)
     parser.add_argument("--out-dir", default="out/estimated")
     args = parser.parse_args()
 
-    config = ExperimentConfig(
-        algorithm="psblll",
-        environment="estimated-field",
-        grid_size=args.grid_size,
-        robots=args.robots,
-        iterations=args.iterations,
-        scenario_seed=args.scenario_seed,
-        temperature=0.01,
-        model_check_period=50,
-        em_period=2,
-    )
-    record = run_experiment(config, args.seed)
+    config = ExperimentConfig.from_yaml(CONFIG)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("grid_size", "robots", "iterations", "scenario_seed")
+        if getattr(args, key) is not None
+    }
+    config = dataclasses.replace(config, **overrides)
+    seed = config.seeds[0] if args.seed is None else args.seed
+    record = run_experiment(config, seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     record.write_csv(out / "run.csv")

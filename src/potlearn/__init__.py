@@ -10,10 +10,6 @@ from .games import (
     JointAction,
     PotentialCertificate,
     best_response_set,
-    construct_potential,
-    expected_utility,
-    improvement_path,
-    is_pure_nash,
     logit_map,
     verify_potential,
 )
@@ -27,7 +23,7 @@ from .dynamics import (
     revision_probability,
     validate_constraints,
 )
-from .harness import ExperimentConfig, RunRecord, run_experiment, steady_state, sweep
+from .harness import ExperimentConfig, RunRecord, run_experiment, sweep
 from .worthfield import GaussianComponent, WorthField, generate_scenario
 
 __version__ = "0.1.0"
@@ -45,17 +41,12 @@ __all__ = [
     "WorthField",
     "best_response_set",
     "blll_step",
-    "construct_potential",
-    "expected_utility",
     "generate_scenario",
-    "improvement_path",
-    "is_pure_nash",
     "lll_step",
     "logit_map",
     "psblll_step",
     "revision_probability",
     "run_experiment",
-    "steady_state",
     "sweep",
     "validate_constraints",
     "verify_potential",

@@ -19,6 +19,12 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",")) if text.strip() else ()
 
 
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -36,7 +42,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = harness.ExperimentConfig.from_yaml(args.config)
     if args.iterations is not None:
         config = dataclasses.replace(config, iterations=args.iterations)
-    seed = args.seed if args.seed is not None else config.seeds[0]
+    seed = _check_seed(args.seed) if args.seed is not None else config.seeds[0]
     record = harness.run_experiment(config, seed)
     out = _out_dir(args.out_dir)
     stem = f"run_{config.algorithm}_{seed}"
@@ -105,8 +111,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    lo, hi = (int(v) for v in args.components.split(","))
-    field_model = generate_scenario(args.seed, args.grid_size, (lo, hi))
+    try:
+        lo, hi = (int(v) for v in args.components.split(","))
+    except ValueError:
+        msg = f"--components must be two integers lo,hi, got {args.components!r}"
+        raise ValueError(msg) from None
+    field_model = generate_scenario(_check_seed(args.seed), args.grid_size, (lo, hi))
     out = _out_dir(args.out_dir)
     (out / "scenario.yaml").write_text(yaml.safe_dump(field_model.to_dict()))
     raster = field_model.raster()

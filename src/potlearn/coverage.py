@@ -145,17 +145,6 @@ class CoverageWorld:
         return self.field_model.raster()
 
 
-def neighbor_cells(world: CoverageWorld, position: Cell, radius: float) -> list[Cell]:
-    """Cells whose centroids lie within `radius` of the position's centroid."""
-    L = world.grid_size
-    x, y = position
-    return [
-        (x + dx, y + dy)
-        for dx, dy in _offsets_within(radius)
-        if 0 <= x + dx < L and 0 <= y + dy < L
-    ]
-
-
 def _is_frozen(values: np.ndarray) -> bool:
     """True when neither the array nor any array it views can be written."""
     a = values
@@ -206,17 +195,6 @@ def _on_grid(world: CoverageWorld, position: Cell) -> tuple[int, int]:
     if not (0 <= x < L and 0 <= y < L):
         raise ValueError(f"position {tuple(position)} is off the {L}x{L} grid")
     return x, y
-
-
-def covered_worth(
-    world: CoverageWorld,
-    robot: int,
-    position: Cell | None = None,
-    values: np.ndarray | None = None,
-) -> float:
-    """Worth summed over the robot's covering disc."""
-    pos = world.positions[robot] if position is None else position
-    return float(covered_worth_map(world, values)[_on_grid(world, pos)])
 
 
 def overlap_worth(

@@ -194,11 +194,6 @@ class LoglinearState:
             raise ValueError("temperature must be positive")
         self.action = tuple(self.action)
 
-    @property
-    def noise_level(self) -> float:
-        """Perturbation index exp(-1 / temperature) of the induced chain."""
-        return math.exp(-1.0 / self.temperature)
-
 
 def binary_logit_weights(
     u_current: float, u_alternative: float, temperature: float

@@ -1,4 +1,5 @@
-"""Finite normal-form games: potentials, best responses, and the logit map.
+"""Finite normal-form games: potential certificates, best responses, the
+logit map and its draw, and random separable games.
 
 A joint action is a tuple of per-player action indices.  Utilities are
 evaluated through a callback, so a game may be backed by dense payoff tables
@@ -22,10 +23,6 @@ JointAction = tuple[int, ...]
 
 # Relative tolerance for grouping near-equal computed payoffs as argmax ties.
 TIE_REL_TOL = 1e-12
-
-
-class ImprovementLimitError(RuntimeError):
-    """An improvement path exceeded its step budget without terminating."""
 
 
 @dataclass(eq=False)
@@ -201,62 +198,11 @@ def verify_potential(
     )
 
 
-def construct_potential(
-    game: GameDefinition, tol: float = 1e-9
-) -> dict[JointAction, float] | None:
-    """Recover a potential table by path integration, or None.
-
-    Sums unilateral utility differences along the canonical coordinate path
-    from the all-first-actions profile (anchored at zero there).  If the
-    resulting table fails the exhaustive deviation check at `tol`, path sums
-    disagree and the game is not a potential game.
-    """
-    ref = (0,) * game.n_players
-    table: dict[JointAction, float] = {}
-    for a in game.joint_actions():
-        total = 0.0
-        cur = list(ref)
-        for i in range(game.n_players):
-            prev = tuple(cur)
-            cur[i] = a[i]
-            step = tuple(cur)
-            if a[i] != 0:
-                total += game.utility(i, step) - game.utility(i, prev)
-        table[a] = total
-    cert = verify_potential(game, table, tol)
-    return table if cert.ok else None
-
-
 def best_response_set(
     game: GameDefinition, player: int, context: JointAction
 ) -> tuple[int, ...]:
     """All payoff-maximizing actions of `player` against `context`'s others."""
     return argmax_ties(game.utility_row(player, context))
-
-
-def is_pure_nash(game: GameDefinition, profile: JointAction) -> bool:
-    return all(
-        profile[i] in best_response_set(game, i, profile)
-        for i in range(game.n_players)
-    )
-
-
-def expected_utility(
-    game: GameDefinition, player: int, strategies: Sequence[np.ndarray]
-) -> float:
-    """Expected payoff of `player` under a full mixed-strategy profile."""
-    if len(strategies) != game.n_players:
-        raise ValueError("need one mixed strategy per player")
-    mixed = [np.asarray(x, dtype=float) for x in strategies]
-    for i, x in enumerate(mixed):
-        if x.shape != (game.n_actions(i),):
-            raise ValueError(f"strategy for player {i} has the wrong length")
-    total = 0.0
-    for a in game.joint_actions():
-        weight = math.prod(mixed[i][a[i]] for i in range(game.n_players))
-        if weight:
-            total += weight * game.utility(player, a)
-    return total
 
 
 def logit_map(scores: Sequence[float], temperature: float) -> np.ndarray:
@@ -287,43 +233,6 @@ def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
         return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
-
-
-def _first_improving(game: GameDefinition, profile: JointAction) -> JointAction | None:
-    for i in range(game.n_players):
-        here = game.utility(i, profile)
-        for b in range(game.n_actions(i)):
-            if b == profile[i]:
-                continue
-            candidate = replace_action(profile, i, b)
-            if game.utility(i, candidate) > here:
-                return candidate
-    return None
-
-
-def improvement_path(
-    game: GameDefinition, start: JointAction, max_steps: int = 10_000
-) -> list[JointAction]:
-    """Follow strictly improving unilateral deviations until none remain.
-
-    Ties are broken deterministically: lowest player index, then lowest
-    action index.  The terminal profile is a pure Nash equilibrium.  Raises
-    ImprovementLimitError after max_steps deviations, which signals either a
-    non-potential game or too small a budget.
-    """
-    current = start
-    path = [start]
-    for _ in range(max_steps):
-        nxt = _first_improving(game, current)
-        if nxt is None:
-            return path
-        current = nxt
-        path.append(nxt)
-    if _first_improving(game, current) is None:
-        return path
-    raise ImprovementLimitError(
-        f"no terminal profile within {max_steps} improvement steps"
-    )
 
 
 def random_separable_game(
@@ -359,25 +268,3 @@ def random_separable_game(
     }
     return game, potential
 
-
-def random_potential_game(
-    rng: np.random.Generator, n_actions: Sequence[int], scale: float = 1.0
-) -> tuple[GameDefinition, dict[JointAction, float]]:
-    """Random exact potential game, generally non-separable.
-
-    Each player's payoff is a shared random potential plus a player-specific
-    term that depends only on the others' actions, which leaves unilateral
-    payoff changes equal to potential changes.
-    """
-    shape = tuple(int(k) for k in n_actions)
-    phi = scale * rng.uniform(size=shape)
-    tables = []
-    for i in range(len(shape)):
-        other_shape = shape[:i] + (1,) + shape[i + 1 :]
-        bias = scale * rng.uniform(size=other_shape)
-        tables.append(phi + np.broadcast_to(bias, shape))
-    game = GameDefinition.from_tables(tables)
-    potential = {
-        a: float(phi[a]) for a in itertools.product(*(range(k) for k in shape))
-    }
-    return game, potential

@@ -197,19 +197,6 @@ def log_transition_probability(
     return total
 
 
-def transition_probability(
-    game: GameDefinition,
-    source: JointAction,
-    target: JointAction,
-    wake: WakeModel,
-    constraints: ConstrainedActionMap,
-    eps: float,
-) -> float:
-    return math.exp(
-        log_transition_probability(game, source, target, wake, constraints, eps)
-    )
-
-
 def scaled_transition_probability(
     game: GameDefinition,
     source: JointAction,
@@ -233,18 +220,12 @@ class PerturbedChain:
     """Markov chain over joint actions at a fixed noise level."""
 
     states: tuple[JointAction, ...]
-    index: dict[JointAction, int]
     kernel: np.ndarray | sp.csr_matrix
     noise: float
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def row_sums(self) -> np.ndarray:
-        if isinstance(self.kernel, np.ndarray):
-            return self.kernel.sum(axis=1)
-        return np.asarray(self.kernel.sum(axis=1)).ravel()
 
 
 @dataclass(frozen=True)
@@ -425,8 +406,7 @@ def build_chain(
 
         values, rows, cols = (np.concatenate(t) for t in zip(*triplets))
         kernel = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-    index = {a: k for k, a in enumerate(space.states)}
-    return PerturbedChain(states=space.states, index=index, kernel=kernel, noise=eps)
+    return PerturbedChain(states=space.states, kernel=kernel, noise=eps)
 
 
 def _bandwidth(p: np.ndarray) -> int:
@@ -492,8 +472,16 @@ def _gth_stationary(kernel: np.ndarray) -> np.ndarray:
 
 
 def _residual(kernel: np.ndarray | sp.csr_matrix, pi: np.ndarray) -> float:
-    """|pi P - pi|_1."""
-    return float(np.abs(np.asarray(pi @ kernel).ravel() - pi).sum())
+    """|pi P - pi|_1.  A dense P is summed in row slabs of at most _GTH_SLAB
+    multiply-adds, each a product OpenBLAS keeps on the calling thread."""
+    if not isinstance(kernel, np.ndarray):
+        return float(np.abs(np.asarray(pi @ kernel).ravel() - pi).sum())
+    n = len(pi)
+    slab = max(1, _GTH_SLAB // n)
+    flow = np.zeros(n)
+    for r in range(0, n, slab):
+        flow += pi[r : r + slab] @ kernel[r : r + slab]
+    return float(np.abs(flow - pi).sum())
 
 
 def stationary_distribution(chain: PerturbedChain) -> np.ndarray:

@@ -126,10 +126,6 @@ class WorthField:
             out += c.weight * gaussian_density(pts, c.mean, c.cov)[:, 0]
         return out
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Worth at a single location (normally a cell centroid)."""
-        return float(self.density(np.asarray(point, dtype=float).reshape(1, 2))[0])
-
     def raster(self) -> np.ndarray:
         """Worth at every centroid as an (L, L) array indexed [ix, iy]; cached."""
         if self._raster is None:

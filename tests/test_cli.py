@@ -213,6 +213,25 @@ def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "scenario"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = ["--config", str(write_config(tmp_path))] if command == "run" else []
+    assert main([command, *args, "--seed", "-1", "--out-dir", str(out)]) == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("components", ["1,5,7", "x", "3", "1,"])
+def test_malformed_component_range_exits_2_naming_the_flag(tmp_path, capsys, components):
+    out = tmp_path / "out"
+    args = ["scenario", "--seed", "5", "--components", components, "--out-dir", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"--components must be two integers lo,hi, got {components!r}" in err
+    assert not out.exists()
+
+
 def test_scenario_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(

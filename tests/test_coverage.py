@@ -32,10 +32,20 @@ def uniform_values(world, value=0.01):
     return np.full((world.grid_size, world.grid_size), value)
 
 
+def covering(world, cell):
+    """Cells whose covering disc holds `cell`: by the disc's symmetry, the
+    cells of the disc around `cell`."""
+    one_hot = np.zeros((world.grid_size, world.grid_size))
+    one_hot[cell] = 1.0
+    return {c for c, v in np.ndenumerate(cov.covered_worth_map(world, one_hot)) if v}
+
+
 class TestNeighborCells:
+    """The covering disc, read off the covered-worth raster of a one-hot field."""
+
     def test_interior_disc_is_the_3x3_block(self):
         world = flat_world()
-        cells = cov.neighbor_cells(world, (4, 4), 1.5)
+        cells = covering(world, (4, 4))
         assert len(cells) == 9
         # exhaustive check against the definition
         expected = {
@@ -44,19 +54,19 @@ class TestNeighborCells:
             for y in range(8)
             if math.dist((x, y), (4, 4)) <= 1.5
         }
-        assert set(cells) == expected
+        assert cells == expected
 
     def test_zero_radius_is_the_cell_itself(self):
-        world = flat_world()
-        assert cov.neighbor_cells(world, (3, 5), 0.0) == [(3, 5)]
+        world = flat_world(cover_radius=1e-9)  # a world's radius must be positive
+        assert covering(world, (3, 5)) == {(3, 5)}
 
     def test_corner_truncates_to_four(self):
         world = flat_world()
-        assert len(cov.neighbor_cells(world, (0, 0), 1.5)) == 4
+        assert len(covering(world, (0, 0))) == 4
 
     def test_radius_two_includes_straight_two_steps(self):
-        world = flat_world(grid=9)
-        cells = set(cov.neighbor_cells(world, (4, 4), 2.0))
+        world = flat_world(grid=9, cover_radius=2.0)
+        cells = covering(world, (4, 4))
         assert (6, 4) in cells and (4, 2) in cells
         assert (6, 6) not in cells  # distance 2*sqrt(2)
 
@@ -64,12 +74,12 @@ class TestNeighborCells:
 class TestCoveredAndOverlap:
     def test_zero_field_covers_nothing(self):
         world = flat_world()
-        assert cov.covered_worth(world, 0, values=np.zeros((8, 8))) == 0.0
+        assert cov.covered_worth_map(world, np.zeros((8, 8)))[world.positions[0]] == 0.0
 
     def test_uniform_interior_disc(self):
         world = flat_world()
         cov.commit_positions(world, [(4, 4), world.positions[1]])
-        assert cov.covered_worth(world, 0, values=uniform_values(world)) == pytest.approx(
+        assert cov.covered_worth_map(world, uniform_values(world))[4, 4] == pytest.approx(
             0.09, abs=1e-15
         )
 
@@ -81,10 +91,8 @@ class TestCoveredAndOverlap:
         field = WorthField([comp], 9)
         world = cov.CoverageWorld.create(field, 1, make_rng(1))
         cov.commit_positions(world, [(4, 4)])
-        covered = cov.covered_worth(world, 0)
-        grid_sum = sum(
-            field.raster()[c] for c in cov.neighbor_cells(world, (4, 4), 1.5)
-        )
+        covered = cov.covered_worth_map(world)[4, 4]
+        grid_sum = sum(field.raster()[c] for c in ref_cells(world, (4, 4)))
         assert covered == pytest.approx(grid_sum, abs=1e-15)
         assert 0.9 <= covered <= 1.005
 
@@ -98,14 +106,14 @@ class TestCoveredAndOverlap:
         cov.commit_positions(world, [(4, 4), (4, 4)])
         vals = uniform_values(world)
         assert cov.overlap_worth(world, 0, values=vals) == pytest.approx(
-            cov.covered_worth(world, 0, values=vals), abs=1e-15
+            cov.covered_worth_map(world, vals)[4, 4], abs=1e-15
         )
 
     def test_three_colocated_robots_double_count(self):
         world = flat_world(robots=3)
         cov.commit_positions(world, [(4, 4), (4, 4), (4, 4)])
         vals = uniform_values(world)
-        covered = cov.covered_worth(world, 0, values=vals)
+        covered = cov.covered_worth_map(world, vals)[4, 4]
         assert cov.overlap_worth(world, 0, values=vals) == pytest.approx(
             2 * covered, abs=1e-14
         )
@@ -502,7 +510,7 @@ def assert_matches_reference(world, values):
         for c in np.ndindex(L, L):
             covered = ref_covered(world, i, c, values)
             overlap = ref_overlap(world, i, c, values)
-            assert cov.covered_worth(world, i, c, values) == covered == covered_map[c]
+            assert covered == covered_map[c]
             assert cov.overlap_worth(world, i, c, values) == overlap == overlap_map[c]
             assert cov.utility(world, i, c, pos, values, False) == ref_utility(
                 world, i, c, pos, values, False
@@ -562,9 +570,9 @@ class TestDiscSumDifferential:
         base = uniform_values(world)
         view = base.view()
         view.setflags(write=False)
-        before = cov.covered_worth(world, 0, (4, 4), view)
+        before = cov.covered_worth_map(world, view)[4, 4]
         base *= 2.0
-        assert cov.covered_worth(world, 0, (4, 4), view) == 2.0 * before
+        assert cov.covered_worth_map(world, view)[4, 4] == 2.0 * before
 
     def test_kept_sums_are_dropped_with_their_raster(self):
         world = flat_world()
@@ -578,7 +586,7 @@ class TestDiscSumDifferential:
     def test_off_grid_position_is_rejected(self):
         world = flat_world()
         with pytest.raises(ValueError, match="off the"):
-            cov.covered_worth(world, 0, (-1, 3))
+            cov.utility(world, 0, (-1, 3), enforce_reachable=False)
 
 
 def ref_visible_flags(world, robot, vantage):

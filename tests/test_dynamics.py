@@ -158,7 +158,6 @@ class TestLLLStep:
         states, kernel = lll_kernel(game, tau)
         chain = PerturbedChain(
             states=tuple(states),
-            index={a: k for k, a in enumerate(states)},
             kernel=kernel,
             noise=math.exp(-1 / tau),
         )
@@ -172,7 +171,7 @@ class TestLLLStep:
             lll_step(game, state)
             visits[state.action] += 1
         assert visits[(0, 0)] / steps >= 0.9
-        assert visits[(0, 0)] / steps == pytest.approx(pi[chain.index[(0, 0)]], abs=0.02)
+        assert visits[(0, 0)] / steps == pytest.approx(pi[states.index((0, 0))], abs=0.02)
 
 
 class TestBLLLStep:
@@ -345,7 +344,3 @@ class TestLoglinearState:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             LoglinearState((0,), 0.0, make_rng(25))
-
-    def test_noise_level_matches_temperature(self):
-        state = LoglinearState((0,), 0.5, make_rng(26))
-        assert state.noise_level == pytest.approx(math.exp(-2.0), rel=1e-15)

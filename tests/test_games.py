@@ -8,17 +8,11 @@ from hypothesis import strategies as st_
 from potlearn.games import (
     TIE_REL_TOL,
     GameDefinition,
-    ImprovementLimitError,
     argmax_ties,
     best_response_set,
     check_simplex,
-    construct_potential,
     draw_index,
-    expected_utility,
-    improvement_path,
-    is_pure_nash,
     logit_map,
-    random_potential_game,
     random_separable_game,
     replace_action,
     verify_potential,
@@ -62,42 +56,12 @@ class TestVerifyPotential:
         with pytest.raises(ValueError):
             verify_potential(game, phi)
 
-
-class TestConstructPotential:
-    def test_identical_interest_recovers_shared_payoff(self):
-        rng = make_rng(2)
-        table = rng.uniform(size=(3, 3))
-        game = GameDefinition.identical_interest(table)
-        phi = construct_potential(game)
-        assert phi is not None
-        anchor = float(table[0, 0])
-        for a in game.joint_actions():
-            assert phi[a] == pytest.approx(float(table[a]) - anchor, abs=1e-12)
-
-    def test_matching_pennies_has_no_potential(self):
-        game = GameDefinition.from_tables(
-            [np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([[-1.0, 1.0], [1.0, -1.0]])]
-        )
-        assert construct_potential(game) is None
-        # the two deviation orders from (0,0) to (1,1) integrate to different sums
-        path_a = game.utility(0, (1, 0)) - game.utility(0, (0, 0)) + game.utility(
-            1, (1, 1)
-        ) - game.utility(1, (1, 0))
-        path_b = game.utility(1, (0, 1)) - game.utility(1, (0, 0)) + game.utility(
-            0, (1, 1)
-        ) - game.utility(0, (0, 1))
-        assert abs(path_a - path_b) > 1.0
-
     def test_separable_game_potential_is_sum_of_own_values(self):
         rng = make_rng(3)
-        game, phi_expected = random_separable_game(rng, [3, 2, 3])
-        phi = construct_potential(game)
-        assert phi is not None
+        game, phi = random_separable_game(rng, [3, 2, 3])
         cert = verify_potential(game, phi, tol=1e-9)
         assert cert.ok
-        ref = phi_expected[(0, 0, 0)]
-        for a in game.joint_actions():
-            assert phi[a] == pytest.approx(phi_expected[a] - ref, abs=1e-9)
+        assert cert.witness is None
 
 
 class TestBestResponse:
@@ -111,18 +75,21 @@ class TestBestResponse:
 
     def test_pure_nash_when_no_deviations_exist(self):
         game = GameDefinition.from_tables([np.array([[7.0]]), np.array([[7.0]])])
-        assert is_pure_nash(game, (0, 0))
+        assert best_response_set(game, 0, (0, 0)) == (0,)
+        assert best_response_set(game, 1, (0, 0)) == (0,)
 
     def test_coordination_diagonal(self):
         game = coordination_2x2()
-        assert is_pure_nash(game, (0, 0))
-        assert not is_pure_nash(game, (0, 1))
+        assert best_response_set(game, 0, (0, 0)) == (0,)
+        assert best_response_set(game, 1, (0, 0)) == (0,)
+        assert best_response_set(game, 1, (0, 1)) == (0,)
 
     def test_potential_maximizer_is_nash(self):
-        rng = make_rng(4)
-        game, phi = random_potential_game(rng, [3, 3, 2])
-        best = max(phi, key=phi.get)
-        assert is_pure_nash(game, best)
+        table = make_rng(4).uniform(size=(3, 3, 2))
+        game = GameDefinition.identical_interest(table)
+        best = tuple(int(a) for a in np.unravel_index(table.argmax(), table.shape))
+        for i in range(game.n_players):
+            assert best[i] in best_response_set(game, i, best)
 
 
 def listed_argmax_ties(values, rel_tol=TIE_REL_TOL):
@@ -163,53 +130,6 @@ class TestArgmaxTies:
     def test_plain_lists_and_exact_ties(self):
         assert argmax_ties([1.0, 3.0, 3.0]) == (1, 2)
         assert argmax_ties([0.0, -1e-13, -2e-12]) == listed_argmax_ties([0.0, -1e-13, -2e-12])
-
-
-class TestExpectedUtility:
-    def test_point_masses_reduce_to_pure_payoff(self):
-        rng = make_rng(5)
-        game, _ = random_potential_game(rng, [2, 3])
-        strategies = [np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])]
-        assert expected_utility(game, 0, strategies) == pytest.approx(
-            game.utility(0, (1, 2)), abs=1e-12
-        )
-
-    def test_uniform_over_2x2_is_mean(self):
-        game = GameDefinition.from_tables(
-            [np.array([[0.0, 1.0], [2.0, 3.0]]), np.zeros((2, 2))]
-        )
-        uniform = [np.full(2, 0.5), np.full(2, 0.5)]
-        assert expected_utility(game, 0, uniform) == pytest.approx(1.5, abs=1e-12)
-
-    def test_matches_monte_carlo_within_three_sigma(self):
-        rng = make_rng(6)
-        tables = [rng.uniform(size=(3, 3)) for _ in range(2)]
-        game = GameDefinition.from_tables(tables)
-        x0 = rng.dirichlet(np.ones(3))
-        x1 = rng.dirichlet(np.ones(3))
-        exact = expected_utility(game, 0, [x0, x1])
-        n = 1_000_000
-        draws0 = rng.choice(3, size=n, p=x0)
-        draws1 = rng.choice(3, size=n, p=x1)
-        samples = tables[0][draws0, draws1]
-        mc = samples.mean()
-        sigma = samples.std(ddof=1) / math.sqrt(n)
-        assert abs(exact - mc) <= 3 * sigma
-
-    def test_multilinear_in_each_player(self):
-        # fixing the opponent, the map is affine in the player's weights
-        rng = make_rng(7)
-        game, _ = random_potential_game(rng, [3, 2])
-        other = rng.dirichlet(np.ones(2))
-        xa = rng.dirichlet(np.ones(3))
-        xb = rng.dirichlet(np.ones(3))
-        lam = 0.3
-        blend = lam * xa + (1 - lam) * xb
-        lhs = expected_utility(game, 0, [blend, other])
-        rhs = lam * expected_utility(game, 0, [xa, other]) + (1 - lam) * expected_utility(
-            game, 0, [xb, other]
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestLogitMap:
@@ -292,38 +212,6 @@ class TestDrawIndex:
             draw_index(np.zeros(size), make_rng(0))
 
 
-class TestImprovementPath:
-    def test_nash_start_is_terminal(self):
-        game = coordination_2x2()
-        assert improvement_path(game, (1, 1)) == [(1, 1)]
-
-    def test_coordination_off_diagonal_reaches_diagonal(self):
-        game = coordination_2x2()
-        path = improvement_path(game, (0, 1))
-        assert len(path) <= 3
-        assert path[-1] in {(0, 0), (1, 1)}
-        assert is_pure_nash(game, path[-1])
-
-    def test_random_potential_games_terminate_with_monotone_potential(self):
-        rng = make_rng(8)
-        game, phi = random_potential_game(rng, [3, 3, 3])
-        starts = [
-            tuple(int(rng.integers(3)) for _ in range(3)) for _ in range(20)
-        ]
-        for start in starts:
-            path = improvement_path(game, start, max_steps=5000)
-            assert is_pure_nash(game, path[-1])
-            values = [phi[a] for a in path]
-            assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_cycling_game_exhausts_budget(self):
-        game = GameDefinition.from_tables(
-            [np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([[-1.0, 1.0], [1.0, -1.0]])]
-        )
-        with pytest.raises(ImprovementLimitError):
-            improvement_path(game, (0, 0), max_steps=50)
-
-
 class TestGameDefinition:
     def test_rejects_empty_action_set(self):
         with pytest.raises(ValueError):
@@ -337,7 +225,8 @@ class TestGameDefinition:
         assert replace_action((1, 2, 3), 1, 9) == (1, 9, 3)
 
     def test_utility_row_fallback_is_the_per_action_loop(self):
-        game, _ = random_potential_game(make_rng(10), [3, 4, 2])
+        rng = make_rng(10)
+        game = GameDefinition.from_tables([rng.uniform(size=(3, 4, 2)) for _ in range(3)])
         for a in game.joint_actions():
             for i in range(game.n_players):
                 loop = [game.utility(i, replace_action(a, i, b)) for b in range(game.n_actions(i))]

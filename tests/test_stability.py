@@ -30,6 +30,7 @@ from potlearn.stability import (
     StationaryConvergenceError,
     UnreachableRootError,
     build_chain,
+    log_transition_probability,
     min_resistance_tree,
     resistance,
     scaled_transition_probability,
@@ -37,7 +38,6 @@ from potlearn.stability import (
     stochastic_potential,
     stochastically_stable_states,
     temperature_from_noise,
-    transition_probability,
     verify_resistance_identity,
 )
 
@@ -91,13 +91,13 @@ class TestTransitionProbability:
     def test_all_asleep_is_product_of_stay_probabilities(self):
         game = own_value_game([1.0, 2.0], [0.5, 0.7])
         cmap = ConstrainedActionMap.complete(game)
-        p = transition_probability(game, (0, 1), (0, 1), [0.3, 0.6], cmap, eps=0.1)
+        p = math.exp(log_transition_probability(game, (0, 1), (0, 1), [0.3, 0.6], cmap, eps=0.1))
         assert p == pytest.approx(0.7 * 0.4, rel=1e-12)
 
     def test_single_deviator_equal_payoffs(self):
         game = own_value_game([1.0, 1.0], [0.0, 0.0])
         cmap = ConstrainedActionMap.complete(game)
-        p = transition_probability(game, (0, 0), (1, 0), 0.5, cmap, eps=0.1)
+        p = math.exp(log_transition_probability(game, (0, 0), (1, 0), 0.5, cmap, eps=0.1))
         assert p == pytest.approx(0.5 * 0.5 * 0.5 * 0.5, rel=1e-12)  # wake/draw/accept/sleep
 
     def test_scaled_probability_converges_to_wake_draw_prefactor(self):
@@ -145,7 +145,7 @@ class TestBuildChain:
         game, _ = random_separable_game(rng, [3, 3, 3])
         cmap = ConstrainedActionMap.complete(game)
         chain = build_chain(game, [0.2, 0.5, 0.8], cmap, eps=0.05)
-        assert np.abs(chain.row_sums() - 1.0).max() <= 1e-10
+        assert np.abs(chain.kernel.sum(axis=1) - 1.0).max() <= 1e-10
         assert (np.asarray(chain.kernel) >= 0).all()
 
     def test_state_cap_enforced(self):
@@ -159,7 +159,6 @@ class TestStationaryDistribution:
     def test_two_state_analytic_solution(self):
         chain = PerturbedChain(
             states=((0,), (1,)),
-            index={(0,): 0, (1,): 1},
             kernel=np.array([[0.9, 0.1], [0.2, 0.8]]),
             noise=0.1,
         )
@@ -173,7 +172,6 @@ class TestStationaryDistribution:
         kernel = 0.3 * p1 + 0.3 * p2 + 0.4 * np.eye(3)
         chain = PerturbedChain(
             states=((0,), (1,), (2,)),
-            index={(0,): 0, (1,): 1, (2,): 2},
             kernel=kernel,
             noise=0.5,
         )
@@ -189,7 +187,6 @@ class TestStationaryDistribution:
     def test_reducible_chain_raises(self):
         chain = PerturbedChain(
             states=((0,), (1,)),
-            index={(0,): 0, (1,): 1},
             kernel=np.eye(2),
             noise=0.1,
         )
@@ -635,7 +632,6 @@ class TestChainDifferential:
             kernel[lo:hi, lo:hi] = 1.0 / (hi - lo)
         chain = PerturbedChain(
             states=tuple((k,) for k in range(n)),
-            index={(k,): k for k in range(n)},
             kernel=kernel,
             noise=0.1,
         )
@@ -837,6 +833,28 @@ class TestOracleTelemetry:
         lines = [line for line in text.splitlines() if line.startswith("eps=")]
         assert len(lines) == 2
         assert lines[1].split()[-1] == f"{report.residuals[1]:.3e}"
+
+    @pytest.mark.parametrize("n,slabs", [(40, 1), (700, 3)])
+    def test_slab_residual_matches_the_one_product(self, n, slabs):
+        # the last of several slabs is ragged; a random probability vector
+        # keeps the residual of order one rather than round-off
+        slab = stability._GTH_SLAB // n
+        assert math.ceil(n / slab) == slabs and (slabs == 1 or n % slab)
+        rng = make_rng(n)
+        kernel = rng.random((n, n))
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        pi = rng.dirichlet(np.ones(n))
+        want = np.abs(pi @ kernel - pi).sum()
+        assert want > 0.1
+        assert stability._residual(kernel, pi) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_sparse_residual_is_the_one_product(self):
+        rng = make_rng(41)
+        kernel = sp.random(300, 300, density=0.05, random_state=1, format="csr") + sp.eye(300)
+        kernel = sp.csr_matrix(kernel.multiply(1.0 / kernel.sum(axis=1)))
+        pi = rng.dirichlet(np.ones(300))
+        want = np.abs(np.asarray(pi @ kernel).ravel() - pi).sum()
+        assert stability._residual(kernel, pi) == want
 
 
 class TestChainCapture:

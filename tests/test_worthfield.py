@@ -21,11 +21,11 @@ def single_component_field(mean=(20.0, 20.0), var=4.0, grid=40):
 class TestEvaluate:
     def test_density_at_the_mean_of_unit_covariance(self):
         field = WorthField([GaussianComponent(1.0, [5.0, 5.0], np.eye(2))], 10)
-        assert field.evaluate((5.0, 5.0)) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
+        assert field.density((5.0, 5.0))[0] == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
     def test_far_tail_vanishes(self):
         field = WorthField([GaussianComponent(1.0, [5.0, 5.0], np.eye(2))], 40)
-        assert field.evaluate((35.5, 35.5)) < 1e-20
+        assert field.density((35.5, 35.5))[0] < 1e-20
 
     def test_two_equal_components_double_at_equidistant_point(self):
         comps = [
@@ -35,7 +35,7 @@ class TestEvaluate:
         field = WorthField(comps, 40)
         midpoint = (20.0, 20.0)
         single = 0.5 * math.exp(-0.5 * 100 / 4) / (2 * math.pi * 4)
-        assert field.evaluate(midpoint) == pytest.approx(2 * single, rel=1e-9)
+        assert field.density(midpoint)[0] == pytest.approx(2 * single, rel=1e-9)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -44,7 +44,7 @@ class TestEvaluate:
     def test_raster_matches_pointwise_evaluation(self):
         field = single_component_field(grid=12, mean=(6.0, 4.0))
         raster = field.raster()
-        assert raster[3, 7] == pytest.approx(field.evaluate((3.5, 7.5)), rel=1e-12)
+        assert raster[3, 7] == pytest.approx(field.density((3.5, 7.5))[0], rel=1e-12)
 
 
 class TestGradient:
@@ -63,7 +63,7 @@ class TestGradient:
         field = single_component_field(mean=(20.5, 20.5), var=var)
         point = (24.5, 20.5)  # offset of 4 along x only
         dx = 4.0
-        f = field.evaluate(point)
+        f = field.density(point)[0]
         analytic = f * dx / var  # |grad| of an isotropic Gaussian along its axis
         measured = field.local_gradient(point)
         assert measured == pytest.approx(analytic, rel=0.05)
