@@ -4,6 +4,11 @@ Log-linear learners (single-updater, binary, partial-synchronous), tabular
 Q-learners (first- and second-order), a brute-force stochastic-stability
 oracle, Gaussian-mixture environment estimation with split/merge moves, and
 a multi-robot coverage-control case study tying them together.
+
+The package namespace re-exports the game definition, potential certificate
+and best responses, the log-linear steps and their constraint maps, the
+worth fields, and the experiment config, run and sweep; the oracle,
+Q-learners, coverage game and mixture estimators live in their modules.
 """
 from .games import (
     GameDefinition,
