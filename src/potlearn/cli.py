@@ -9,7 +9,7 @@ from pathlib import Path
 
 import yaml
 
-from . import harness
+from . import harness, stability
 from .coverage import render_svg
 from .svgplot import Series, line_plot
 from .worthfield import generate_scenario
@@ -176,7 +176,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (harness.ConfigError, FileNotFoundError, ValueError) as exc:
+    except (
+        harness.ConfigError,
+        FileNotFoundError,
+        ValueError,
+        stability.StationaryConvergenceError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,9 +33,19 @@ cell index by at most grid + 1, so in mixed-radix order the 6x6-grid,
 entries within b of k only, so fill stays inside the band, and the solve
 skips only entries that stay exactly zero.  The resistance enumerators visit only the
 feasible targets of each source, the product of the players' allowed sets.
+
+When every player's payoff column and wake probability depend on its own
+action only, as in every built-in coverage game, the players wake, draw and
+accept independently.  The kernel is then the Kronecker product of the
+players' own-move kernels in player order, P(s -> t) = prod_i Q_i(s_i, t_i),
+and the stationary vector is the product of theirs.  ``build_chain`` builds
+the m_i x m_i kernels Q_i and keeps them in ``PerturbedChain.factors``, and
+``stationary_distribution`` solves each by GTH, so factored chains are solved
+exactly at any size.  Every other game is enumerated as above.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -79,7 +89,8 @@ class InfeasibleTransitionError(ValueError):
 
 
 class StationaryConvergenceError(RuntimeError):
-    """Power iteration failed to reach the requested residual."""
+    """The stationary solve failed: a reducible chain, a residual above the
+    bound, or power iteration that did not converge."""
 
 
 class SeparabilityError(ValueError):
@@ -217,11 +228,16 @@ def scaled_transition_probability(
 
 @dataclass
 class PerturbedChain:
-    """Markov chain over joint actions at a fixed noise level."""
+    """Markov chain over joint actions at a fixed noise level.
+
+    `factors`, when set, holds each player's own-move kernel in player
+    order; the kernel is then their Kronecker product.
+    """
 
     states: tuple[JointAction, ...]
     kernel: np.ndarray | sp.csr_matrix
     noise: float
+    factors: tuple[np.ndarray, ...] | None = None
 
     @property
     def n_states(self) -> int:
@@ -366,6 +382,45 @@ def _chain_rows(space: _Space, rp: np.ndarray, tables, tau: float, lo: int, hi: 
     return block
 
 
+def _own_move_kernels(
+    space: _Space, rp: np.ndarray, tables, tau: float
+) -> tuple[np.ndarray, ...]:
+    """Each player's own-move kernel, built by `_chain_rows` on its own actions.
+
+    Valid when every player's payoff column and wake probability depend on
+    its own action only (`_cross_dependence` finds no witness in either).
+    """
+    factors = []
+    for i, table in enumerate(tables):
+        m = len(table[1])
+        own = np.arange(m) * space.strides[i]
+        alone = _Space(
+            states=tuple((a,) for a in range(m)),
+            actions=np.arange(m)[:, None],
+            strides=np.ones(1, dtype=np.int64),
+            payoffs=space.payoffs[own, i][:, None],
+        )
+        factors.append(_chain_rows(alone, rp[own, i][:, None], [table], tau, 0, m))
+    return tuple(factors)
+
+
+def _kron_kernel(factors: tuple[np.ndarray, ...], dense: bool):
+    """Kronecker product of the factors in player order, self-loop absorbing
+    the rows' floating residual; CSR without stored zeros unless `dense`."""
+    if dense:
+        kernel = functools.reduce(np.kron, factors)
+        kernel[np.diag_indices_from(kernel)] += 1.0 - kernel.sum(axis=1)
+        return kernel
+    import scipy.sparse as sp
+
+    kernel = functools.reduce(
+        lambda a, b: sp.kron(a, b, format="csr"), (sp.csr_matrix(q) for q in factors)
+    )
+    kernel = (kernel + sp.diags(1.0 - np.asarray(kernel.sum(axis=1)).ravel())).tocsr()
+    kernel.eliminate_zeros()
+    return kernel
+
+
 def build_chain(
     game: GameDefinition,
     wake: WakeModel,
@@ -380,6 +435,12 @@ def build_chain(
     on which a player wakes but ends up re-selecting its current action are
     aggregated with genuine sleep events.  Rows sum to one; any floating
     residual is absorbed into the self-loop.
+
+    When every player's payoff and wake probability depend on its own action
+    only, the players wake, draw and accept independently, so the kernel is
+    the Kronecker product of their own-move kernels in player order (the
+    mixed-radix state order).  Those kernels are built instead and kept in
+    `factors`; the enumeration runs only for other games.
     """
     tau = temperature_from_noise(eps)
     space = _space(game, max_states)
@@ -388,10 +449,15 @@ def build_chain(
         [[resolve_wake_probability(wake, i, a) for i in range(n_players)] for a in space.states]
     ).reshape(n, n_players)
     tables = [_option_table(game, constraints, i, feasible=False) for i in range(n_players)]
+    dense = n <= DENSE_SOLVE_LIMIT
+    if _cross_dependence(space, space.payoffs) is None and _cross_dependence(space, rp) is None:
+        factors = _own_move_kernels(space, rp, tables, tau)
+        return PerturbedChain(
+            states=space.states, kernel=_kron_kernel(factors, dense), noise=eps, factors=factors
+        )
     paths = np.ones(n, dtype=np.int64)
     for i, (_, counts) in enumerate(tables):
         paths *= 1 + 2 * counts[space.actions[:, i]]
-    dense = n <= DENSE_SOLVE_LIMIT
     kernel = np.zeros((n, n)) if dense else None
     triplets = []
     for lo, hi in _chunks(paths + n):
@@ -487,29 +553,38 @@ def _residual(kernel: np.ndarray | sp.csr_matrix, pi: np.ndarray) -> float:
 def stationary_distribution(chain: PerturbedChain) -> np.ndarray:
     """Stationary probabilities of the chain.
 
-    Small chains are solved exactly by GTH elimination; larger (sparse)
-    chains fall back to power iteration, raising if the residual does not
-    reach 1e-10 (`_STATIONARY_TOL`) within 200,000 sweeps (`_POWER_SWEEPS`).
+    A factored chain (`chain.factors` set) is solved exactly at any size:
+    GTH elimination of each player's own-move kernel, and the normalised
+    Kronecker product of their stationary vectors.  Other chains of at most
+    `DENSE_SOLVE_LIMIT` states are solved exactly by GTH elimination; larger
+    (sparse) ones fall back to power iteration, raising if the residual does
+    not reach 1e-10 (`_STATIONARY_TOL`) within 200,000 sweeps
+    (`_POWER_SWEEPS`).  An exact solve is checked against the full kernel
+    and raises when |pi P - pi|_1 exceeds max(1e-10, 1e-12 n).
     """
     kernel = chain.kernel
     n = chain.n_states
-    if n <= DENSE_SOLVE_LIMIT:
-        dense = kernel if isinstance(kernel, np.ndarray) else kernel.toarray()
-        pi = _gth_stationary(dense)
-        residual = _residual(dense, pi)
-        if residual > max(_STATIONARY_TOL, 1e-12 * n):
-            raise StationaryConvergenceError(f"GTH residual {residual:.3e} > {_STATIONARY_TOL}")
-        return pi
-    pi = np.full(n, 1.0 / n)
-    for _ in range(_POWER_SWEEPS):
-        nxt = np.asarray(pi @ kernel).ravel()
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() <= _STATIONARY_TOL:
-            return nxt
-        pi = nxt
-    raise StationaryConvergenceError(
-        f"power iteration did not converge within {_POWER_SWEEPS} sweeps"
-    )
+    if chain.factors is not None:
+        pi = functools.reduce(np.kron, [_gth_stationary(q) for q in chain.factors])
+        pi = pi / pi.sum()
+    elif n <= DENSE_SOLVE_LIMIT:
+        kernel = kernel if isinstance(kernel, np.ndarray) else kernel.toarray()
+        pi = _gth_stationary(kernel)
+    else:
+        pi = np.full(n, 1.0 / n)
+        for _ in range(_POWER_SWEEPS):
+            nxt = np.asarray(pi @ kernel).ravel()
+            nxt /= nxt.sum()
+            if np.abs(nxt - pi).sum() <= _STATIONARY_TOL:
+                return nxt
+            pi = nxt
+        raise StationaryConvergenceError(
+            f"power iteration did not converge within {_POWER_SWEEPS} sweeps"
+        )
+    residual = _residual(kernel, pi)
+    if residual > max(_STATIONARY_TOL, 1e-12 * n):
+        raise StationaryConvergenceError(f"GTH residual {residual:.3e} > {_STATIONARY_TOL}")
+    return pi
 
 
 @dataclass
@@ -542,7 +617,8 @@ def stochastically_stable_states(
     A state qualifies when its mass is at least `mass_threshold` at the
     smallest noise level and non-decreasing (within `_TREND_SLACK`) along the
     whole schedule.  An empty schedule or a non-finite threshold is a
-    ValueError.
+    ValueError; a chain that cannot be solved raises
+    StationaryConvergenceError naming its noise level.
     """
     levels = tuple(float(e) for e in noise_levels)
     if not levels:
@@ -558,7 +634,10 @@ def stochastically_stable_states(
         start = time.perf_counter()
         chain = build_chain(game, wake, constraints, e)
         built = time.perf_counter()
-        masses.append(stationary_distribution(chain))
+        try:
+            masses.append(stationary_distribution(chain))
+        except StationaryConvergenceError as exc:
+            raise StationaryConvergenceError(f"noise level {e:g}: {exc}") from exc
         solve_s.append(time.perf_counter() - built)
         build_s.append(built - start)
         residuals.append(_residual(chain.kernel, masses[-1]))
@@ -583,19 +662,30 @@ def stochastically_stable_states(
     )
 
 
+def _cross_dependence(space: _Space, table: np.ndarray) -> tuple[int, int, int] | None:
+    """First (player, base, state) at which column i of a per-state table
+    differs between two states that share player i's action, else None.
+
+    The base is the first state playing that action, every other player at 0.
+    """
+    for i in range(table.shape[1]):
+        first = space.actions[:, i] * space.strides[i]
+        bad = np.flatnonzero(table[:, i] != table[first, i])
+        if bad.size:
+            return i, int(first[bad[0]]), int(bad[0])
+    return None
+
+
 def _own_values(game: GameDefinition, space: _Space) -> list[np.ndarray]:
     """Per-player own-action payoffs of a separable game, else SeparabilityError."""
-    values: list[np.ndarray] = []
-    for i in range(game.n_players):
-        # the first state playing action b for player i has every other player at 0
-        first = space.actions[:, i] * space.strides[i]
-        u = space.payoffs[:, i]
-        bad = np.flatnonzero(u != u[first])
-        if bad.size:
-            k = bad[0]
-            raise SeparabilityError(i, space.states[first[k]], space.states[k])
-        values.append(u[np.arange(game.n_actions(i)) * space.strides[i]])
-    return values
+    witness = _cross_dependence(space, space.payoffs)
+    if witness is not None:
+        i, base, k = witness
+        raise SeparabilityError(i, space.states[base], space.states[k])
+    return [
+        space.payoffs[np.arange(game.n_actions(i)) * space.strides[i], i]
+        for i in range(game.n_players)
+    ]
 
 
 def _feasible_pairs(game: GameDefinition, constraints: ConstrainedActionMap, space: _Space):

@@ -5,10 +5,8 @@ them) and then asserts.  Tolerances and pass bars are fixed here, not
 calibrated at runtime; every run is seeded and bit-reproducible.
 """
 import itertools
-import math
 
 import numpy as np
-import pytest
 
 from potlearn import coverage as cov
 from potlearn.dynamics import (
@@ -35,7 +33,6 @@ from potlearn.qlearning import (
 )
 from potlearn.rng import make_rng
 from potlearn.stability import (
-    resistance,
     scaled_transition_probability,
     stochastically_stable_states,
     verify_resistance_identity,

@@ -189,6 +189,37 @@ def test_oracle_bad_argument_exits_2_naming_it(tmp_path, capsys, args, name):
     assert not out.exists()
 
 
+UNSOLVABLE_GAMES = {
+    # own-action payoffs: the chain is factored per player
+    "separable": {"actions": [2, 2], "utilities": [[0, 0, 1, 1], [0, 0.8, 0, 0.8]]},
+    # player 0's payoff for "move" depends on player 1: the whole chain is enumerated
+    "cross": {"actions": [2, 2], "utilities": [[0, 0, 1, 2], [0, 0.8, 0, 0.8]]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNSOLVABLE_GAMES))
+@pytest.mark.parametrize(
+    "args,level",
+    [
+        # no player ever moves
+        (["--wake", "0"], "noise level 0.1:"),
+        # every switch weight underflows to zero
+        (["--noise", "1e-300"], "noise level 1e-300:"),
+    ],
+)
+def test_oracle_unsolvable_chain_exits_2_naming_the_noise_level(
+    tmp_path, capsys, kind, args, level
+):
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump(UNSOLVABLE_GAMES[kind]))
+    out = tmp_path / "out"
+    assert main(["oracle", "--game", str(game), "--out-dir", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {level}")
+    assert "reducible" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key,value", [("em_period", 0), ("temperature", 0.0), ("aic_tau", 0), ("cov_floor", 0.0)]
 )

@@ -528,8 +528,11 @@ class TestChainDifferential:
 
     @pytest.mark.parametrize("chunk", [1, 50, 1 << 17])
     def test_sparse_path_and_chunking_match_the_reference(self, monkeypatch, chunk):
+        # random tables lack the own-action property, so the enumerating
+        # builder's chunks and CSR assembly run; the separable game is factored
         rng = make_rng(40)
-        game, _ = random_separable_game(rng, [4, 3, 3])
+        separable, _ = random_separable_game(rng, [4, 3, 3])
+        tables = GameDefinition.from_tables([rng.random((4, 3, 3)) for _ in range(3)])
         cmap = ConstrainedActionMap.from_lists(
             [
                 [(0, 1), (0, 1, 2), (1, 2, 3), (2, 3)],
@@ -539,12 +542,14 @@ class TestChainDifferential:
         )
         wake = [0.2, 0.5, 0.9]
         monkeypatch.setattr(stability, "_CHUNK_ENTRIES", chunk)
-        ref = reference_build_chain(game, wake, cmap, 1e-2)
-        assert_kernels_match(build_chain(game, wake, cmap, 1e-2).kernel, ref)
-        monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", 5)
-        chain = build_chain(game, wake, cmap, 1e-2)
-        assert sp.isspmatrix_csr(chain.kernel)
-        assert_kernels_match(chain.kernel, ref)
+        for game, factored in ((separable, True), (tables, False)):
+            ref = reference_build_chain(game, wake, cmap, 1e-2)
+            for limit in (stability.DENSE_SOLVE_LIMIT, 5):
+                monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", limit)
+                chain = build_chain(game, wake, cmap, 1e-2)
+                assert sp.isspmatrix_csr(chain.kernel) == (limit == 5)
+                assert (chain.factors is not None) == factored
+                assert_kernels_match(chain.kernel, ref)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
     def test_gth_block_edges_match_sequential_gth(self, offset):
@@ -635,6 +640,125 @@ class TestChainDifferential:
             kernel=kernel,
             noise=0.1,
         )
+        with pytest.raises(StationaryConvergenceError):
+            stationary_distribution(chain)
+
+
+def moore_map(sides):
+    """Each player's actions are the cells of a side x side grid in row-major
+    order, allowed to move to the Moore neighbourhood or stay."""
+    return ConstrainedActionMap.from_lists(
+        [
+            [
+                tuple(
+                    b
+                    for b in range(s * s)
+                    if abs(b // s - a // s) <= 1 and abs(b % s - a % s) <= 1
+                )
+                for a in range(s * s)
+            ]
+            for s in sides
+        ]
+    )
+
+
+def random_cycle_map(rng, sizes):
+    """Random allowed sets, each holding the next action round a cycle, so
+    every player's own-move chain is irreducible under any wake in (0, 1)."""
+    return ConstrainedActionMap.from_lists(
+        [
+            [
+                tuple(
+                    sorted(
+                        {(a + 1) % m}
+                        | {int(b) for b in rng.choice(m, int(rng.integers(1, m + 1)), replace=False)}
+                    )
+                )
+                for a in range(m)
+            ]
+            for m in sizes
+        ]
+    )
+
+
+def wake_model(kind, n_players, rng):
+    """A wake model of the given kind whose probabilities depend on the
+    waking player's own action only."""
+    table = rng.uniform(0.1, 0.9, size=(n_players, 9))
+    if kind == "scalar":
+        return float(table[0, 0])
+    if kind == "list":
+        return table[:, 0].tolist()
+    return lambda i, action: float(table[i, action[i]])
+
+
+def assert_solves_like_the_reference(chain, ref):
+    assert_kernels_match(chain.kernel, ref)
+    np.testing.assert_allclose(
+        stationary_distribution(chain), reference_gth(ref), rtol=1e-12, atol=0
+    )
+
+
+class TestFactoredChain:
+    """Own-action games build per-player kernels; others enumerate the chain."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("wake_kind", ["scalar", "list", "callable"])
+    @pytest.mark.parametrize("map_kind", ["random", "moore"])
+    def test_own_action_games_are_factored(self, monkeypatch, sparse, wake_kind, map_kind):
+        rng = make_rng(14)
+        if map_kind == "moore":
+            sides = [2, 3]
+            cmap = moore_map(sides)
+            sizes = [s * s for s in sides]
+        else:
+            sizes = [4, 3, 3]
+            cmap = random_cycle_map(rng, sizes)
+        game, _ = random_separable_game(rng, sizes)
+        wake = wake_model(wake_kind, len(sizes), rng)
+        if sparse:
+            monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", 5)
+        chain = build_chain(game, wake, cmap, 1e-2)
+        assert sp.isspmatrix_csr(chain.kernel) == sparse
+        assert [q.shape for q in chain.factors] == [(m, m) for m in sizes]
+        assert_solves_like_the_reference(chain, reference_build_chain(game, wake, cmap, 1e-2))
+
+    def test_payoff_reading_another_player_takes_the_general_path(self):
+        rng = make_rng(15)
+        sizes = [4, 3, 3]
+        game, _ = random_separable_game(rng, sizes)
+        tables = [
+            np.array([game.utility(i, a) for a in game.joint_actions()]).reshape(sizes)
+            for i in range(3)
+        ]
+        tables[1][2, 1, 0] += 0.25  # player 1's payoff now depends on the others
+        game = GameDefinition.from_tables(tables)
+        cmap = random_cycle_map(rng, sizes)
+        chain = build_chain(game, [0.3, 0.6, 0.8], cmap, 1e-2)
+        assert chain.factors is None
+        assert_solves_like_the_reference(
+            chain, reference_build_chain(game, [0.3, 0.6, 0.8], cmap, 1e-2)
+        )
+
+    def test_wake_reading_another_player_takes_the_general_path(self):
+        rng = make_rng(16)
+        sizes = [4, 3, 3]
+        game, _ = random_separable_game(rng, sizes)
+        cmap = random_cycle_map(rng, sizes)
+
+        def wake(i, action):
+            return 0.3 + 0.4 * (action[(i + 1) % 3] % 2)
+
+        chain = build_chain(game, wake, cmap, 1e-2)
+        assert chain.factors is None
+        assert_solves_like_the_reference(chain, reference_build_chain(game, wake, cmap, 1e-2))
+
+    def test_a_player_that_never_wakes_makes_the_chain_reducible(self):
+        rng = make_rng(17)
+        sizes = [4, 3, 3]
+        game, _ = random_separable_game(rng, sizes)
+        chain = build_chain(game, [0.5, 0.0, 0.5], random_cycle_map(rng, sizes), 1e-2)
+        assert chain.factors is not None
         with pytest.raises(StationaryConvergenceError):
             stationary_distribution(chain)
 
