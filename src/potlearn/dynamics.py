@@ -227,20 +227,10 @@ def lll_step(game: GameDefinition, state: LoglinearState) -> LoglinearState:
 def blll_step(
     game: GameDefinition, state: LoglinearState, constraints: ConstrainedActionMap
 ) -> LoglinearState:
-    """One uniformly random player plays a binary logit against one trial."""
+    """One uniformly random player plays a binary logit against one trial:
+    the partial-synchronous step with only that player awake."""
     i = int(state.rng.integers(game.n_players))
-    options = constraints.allowed(i, state.action[i])
-    trial = int(options[state.rng.integers(len(options))])
-    u_keep = game.utility(i, state.action)
-    u_trial = game.utility(i, replace_action(state.action, i, trial))
-    keep, _ = binary_logit_weights(u_keep, u_trial, state.temperature)
-    state.awake = (i,)
-    state.adopted = ()
-    if state.rng.random() >= keep:
-        state.action = replace_action(state.action, i, trial)
-        state.adopted = (i,)
-    state.n += 1
-    return state
+    return psblll_step(game, state, constraints, None, forced_awake=(i,))
 
 
 def resolve_wake_probability(
@@ -271,8 +261,8 @@ def psblll_step(
     Each awake player draws one trial uniformly from its constrained set;
     the alternative payoff every awake player weighs is evaluated at the
     profile where all awake players adopt their trials and sleepers repeat.
-    `forced_awake` bypasses the wake draws entirely (used to compare against
-    the single-updater kernel); sleeping players' actions are untouched.
+    `forced_awake` bypasses the wake draws entirely (`blll_step` wakes its
+    one player this way); sleeping players' actions are untouched.
     """
     if forced_awake is not None:
         awake = sorted(set(int(i) for i in forced_awake))
@@ -287,13 +277,11 @@ def psblll_step(
     if not awake:
         state.n += 1
         return state
-    trials: dict[int, int] = {}
+    trials = list(state.action)
     for i in awake:
         options = constraints.allowed(i, state.action[i])
         trials[i] = int(options[state.rng.integers(len(options))])
-    trial_profile = tuple(
-        trials.get(i, state.action[i]) for i in range(game.n_players)
-    )
+    trial_profile = tuple(trials)
     new_action = list(state.action)
     adopted = []
     for i in awake:

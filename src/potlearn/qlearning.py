@@ -168,18 +168,15 @@ def strategy_after(
     return out
 
 
-def perturb_strategy(
-    x: np.ndarray, params: SOQLParams, zone_active: bool
-) -> np.ndarray:
+def perturb_strategy(x: np.ndarray, params: SOQLParams) -> np.ndarray:
     """Blend a committed strategy with the uniform distribution.
 
     The blend weight ramps linearly from zero at the commitment threshold to
     `perturbation_size` at full commitment and is zero whenever the strategy
-    is outside the commitment zone or the zone is not active.
+    is outside the commitment zone.  Callers apply it only while the zone
+    is active.
     """
     x = np.asarray(x, dtype=float)
-    if not zone_active:
-        return x
     top = float(x.max())
     zeta = params.commitment_threshold
     rho = params.perturbation_size * max(0.0, (top - zeta) / (1.0 - zeta))
@@ -241,7 +238,7 @@ def soql_episode_step(
     draw_strategies: list[np.ndarray] = []
     for i in range(game.n_players):
         if zone and token_available:
-            x_draw = perturb_strategy(state.strategies[i], params, True)
+            x_draw = perturb_strategy(state.strategies[i], params)
         else:
             x_draw = state.strategies[i]
         allowed = constraints.allowed(i, state.actions[i])

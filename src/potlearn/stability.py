@@ -40,8 +40,14 @@ accept independently.  The kernel is then the Kronecker product of the
 players' own-move kernels in player order, P(s -> t) = prod_i Q_i(s_i, t_i),
 and the stationary vector is the product of theirs.  ``build_chain`` builds
 the m_i x m_i kernels Q_i and keeps them in ``PerturbedChain.factors``, and
-``stationary_distribution`` solves each by GTH, so factored chains are solved
-exactly at any size.  Every other game is enumerated as above.
+``stationary_distribution`` solves each by GTH.  Every other game is
+enumerated as above.
+
+GTH is the only solver, so every matrix ``build_chain`` makes dense, the
+enumerated kernel or each own-move kernel Q_i, has at most
+``DENSE_SOLVE_LIMIT`` states; larger ones are refused before they are
+allocated.  A factored chain's joint kernel above that size is kept in CSR,
+only for the residual check.
 """
 from __future__ import annotations
 
@@ -64,7 +70,10 @@ from .games import GameDefinition, JointAction
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+# Most states of a matrix build_chain makes dense and GTH solves.
 DENSE_SOLVE_LIMIT = 2000
+# Most joint actions build_chain tabulates.
+_CHAIN_MAX_STATES = 20_000
 # States eliminated together by one block of _gth_stationary.
 _GTH_BLOCK = 48
 # Multiply-adds per row slab of the GTH block update.  OpenBLAS runs a
@@ -77,9 +86,8 @@ _GTH_SLAB = 200_000
 _CHUNK_ENTRIES = 1 << 17
 # Stationary-mass drop between noise levels that still counts as non-decreasing.
 _TREND_SLACK = 1e-9
-# stationary_distribution's residual bound and power-iteration sweep cap.
+# Floor of stationary_distribution's residual bound, max(1e-10, 1e-12 n).
 _STATIONARY_TOL = 1e-10
-_POWER_SWEEPS = 200_000
 # Largest game min_resistance_tree searches exhaustively, in joint actions.
 _TREE_MAX_STATES = 12
 
@@ -89,8 +97,7 @@ class InfeasibleTransitionError(ValueError):
 
 
 class StationaryConvergenceError(RuntimeError):
-    """The stationary solve failed: a reducible chain, a residual above the
-    bound, or power iteration that did not converge."""
+    """The stationary solve failed: a reducible chain or a residual above the bound."""
 
 
 class SeparabilityError(ValueError):
@@ -254,14 +261,12 @@ class _Space:
     payoffs: np.ndarray  # (n, players): U[k, i] == game.utility(i, states[k])
 
 
-def _space(game: GameDefinition, max_states: int | None = None) -> _Space:
-    """Enumerate the joint actions and tabulate payoffs, after the state cap.
+def _space(game: GameDefinition) -> _Space:
+    """Enumerate the joint actions and tabulate payoffs.
 
     One `utility_row(i, a)` call fills the states that differ from `a` only in i's action.
     """
     n = game.joint_size
-    if max_states is not None and n > max_states:
-        raise ValueError(f"joint-action space has {n} states, cap is {max_states}")
     sizes = [game.n_actions(i) for i in range(game.n_players)]
     strides = np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))])
     states = tuple(game.joint_actions())
@@ -426,7 +431,6 @@ def build_chain(
     wake: WakeModel,
     constraints: ConstrainedActionMap,
     eps: float,
-    max_states: int = 20_000,
 ) -> PerturbedChain:
     """Construct the full one-step kernel of the partial-synchronous learner.
 
@@ -441,37 +445,40 @@ def build_chain(
     the Kronecker product of their own-move kernels in player order (the
     mixed-radix state order).  Those kernels are built instead and kept in
     `factors`; the enumeration runs only for other games.
+
+    Games of more than `_CHAIN_MAX_STATES` joint actions are refused, and so
+    is any matrix built dense above `DENSE_SOLVE_LIMIT` states: the
+    enumerated kernel, or a player's own-move kernel in a factored chain.
+    The factored joint kernel is dense up to that limit and CSR above it.
     """
     tau = temperature_from_noise(eps)
-    space = _space(game, max_states)
+    if game.joint_size > _CHAIN_MAX_STATES:
+        raise ValueError(
+            f"joint-action space has {game.joint_size} states, cap is {_CHAIN_MAX_STATES}"
+        )
+    space = _space(game)
     n, n_players = space.payoffs.shape
     rp = np.array(
         [[resolve_wake_probability(wake, i, a) for i in range(n_players)] for a in space.states]
     ).reshape(n, n_players)
     tables = [_option_table(game, constraints, i, feasible=False) for i in range(n_players)]
-    dense = n <= DENSE_SOLVE_LIMIT
-    if _cross_dependence(space, space.payoffs) is None and _cross_dependence(space, rp) is None:
-        factors = _own_move_kernels(space, rp, tables, tau)
-        return PerturbedChain(
-            states=space.states, kernel=_kron_kernel(factors, dense), noise=eps, factors=factors
+    factored = all(_cross_dependence(space, t) is None for t in (space.payoffs, rp))
+    largest = max(len(counts) for _, counts in tables) if factored else n
+    if largest > DENSE_SOLVE_LIMIT:
+        what = "a player's own-move kernel" if factored else "the enumerated kernel"
+        raise ValueError(
+            f"{what} would have {largest} states, above DENSE_SOLVE_LIMIT = {DENSE_SOLVE_LIMIT}"
         )
+    if factored:
+        factors = _own_move_kernels(space, rp, tables, tau)
+        kernel = _kron_kernel(factors, n <= DENSE_SOLVE_LIMIT)
+        return PerturbedChain(states=space.states, kernel=kernel, noise=eps, factors=factors)
     paths = np.ones(n, dtype=np.int64)
     for i, (_, counts) in enumerate(tables):
         paths *= 1 + 2 * counts[space.actions[:, i]]
-    kernel = np.zeros((n, n)) if dense else None
-    triplets = []
+    kernel = np.empty((n, n))
     for lo, hi in _chunks(paths + n):
-        block = _chain_rows(space, rp, tables, tau, lo, hi)
-        if dense:
-            kernel[lo:hi] = block
-        else:
-            r, c = np.nonzero(block)
-            triplets.append((block[r, c], r + lo, c))
-    if not dense:
-        import scipy.sparse as sp
-
-        values, rows, cols = (np.concatenate(t) for t in zip(*triplets))
-        kernel = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
+        kernel[lo:hi] = _chain_rows(space, rp, tables, tau, lo, hi)
     return PerturbedChain(states=space.states, kernel=kernel, noise=eps)
 
 
@@ -551,39 +558,24 @@ def _residual(kernel: np.ndarray | sp.csr_matrix, pi: np.ndarray) -> float:
 
 
 def stationary_distribution(chain: PerturbedChain) -> np.ndarray:
-    """Stationary probabilities of the chain.
+    """Stationary probabilities of the chain, by GTH elimination.
 
-    A factored chain (`chain.factors` set) is solved exactly at any size:
-    GTH elimination of each player's own-move kernel, and the normalised
-    Kronecker product of their stationary vectors.  Other chains of at most
-    `DENSE_SOLVE_LIMIT` states are solved exactly by GTH elimination; larger
-    (sparse) ones fall back to power iteration, raising if the residual does
-    not reach 1e-10 (`_STATIONARY_TOL`) within 200,000 sweeps
-    (`_POWER_SWEEPS`).  An exact solve is checked against the full kernel
-    and raises when |pi P - pi|_1 exceeds max(1e-10, 1e-12 n).
+    A factored chain (`chain.factors` set) is the normalised Kronecker
+    product of its own-move kernels' stationary vectors; any other chain is
+    solved on its one kernel, densified if it is CSR.  Either way the vector
+    is checked against the full kernel, raising when |pi P - pi|_1 exceeds
+    max(1e-10, 1e-12 n) for n states.
     """
     kernel = chain.kernel
-    n = chain.n_states
     if chain.factors is not None:
         pi = functools.reduce(np.kron, [_gth_stationary(q) for q in chain.factors])
         pi = pi / pi.sum()
-    elif n <= DENSE_SOLVE_LIMIT:
-        kernel = kernel if isinstance(kernel, np.ndarray) else kernel.toarray()
-        pi = _gth_stationary(kernel)
     else:
-        pi = np.full(n, 1.0 / n)
-        for _ in range(_POWER_SWEEPS):
-            nxt = np.asarray(pi @ kernel).ravel()
-            nxt /= nxt.sum()
-            if np.abs(nxt - pi).sum() <= _STATIONARY_TOL:
-                return nxt
-            pi = nxt
-        raise StationaryConvergenceError(
-            f"power iteration did not converge within {_POWER_SWEEPS} sweeps"
-        )
+        pi = _gth_stationary(kernel if isinstance(kernel, np.ndarray) else kernel.toarray())
     residual = _residual(kernel, pi)
-    if residual > max(_STATIONARY_TOL, 1e-12 * n):
-        raise StationaryConvergenceError(f"GTH residual {residual:.3e} > {_STATIONARY_TOL}")
+    bound = max(_STATIONARY_TOL, 1e-12 * chain.n_states)
+    if residual > bound:
+        raise StationaryConvergenceError(f"GTH residual {residual:.3e} > bound {bound:.3e}")
     return pi
 
 

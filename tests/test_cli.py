@@ -173,6 +173,37 @@ def test_oracle_bad_spec_value_exits_2_naming_its_key(tmp_path, capsys, kind, ke
 
 
 @pytest.mark.parametrize(
+    "spec,message",
+    [
+        ([1, 2], "must hold a mapping"),
+        ({"actions": [2]}, "needs 'actions' and 'utilities'"),
+        ({"utilities": [[0, 1]]}, "needs 'actions' and 'utilities'"),
+        ({"actions": [2, 2], "utilities": [[0, 0, 1, 1]]}, "one table per player"),
+        ({"builtin": "chess"}, "unknown builtin game 'chess'"),
+    ],
+)
+def test_oracle_malformed_spec_exits_2(tmp_path, capsys, spec, message):
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump(spec))
+    assert main(["oracle", "--game", str(game), "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_above_the_dense_limit_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    from potlearn import stability
+
+    # one robot on a 4x4 grid: one own-move kernel of 16 states
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump({"builtin": "coverage", "grid_size": 4, "robots": 1}))
+    monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", 15)
+    out = tmp_path / "out"
+    assert main(["oracle", "--game", str(game), "--out-dir", str(out)]) == 2
+    assert "16 states, above DENSE_SOLVE_LIMIT = 15" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args,name",
     [
         (["--mass-threshold", "nan"], "mass_threshold"),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st_
 from potlearn import coverage as cov
 from potlearn import harness
 from potlearn import mixtures as mix
+from potlearn.dynamics import ConstrainedActionMap
 from potlearn.harness import (
     ConfigError,
     ExperimentConfig,
@@ -475,6 +476,27 @@ class TestOracle:
         assert len(lines) == 3  # both ordered pairs
         stat = report.stationary_csv().strip().splitlines()
         assert len(stat) == 3  # header + two states
+
+    @pytest.mark.parametrize(
+        "reachable",
+        [
+            [[(1,), (0,), (3,), (2,)]],  # two closed classes
+            [[(1,), (2,), (3,), (0,)]],  # one cycle: 0 -> 1 without 1 -> 0
+        ],
+    )
+    def test_rejects_a_disconnected_or_asymmetric_map(self, reachable):
+        game, _ = load_game_spec_dict({"actions": [4], "utilities": [[0.0, 1.0, 2.0, 3.0]]})
+        with pytest.raises(ValueError, match="connected and symmetric"):
+            oracle_report(game, ConstrainedActionMap.from_lists(reachable))
+
+    def test_no_map_means_the_complete_map(self):
+        game, cmap = load_game_spec_dict({"actions": [3], "utilities": [[0.0, 2.0, 1.0]]})
+        assert cmap.reachable == ConstrainedActionMap.complete(game).reachable
+        implied = oracle_report(game, None, noise_levels=(0.1, 0.01))
+        given_map = oracle_report(game, cmap, noise_levels=(0.1, 0.01))
+        assert implied.stable == given_map.stable == ((1,),)
+        assert np.array_equal(implied.masses, given_map.masses)
+        assert implied.resistances == given_map.resistances
 
 
 def load_game_spec_dict(raw):

@@ -200,25 +200,19 @@ class TestPerturbation:
     def test_below_threshold_untouched(self):
         params = SOQLParams(commitment_threshold=0.9)
         x = np.array([0.6, 0.4])
-        out = perturb_strategy(x, params, zone_active=True)
+        out = perturb_strategy(x, params)
         assert out is x or np.array_equal(out, x)
 
     def test_vertex_blend_values(self):
         params = SOQLParams(perturbation_size=0.01, commitment_threshold=0.5)
-        out = perturb_strategy(np.array([1.0, 0.0]), params, zone_active=True)
+        out = perturb_strategy(np.array([1.0, 0.0]), params)
         assert out == pytest.approx([0.995, 0.005], abs=1e-15)
 
     def test_uniform_strategy_is_blend_fixed_point(self):
         params = SOQLParams(commitment_threshold=0.2, perturbation_size=0.3)
         x = np.full(4, 0.25)
-        out = perturb_strategy(x, params, zone_active=True)
+        out = perturb_strategy(x, params)
         assert out == pytest.approx(x, abs=1e-15)
-
-    def test_inactive_zone_is_identity(self):
-        params = SOQLParams()
-        x = np.array([1.0, 0.0])
-        out = perturb_strategy(x, params, zone_active=False)
-        assert np.array_equal(out, x)
 
     @given(st_.lists(st_.floats(0.0, 1.0), min_size=2, max_size=5).filter(lambda v: sum(v) > 0))
     @settings(max_examples=100, deadline=None)
@@ -226,7 +220,7 @@ class TestPerturbation:
         x = np.asarray(raw)
         x = x / x.sum()
         params = SOQLParams()
-        out = perturb_strategy(x, params, zone_active=True)
+        out = perturb_strategy(x, params)
         check_simplex(out, tol=1e-9)
 
     def test_adaptive_step_values(self):

@@ -148,11 +148,12 @@ class TestBuildChain:
         assert np.abs(chain.kernel.sum(axis=1) - 1.0).max() <= 1e-10
         assert (np.asarray(chain.kernel) >= 0).all()
 
-    def test_state_cap_enforced(self):
+    def test_state_cap_enforced(self, monkeypatch):
         rng = make_rng(32)
         game, _ = random_separable_game(rng, [4, 4])
+        monkeypatch.setattr(stability, "_CHAIN_MAX_STATES", 10)
         with pytest.raises(ValueError):
-            build_chain(game, 0.5, ConstrainedActionMap.complete(game), 0.1, max_states=10)
+            build_chain(game, 0.5, ConstrainedActionMap.complete(game), 0.1)
 
 
 class TestStationaryDistribution:
@@ -192,6 +193,43 @@ class TestStationaryDistribution:
         )
         with pytest.raises(StationaryConvergenceError):
             stationary_distribution(chain)
+
+    def test_csr_kernel_without_factors_is_densified(self):
+        kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
+        chain = PerturbedChain(states=((0,), (1,)), kernel=sp.csr_matrix(kernel), noise=0.1)
+        assert stationary_distribution(chain) == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
+
+    def perturb_solver(self, monkeypatch):
+        """Make every GTH solve return its vector moved by 1e-6 toward state 0."""
+        solve = stability._gth_stationary
+
+        def perturbed(kernel):
+            pi = solve(kernel)
+            pi[0] += 1e-6
+            return pi / pi.sum()
+
+        monkeypatch.setattr(stability, "_gth_stationary", perturbed)
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_residual_gate_names_the_bound_it_applies(self, monkeypatch, factored):
+        # 125 states: the bound is 1e-12 * 125 = 1.25e-10, above its 1e-10 floor
+        rng = make_rng(44)
+        game, _ = random_separable_game(rng, [5, 5, 5])
+        cmap = random_cycle_map(rng, [5, 5, 5])
+        wake = 0.5 if factored else (lambda i, action: 0.3 + 0.4 * (action[(i + 1) % 3] % 2))
+        chain = build_chain(game, wake, cmap, 1e-2)
+        assert (chain.factors is not None) == factored
+        stationary_distribution(chain)
+        self.perturb_solver(monkeypatch)
+        with pytest.raises(StationaryConvergenceError, match=r"> bound 1\.250e-10$"):
+            stationary_distribution(chain)
+
+    def test_residual_gate_failure_names_the_noise_level(self, monkeypatch):
+        game = own_value_game([0.0, 1.0], [0.3, 0.1, 0.2])
+        self.perturb_solver(monkeypatch)
+        message = r"^noise level 0\.1: GTH residual .* > bound 1\.000e-10$"
+        with pytest.raises(StationaryConvergenceError, match=message):
+            stochastically_stable_states(game, 0.5, ConstrainedActionMap.complete(game))
 
 
 class TestStochasticallyStableStates:
@@ -529,7 +567,9 @@ class TestChainDifferential:
     @pytest.mark.parametrize("chunk", [1, 50, 1 << 17])
     def test_sparse_path_and_chunking_match_the_reference(self, monkeypatch, chunk):
         # random tables lack the own-action property, so the enumerating
-        # builder's chunks and CSR assembly run; the separable game is factored
+        # builder's chunks run; the separable game is factored, and a limit
+        # between its largest factor (4) and its 36 states makes its joint
+        # kernel CSR
         rng = make_rng(40)
         separable, _ = random_separable_game(rng, [4, 3, 3])
         tables = GameDefinition.from_tables([rng.random((4, 3, 3)) for _ in range(3)])
@@ -542,13 +582,13 @@ class TestChainDifferential:
         )
         wake = [0.2, 0.5, 0.9]
         monkeypatch.setattr(stability, "_CHUNK_ENTRIES", chunk)
-        for game, factored in ((separable, True), (tables, False)):
+        for game, limits in ((separable, (stability.DENSE_SOLVE_LIMIT, 5)), (tables, (36,))):
             ref = reference_build_chain(game, wake, cmap, 1e-2)
-            for limit in (stability.DENSE_SOLVE_LIMIT, 5):
+            for limit in limits:
                 monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", limit)
                 chain = build_chain(game, wake, cmap, 1e-2)
                 assert sp.isspmatrix_csr(chain.kernel) == (limit == 5)
-                assert (chain.factors is not None) == factored
+                assert (chain.factors is not None) == (game is separable)
                 assert_kernels_match(chain.kernel, ref)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
@@ -716,8 +756,8 @@ class TestFactoredChain:
             cmap = random_cycle_map(rng, sizes)
         game, _ = random_separable_game(rng, sizes)
         wake = wake_model(wake_kind, len(sizes), rng)
-        if sparse:
-            monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", 5)
+        if sparse:  # the largest factor is dense, the joint kernel CSR
+            monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", max(sizes))
         chain = build_chain(game, wake, cmap, 1e-2)
         assert sp.isspmatrix_csr(chain.kernel) == sparse
         assert [q.shape for q in chain.factors] == [(m, m) for m in sizes]
@@ -915,7 +955,8 @@ class TestPayoffTable:
 
 
 class TestStateCap:
-    """The cap is checked on the joint size, before any enumeration."""
+    """The caps are checked on the joint size and on each dense matrix's
+    size, before any enumeration or kernel allocation."""
 
     def huge_game(self):
         return GameDefinition(
@@ -930,6 +971,32 @@ class TestStateCap:
         with pytest.raises(ValueError, match="1000000000000 states"):
             build_chain(game, 0.5, cmap, 0.1)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "kind,limit,message",
+        [
+            ("tables", 35, "the enumerated kernel would have 36 states"),
+            ("separable", 3, "a player's own-move kernel would have 4 states"),
+        ],
+    )
+    def test_dense_matrix_above_the_limit_raises_before_any_kernel(
+        self, monkeypatch, kind, limit, message
+    ):
+        rng = make_rng(45)
+        if kind == "tables":
+            game = GameDefinition.from_tables([rng.random((4, 3, 3)) for _ in range(3)])
+        else:
+            game, _ = random_separable_game(rng, [4, 3, 3])
+        cmap = ConstrainedActionMap.complete(game)
+        build_chain(game, 0.5, cmap, 0.1)
+
+        def no_rows(*args):
+            raise AssertionError("kernel rows built above the dense limit")
+
+        monkeypatch.setattr(stability, "_chain_rows", no_rows)
+        monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", limit)
+        with pytest.raises(ValueError, match=f"^{message}, above DENSE_SOLVE_LIMIT = {limit}$"):
+            build_chain(game, 0.5, cmap, 0.1)
 
     def test_min_resistance_tree_raises_at_once(self):
         game = self.huge_game()
@@ -1024,7 +1091,7 @@ print(json.dumps([loaded, tree.total_resistance]))
 
 
 def test_import_loads_neither_networkx_nor_scipy_sparse():
-    """Only `min_resistance_tree` needs networkx, and only chains over
+    """Only `min_resistance_tree` needs networkx, and only factored chains over
     `DENSE_SOLVE_LIMIT` states need scipy.sparse; importing the package loads neither."""
     src = str(Path(stability.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

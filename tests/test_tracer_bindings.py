@@ -41,7 +41,7 @@ def test_every_traced_name_resolves():
 
 def test_tracer_hook_attributes_resolve():
     # the resistance hook counts InfeasibleTransitionError; the solver hook
-    # reads DENSE_SOLVE_LIMIT to tell GTH solves from power iteration
+    # reads DENSE_SOLVE_LIMIT and charges a GTH solve to chains at or below it
     stability = importlib.import_module("potlearn.stability")
     assert isinstance(stability.DENSE_SOLVE_LIMIT, int)
     assert issubclass(stability.InfeasibleTransitionError, Exception)
