@@ -86,35 +86,37 @@ class ConstraintReport:
         return self.connected and self.symmetric
 
 
+def _reaches_all(graph: Sequence[Sequence[int]]) -> bool:
+    """Whether a search from action 0 along `graph`'s edges reaches every action."""
+    seen = {0} if graph else set()
+    frontier = list(seen)
+    while frontier:
+        for b in graph[frontier.pop()]:
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return len(seen) == len(graph)
+
+
 def validate_constraints(constraints: ConstrainedActionMap) -> ConstraintReport:
     """Check that every player's reachability graph is connected and symmetric.
 
     Both properties must hold for the binary and partial-synchronous learners'
-    stability guarantees to apply.
+    stability guarantees to apply.  A graph is strongly connected when one
+    search from action 0 reaches every action along its edges and another
+    does so against them.
     """
     asymmetric: list[tuple[int, int, int]] = []
     disconnected: list[int] = []
     for i, player_map in enumerate(constraints.reachable):
-        n = len(player_map)
+        dest_sets = [set(dests) for dests in player_map]
+        reverse: list[list[int]] = [[] for _ in player_map]
         for a, dests in enumerate(player_map):
             for b in dests:
-                if a not in player_map[b]:
+                reverse[b].append(a)
+                if a not in dest_sets[b]:
                     asymmetric.append((i, a, b))
-        # directed reachability from every action to every other
-        ok = True
-        for start in range(n):
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                a = frontier.pop()
-                for b in player_map[a]:
-                    if b not in seen:
-                        seen.add(b)
-                        frontier.append(b)
-            if len(seen) != n:
-                ok = False
-                break
-        if not ok:
+        if not (_reaches_all(player_map) and _reaches_all(reverse)):
             disconnected.append(i)
     return ConstraintReport(
         connected=not disconnected,

@@ -711,7 +711,12 @@ def oracle_report(
         constraints = ConstrainedActionMap.complete(game)
     report = validate_constraints(constraints)
     if not report.ok:
-        raise ValueError("constraint map must be connected and symmetric for the oracle")
+        if report.disconnected_players:
+            where = f"player {report.disconnected_players[0]}'s map is not strongly connected"
+        else:
+            i, a, b = report.asymmetric_pairs[0]
+            where = f"player {i} may move {a} -> {b} but not {b} -> {a}"
+        raise ValueError(f"constraint map must be connected and symmetric for the oracle: {where}")
     stable = stability.stochastically_stable_states(
         game, wake, constraints, noise_levels, mass_threshold
     )

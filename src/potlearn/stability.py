@@ -8,11 +8,11 @@ the exponential order at which its probability vanishes as eps -> 0.  States
 that keep non-vanishing stationary mass in that limit are the stochastically
 stable states.
 
-Resistances and per-transition probabilities follow the independent-wake
-product structure of the learner; the full kernel built here additionally
-marginalizes over unobservable wake events (players that wake and re-select
-their current action), which is the ground truth the diagnostics are checked
-against.
+The kernel ``build_chain`` makes is the one transition model: it sums
+every wake, draw and accept path of the learner, including those on which
+a player wakes and keeps or re-selects its current action.  ``resistance``
+charges the direct path only, on which the deviators wake and the others
+sleep; the tests read its exponent off the kernel's entries as eps -> 0.
 
 The exhaustive layers read one payoff table, ``U[state, player]``, whose
 column for player i is filled by one ``game.utility_row(i, .)`` call per
@@ -171,66 +171,6 @@ def resistance(
         u2 = game.utility(i, target)
         total += max(u1, u2) - u2
     return TransitionResistance(source, target, deviators, total)
-
-
-def _log_switch(u_keep: float, u_switch: float, temperature: float) -> float:
-    """log of the binary-logit switch probability, stable for any payoff gap."""
-    y = (u_keep - u_switch) / temperature
-    if y > 30:
-        return -y - math.log1p(math.exp(-y))
-    return -math.log1p(math.exp(y))
-
-
-def log_transition_probability(
-    game: GameDefinition,
-    source: JointAction,
-    target: JointAction,
-    wake: WakeModel,
-    constraints: ConstrainedActionMap,
-    eps: float,
-) -> float:
-    """log of the single-path transition probability (deviators wake, rest sleep).
-
-    The path probability is the product of the deviators' wake-and-draw
-    terms, the sleepers' stay-asleep terms, and each deviator's binary logit
-    switch weight between the source and target profiles.  Computed in log
-    space so that no payoff normalization can overflow.
-    """
-    deviators = check_feasible(constraints, source, target)
-    tau = temperature_from_noise(eps)
-    total = 0.0
-    for i in range(game.n_players):
-        p = resolve_wake_probability(wake, i, source)
-        if i in deviators:
-            if p == 0.0:
-                return -math.inf
-            total += math.log(p) - math.log(len(constraints.allowed(i, source[i])))
-            total += _log_switch(
-                game.utility(i, source), game.utility(i, target), tau
-            )
-        else:
-            if p == 1.0:
-                return -math.inf
-            total += math.log1p(-p)
-    return total
-
-
-def scaled_transition_probability(
-    game: GameDefinition,
-    source: JointAction,
-    target: JointAction,
-    wake: WakeModel,
-    constraints: ConstrainedActionMap,
-    eps: float,
-) -> float:
-    """Transition probability divided by eps ** resistance.
-
-    Stays bounded and positive as eps -> 0; evaluated in log space so the
-    ratio is accurate even when the probability itself underflows.
-    """
-    log_p = log_transition_probability(game, source, target, wake, constraints, eps)
-    r = resistance(game, source, target, constraints).resistance
-    return math.exp(log_p - r * math.log(eps))
 
 
 @dataclass

@@ -33,7 +33,8 @@ from potlearn.qlearning import (
 )
 from potlearn.rng import make_rng
 from potlearn.stability import (
-    scaled_transition_probability,
+    build_chain,
+    resistance,
     stochastically_stable_states,
     verify_resistance_identity,
 )
@@ -160,15 +161,16 @@ def test_criterion_2_stable_states_are_potential_maximizers():
 def test_criterion_3_noise_scaling_of_transition_probabilities():
     game, _ = random_separable_game(make_rng(700), [2, 2], min_gap=0.5)
     cmap = ConstrainedActionMap.complete(game)
+    kernels = {eps: build_chain(game, 0.5, cmap, eps).kernel for eps in (1e-6, 1e-8)}
     worst = 0.0
-    for a, b in itertools.permutations(list(game.joint_actions()), 2):
-        fine = scaled_transition_probability(game, a, b, 0.5, cmap, 1e-6)
-        finest = scaled_transition_probability(game, a, b, 0.5, cmap, 1e-8)
+    for (j, a), (k, b) in itertools.permutations(enumerate(game.joint_actions()), 2):
+        r = resistance(game, a, b).resistance
+        fine, finest = (kernel[j, k] / eps**r for eps, kernel in kernels.items())
         worst = max(worst, abs(fine - finest) / finest)
     ok = worst <= 0.05
     report(
         3,
-        "probability over noise**resistance is stable across small noise",
+        "kernel entry over noise**resistance is stable across small noise",
         ok,
         f"max relative drift {worst:.2e} between 1e-6 and 1e-8",
     )

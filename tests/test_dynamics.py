@@ -1,5 +1,7 @@
+import functools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from potlearn.dynamics import (
 )
 from potlearn.games import GameDefinition, logit_map, random_separable_game
 from potlearn.rng import make_rng
-from potlearn.stability import PerturbedChain, stationary_distribution
+from potlearn.stability import PerturbedChain, build_chain, stationary_distribution
 
 
 class TestConstraints:
@@ -38,6 +40,40 @@ class TestConstraints:
         report = validate_constraints(cmap)
         assert not report.connected
         assert report.disconnected_players == (0,)
+
+    def test_matches_networkx_on_random_maps(self):
+        rng = make_rng(90)
+        seen = {"ok": 0, "disconnected": 0, "asymmetric": 0}
+        for _ in range(300):
+            per_player = []
+            for _ in range(int(rng.integers(1, 4))):
+                m = int(rng.integers(1, 9))
+                edges = rng.random((m, m)) < rng.uniform(0.1, 0.6)
+                if rng.random() < 0.5:
+                    edges |= edges.T
+                per_player.append([tuple(np.flatnonzero(row).tolist()) for row in edges])
+            disconnected, asymmetric = [], []
+            for i, player_map in enumerate(per_player):
+                graph = nx.DiGraph()
+                graph.add_nodes_from(range(len(player_map)))
+                graph.add_edges_from((a, b) for a, dests in enumerate(player_map) for b in dests)
+                if not nx.is_strongly_connected(graph):
+                    disconnected.append(i)
+                asymmetric += [
+                    (i, a, b)
+                    for a, dests in enumerate(player_map)
+                    for b in dests
+                    if not graph.has_edge(b, a)
+                ]
+            report = validate_constraints(ConstrainedActionMap.from_lists(per_player))
+            assert report.disconnected_players == tuple(disconnected)
+            assert report.asymmetric_pairs == tuple(asymmetric)
+            assert report.connected == (not disconnected)
+            assert report.symmetric == (not asymmetric)
+            seen["ok"] += report.ok
+            seen["disconnected"] += bool(disconnected)
+            seen["asymmetric"] += bool(asymmetric)
+        assert min(seen.values()) >= 30, seen
 
     def test_empty_constrained_set_rejected(self):
         cmap = ConstrainedActionMap.from_lists([[(), (0, 1)]])
@@ -291,6 +327,68 @@ class TestPSBLLLStep:
         state = LoglinearState((0, 0), 0.5, make_rng(24))
         with pytest.raises(ValueError):
             psblll_step(game, state, cmap, wake=1.5)
+
+
+def tables_game(seed, shape):
+    """Game with one table of uniform payoffs per player, not separable."""
+    rng = make_rng(seed)
+    return GameDefinition.from_tables([rng.uniform(size=shape) for _ in shape])
+
+
+class TestSamplersFollowTheKernel:
+    """The sampled steps against the kernel `build_chain` builds at the same
+    temperature and wake, on games where the psblll convention matters.
+    Each bound is fixed here, not calibrated on the runs."""
+
+    @pytest.mark.parametrize(
+        "step, wakes, draws",
+        [
+            (functools.partial(psblll_step, wake=0.5), [0.5], 20_000),
+            # one uniformly drawn player awake: the mean of the one-awake
+            # kernels; fewer draws keep the class within 5 s
+            (blll_step, [[1, 0], [0, 1]], 10_000),
+        ],
+        ids=["psblll", "blll"],
+    )
+    def test_one_step_frequencies_match_the_kernel_row(self, step, wakes, draws):
+        game = tables_game(4001, (3, 3))
+        cmap = ConstrainedActionMap.complete(game)
+        tau = 0.05
+        kernel = np.mean(
+            [build_chain(game, w, cmap, math.exp(-1.0 / tau)).kernel for w in wakes], axis=0
+        )
+        states = list(game.joint_actions())
+        index = {a: k for k, a in enumerate(states)}
+        state = LoglinearState(states[0], tau, make_rng(4001, 1))
+        for source, row in zip(states, kernel):
+            counts = np.zeros(len(states))
+            for _ in range(draws):
+                state.action = source
+                step(game, state, cmap)
+                counts[index[state.action]] += 1
+            tv = 0.5 * np.abs(counts / draws - row).sum()
+            assert tv <= 0.02, f"from {source}: total variation {tv:.4f}"
+
+    def test_long_run_occupancy_matches_the_stationary_vector(self):
+        # 20 batches of 5,000 steps; the bound is half the sum over states of
+        # three batch-means standard errors of the state's visit frequency
+        game = tables_game(4100, (4, 4, 4, 4))
+        cmap = ConstrainedActionMap.complete(game)
+        tau = 0.2
+        pi = stationary_distribution(build_chain(game, 0.5, cmap, math.exp(-1.0 / tau)))
+        states = list(game.joint_actions())
+        index = {a: k for k, a in enumerate(states)}
+        state = LoglinearState(states[0], tau, make_rng(4100, 1))
+        batches, length = 20, 5000
+        visits = np.zeros((batches, len(states)))
+        for batch in visits:
+            for _ in range(length):
+                psblll_step(game, state, cmap, 0.5)
+                batch[index[state.action]] += 1
+        freq = visits / length
+        se = freq.std(axis=0, ddof=1) / math.sqrt(batches)
+        tv = 0.5 * np.abs(freq.mean(axis=0) - pi).sum()
+        assert tv <= 0.5 * (3 * se).sum()
 
 
 class TestStepRecords:

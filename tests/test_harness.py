@@ -489,6 +489,20 @@ class TestOracle:
         with pytest.raises(ValueError, match="connected and symmetric"):
             oracle_report(game, ConstrainedActionMap.from_lists(reachable))
 
+    @pytest.mark.parametrize(
+        "reachable, detail",
+        [
+            ([[(0, 1), (0, 1)], [(1,), (0,), (3,), (2,)]], "player 1's map is not strongly connected"),
+            ([[(0, 1), (0, 1)], [(1,), (2,), (0,)]], "player 1 may move 0 -> 1 but not 1 -> 0"),
+        ],
+        ids=["disconnected", "asymmetric"],
+    )
+    def test_refusal_names_the_first_offending_player(self, reachable, detail):
+        k = len(reachable[1])
+        game, _ = load_game_spec_dict({"actions": [2, k], "utilities": [[0.0] * 2 * k] * 2})
+        with pytest.raises(ValueError, match=f"connected and symmetric for the oracle: {detail}$"):
+            oracle_report(game, ConstrainedActionMap.from_lists(reachable))
+
     def test_no_map_means_the_complete_map(self):
         game, cmap = load_game_spec_dict({"actions": [3], "utilities": [[0.0, 2.0, 1.0]]})
         assert cmap.reachable == ConstrainedActionMap.complete(game).reachable

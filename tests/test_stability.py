@@ -21,7 +21,7 @@ from potlearn.dynamics import (
     binary_logit_weights,
     resolve_wake_probability,
 )
-from potlearn.games import GameDefinition, random_separable_game
+from potlearn.games import GameDefinition, random_separable_game, replace_action
 from potlearn.rng import make_rng
 from potlearn.stability import (
     InfeasibleTransitionError,
@@ -30,10 +30,8 @@ from potlearn.stability import (
     StationaryConvergenceError,
     UnreachableRootError,
     build_chain,
-    log_transition_probability,
     min_resistance_tree,
     resistance,
-    scaled_transition_probability,
     stationary_distribution,
     stochastic_potential,
     stochastically_stable_states,
@@ -88,33 +86,26 @@ class TestResistance:
 
 
 class TestTransitionProbability:
-    def test_all_asleep_is_product_of_stay_probabilities(self):
-        game = own_value_game([1.0, 2.0], [0.5, 0.7])
-        cmap = ConstrainedActionMap.complete(game)
-        p = math.exp(log_transition_probability(game, (0, 1), (0, 1), [0.3, 0.6], cmap, eps=0.1))
-        assert p == pytest.approx(0.7 * 0.4, rel=1e-12)
-
-    def test_single_deviator_equal_payoffs(self):
-        game = own_value_game([1.0, 1.0], [0.0, 0.0])
-        cmap = ConstrainedActionMap.complete(game)
-        p = math.exp(log_transition_probability(game, (0, 0), (1, 0), 0.5, cmap, eps=0.1))
-        assert p == pytest.approx(0.5 * 0.5 * 0.5 * 0.5, rel=1e-12)  # wake/draw/accept/sleep
-
     def test_scaled_probability_converges_to_wake_draw_prefactor(self):
         # convergence rate is eps ** (payoff gap), so pin the gaps at 0.5
         rng = make_rng(30)
         game, _ = random_separable_game(rng, [2, 2], min_gap=0.5)
         cmap = ConstrainedActionMap.complete(game)
         wake = 0.4
-        for source, target in itertools.permutations(list(game.joint_actions()), 2):
-            deviators = [i for i in range(2) if source[i] != target[i]]
+        kernels = {eps: build_chain(game, wake, cmap, eps).kernel for eps in (1e-2, 1e-4, 1e-6)}
+        for (j, source), (k, target) in itertools.permutations(enumerate(game.joint_actions()), 2):
+            # a deviator wakes and draws its target; a non-deviator that
+            # would gain by switching must not wake and draw its other action
             limit = 1.0
             for i in range(2):
-                limit *= wake / 2.0 if i in deviators else 1.0 - wake
-            values = [
-                scaled_transition_probability(game, source, target, wake, cmap, eps)
-                for eps in (1e-2, 1e-4, 1e-6)
-            ]
+                if source[i] != target[i]:
+                    limit *= wake / 2.0
+                else:
+                    other = replace_action(source, i, 1 - source[i])
+                    if game.utility(i, other) > game.utility(i, source):
+                        limit *= 1.0 - wake / 2.0
+            r = resistance(game, source, target).resistance
+            values = [kernel[j, k] / eps**r for eps, kernel in kernels.items()]
             errors = [abs(v - limit) / limit for v in values]
             assert errors[-1] <= 0.01
             assert errors[0] >= errors[1] >= errors[2] - 1e-12
