@@ -400,10 +400,19 @@ def as_game(
     `values`, when given, holds one worth raster per robot (None for the
     true field); positions, flags and `values[i]` are read at call time, so
     the game follows the world as it advances and as estimates are replaced.
+
+    A robot's payoff row reads only the world and its raster, never the
+    joint action, so each robot's last row is kept, read-only, while the
+    world's position and flag tuples and its raster are the same objects.
+    Only `commit_positions` and `lay_flag` replace those tuples; the move
+    cost, covering radius and field are fixed at construction.  A writable
+    raster may change in place, so its rows are never kept.
     """
     L = world.grid_size
     labels = tuple(f"{ix},{iy}" for ix in range(L) for iy in range(L))
     rasters = [None] * world.n_robots if values is None else values
+    # robot -> ((positions, flags, raster) the row was made from, row)
+    kept: dict[int, tuple[tuple, np.ndarray]] = {}
 
     def payoff(i: int, joint: JointAction) -> float:
         return utility(
@@ -416,7 +425,16 @@ def as_game(
         )
 
     def row(i: int, joint: JointAction) -> np.ndarray:
-        return utility_row(world, i, rasters[i]).ravel()
+        raster = rasters[i]
+        key = (world._positions, world._flags, raster)
+        hit = kept.get(i)
+        if hit is not None and all(a is b for a, b in zip(hit[0], key)):
+            return hit[1]
+        out = utility_row(world, i, raster).ravel()
+        out.flags.writeable = False
+        if raster is None or _is_frozen(raster):
+            kept[i] = (key, out)
+        return out
 
     return GameDefinition(
         action_sets=tuple(labels for _ in range(world.n_robots)),

@@ -394,13 +394,16 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     # What each robot has observed: the cells it adopted, weighted by their
     # worth against the worths it has sensed.  Estimated mode only.
     logs = [mix.ObservationLog() for _ in range(n_robots)]
-    sensed_worths: list[list[float]] = [[] for _ in range(n_robots)]
+    # Row i's first sensed_count[i] entries are the worths robot i has
+    # sensed, one per iteration.  Estimated mode only.
+    sensed_worths = np.empty((n_robots, config.iterations if estimated else 0))
+    sensed_count = [0] * n_robots
 
     def observe(i: int) -> None:
         x, y = world.positions[i]
         multiplicity = mix.sensed_multiplicity(
             float(world.worth_values()[x, y]),
-            sensed_worths[i],
+            sensed_worths[i, : sensed_count[i]],
             config.worth_percentile,
             config.repeat_factor,
         )
@@ -440,7 +443,8 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             for i in range(n_robots):
                 f, g = cov.sense(world, i)
                 if estimated:
-                    sensed_worths[i].append(f)
+                    sensed_worths[i, sensed_count[i]] = f
+                    sensed_count[i] += 1
                 max_f[i] = max(max_f[i], f)
                 max_g[i] = max(max_g[i], g)
                 sensed.append((f, g))
@@ -706,7 +710,8 @@ def oracle_report(
     mass_threshold: float = 0.05,
 ) -> OracleReport:
     """Full stability analysis of a small game: resistances, stationary masses,
-    stable set, and the separable-case resistance identity check."""
+    stable set, and the separable-case resistance identity check.  Every
+    part reads one payoff table, made once."""
     if constraints is None:
         constraints = ConstrainedActionMap.complete(game)
     report = validate_constraints(constraints)
@@ -717,14 +722,15 @@ def oracle_report(
             i, a, b = report.asymmetric_pairs[0]
             where = f"player {i} may move {a} -> {b} but not {b} -> {a}"
         raise ValueError(f"constraint map must be connected and symmetric for the oracle: {where}")
+    space = stability._space(game)
     stable = stability.stochastically_stable_states(
-        game, wake, constraints, noise_levels, mass_threshold
+        game, wake, constraints, noise_levels, mass_threshold, space=space
     )
-    resistances = stability.transition_resistances(game, constraints)
+    resistances = stability.transition_resistances(game, constraints, space=space)
     identity: stability.ResistanceIdentityReport | None = None
     note: str | None = None
     try:
-        identity = stability.verify_resistance_identity(game, constraints)
+        identity = stability.verify_resistance_identity(game, constraints, space=space)
     except stability.SeparabilityError as exc:
         note = f"resistance identity skipped: {exc}"
     return OracleReport(

@@ -277,7 +277,7 @@ def worth_weighted_multiplicity(f_value: float, f_mode: float, repeat_factor: in
 
 
 def sensed_multiplicity(
-    f_value: float, sensed: Sequence[float], percentile: float, repeat_factor: int
+    f_value: float, sensed: Sequence[float] | np.ndarray, percentile: float, repeat_factor: int
 ) -> int:
     """`worth_weighted_multiplicity` against the adaptive worthwhile threshold,
     the `percentile`-th percentile of the sensed worths; 1 while that is not positive."""

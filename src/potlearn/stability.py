@@ -16,7 +16,12 @@ sleep; the tests read its exponent off the kernel's entries as eps -> 0.
 
 The exhaustive layers read one payoff table, ``U[state, player]``, whose
 column for player i is filled by one ``game.utility_row(i, .)`` call per
-profile of the other players.  States are numbered in
+profile of the other players.  A caller that runs several layers on one
+game, as ``harness.oracle_report`` does, makes the table once with
+``_space`` and passes it to each through its ``space`` argument.  Wake
+probabilities form a table of the same shape: a scalar or per-player wake
+is resolved once per player and broadcast, a callable is asked once per
+(state, player).  States are numbered in
 ``game.joint_actions()`` order, so a joint action's index is its mixed-radix
 value (the last player's action varies fastest).  ``build_chain`` works on
 chunks of source states with numpy: for each wake mask it lays out the trial
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -72,7 +78,7 @@ if TYPE_CHECKING:
 
 # Most states of a matrix build_chain makes dense and GTH solves.
 DENSE_SOLVE_LIMIT = 2000
-# Most joint actions build_chain tabulates.
+# Most joint actions _space tabulates, for the chain and the resistance lists.
 _CHAIN_MAX_STATES = 20_000
 # States eliminated together by one block of _gth_stationary.
 _GTH_BLOCK = 48
@@ -178,13 +184,15 @@ class PerturbedChain:
     """Markov chain over joint actions at a fixed noise level.
 
     `factors`, when set, holds each player's own-move kernel in player
-    order; the kernel is then their Kronecker product.
+    order; the kernel is then their Kronecker product.  `residual` is
+    |pi P - pi|_1 of the last `stationary_distribution` solve that passed.
     """
 
     states: tuple[JointAction, ...]
     kernel: np.ndarray | sp.csr_matrix
     noise: float
     factors: tuple[np.ndarray, ...] | None = None
+    residual: float | None = None
 
     @property
     def n_states(self) -> int:
@@ -204,9 +212,13 @@ class _Space:
 def _space(game: GameDefinition) -> _Space:
     """Enumerate the joint actions and tabulate payoffs.
 
-    One `utility_row(i, a)` call fills the states that differ from `a` only in i's action.
+    One `utility_row(i, a)` call fills the states that differ from `a` only
+    in i's action.  Games of more than `_CHAIN_MAX_STATES` joint actions are
+    refused before any enumeration.
     """
     n = game.joint_size
+    if n > _CHAIN_MAX_STATES:
+        raise ValueError(f"joint-action space has {n} states, cap is {_CHAIN_MAX_STATES}")
     sizes = [game.n_actions(i) for i in range(game.n_players)]
     strides = np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))])
     states = tuple(game.joint_actions())
@@ -217,6 +229,42 @@ def _space(game: GameDefinition) -> _Space:
         for k in np.flatnonzero(actions[:, i] == 0).tolist():
             payoffs[k + own, i] = game.utility_row(i, states[k])
     return _Space(states=states, actions=actions, strides=strides, payoffs=payoffs)
+
+
+def _is_probability_like(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _wake_table(wake: WakeModel, space: _Space) -> np.ndarray:
+    """Wake probabilities, (n, players): rp[k, i] is player i's in states[k].
+
+    A scalar or a sequence of one probability per player is resolved once
+    per player and broadcast over the states; only a callable is asked per
+    (state, player).  Anything else is a ValueError naming `wake`.
+    """
+    n, n_players = space.actions.shape
+    if callable(wake):
+        return np.array(
+            [[resolve_wake_probability(wake, i, a) for i in range(n_players)] for a in space.states]
+        ).reshape(n, n_players)
+    if _is_probability_like(wake):
+        per_player = [wake] * n_players
+    elif (
+        isinstance(wake, (Sequence, np.ndarray))
+        and not isinstance(wake, (str, bytes))
+        and getattr(wake, "ndim", 1) == 1
+        and len(wake) == n_players
+        and all(_is_probability_like(p) for p in wake)
+    ):
+        per_player = list(wake)
+    else:
+        raise ValueError(
+            f"wake must be a probability, a sequence of {n_players} probabilities "
+            f"(one per player) or a callable, got {wake!r}"
+        )
+    rp = np.array([resolve_wake_probability(float(p), i, ()) for i, p in enumerate(per_player)])
+    return np.broadcast_to(rp, (n, n_players))
 
 
 def _option_table(
@@ -371,6 +419,8 @@ def build_chain(
     wake: WakeModel,
     constraints: ConstrainedActionMap,
     eps: float,
+    *,
+    space: _Space | None = None,
 ) -> PerturbedChain:
     """Construct the full one-step kernel of the partial-synchronous learner.
 
@@ -390,17 +440,13 @@ def build_chain(
     is any matrix built dense above `DENSE_SOLVE_LIMIT` states: the
     enumerated kernel, or a player's own-move kernel in a factored chain.
     The factored joint kernel is dense up to that limit and CSR above it.
+    `space`, when given, is `_space(game)` made once by the caller.
     """
     tau = temperature_from_noise(eps)
-    if game.joint_size > _CHAIN_MAX_STATES:
-        raise ValueError(
-            f"joint-action space has {game.joint_size} states, cap is {_CHAIN_MAX_STATES}"
-        )
-    space = _space(game)
+    if space is None:
+        space = _space(game)
     n, n_players = space.payoffs.shape
-    rp = np.array(
-        [[resolve_wake_probability(wake, i, a) for i in range(n_players)] for a in space.states]
-    ).reshape(n, n_players)
+    rp = _wake_table(wake, space)
     tables = [_option_table(game, constraints, i, feasible=False) for i in range(n_players)]
     factored = all(_cross_dependence(space, t) is None for t in (space.payoffs, rp))
     largest = max(len(counts) for _, counts in tables) if factored else n
@@ -504,7 +550,7 @@ def stationary_distribution(chain: PerturbedChain) -> np.ndarray:
     product of its own-move kernels' stationary vectors; any other chain is
     solved on its one kernel, densified if it is CSR.  Either way the vector
     is checked against the full kernel, raising when |pi P - pi|_1 exceeds
-    max(1e-10, 1e-12 n) for n states.
+    max(1e-10, 1e-12 n) for n states, and kept in `chain.residual`.
     """
     kernel = chain.kernel
     if chain.factors is not None:
@@ -516,6 +562,7 @@ def stationary_distribution(chain: PerturbedChain) -> np.ndarray:
     bound = max(_STATIONARY_TOL, 1e-12 * chain.n_states)
     if residual > bound:
         raise StationaryConvergenceError(f"GTH residual {residual:.3e} > bound {bound:.3e}")
+    chain.residual = residual
     return pi
 
 
@@ -524,7 +571,9 @@ class StableSetReport:
     """Stationary masses across a decreasing noise schedule.
 
     Per noise level it also records the chain build and stationary solve
-    wall times in seconds and the solve's residual |pi P - pi|_1.
+    wall times in seconds and the residual |pi P - pi|_1 the solve checked.
+    The build time excludes the payoff table, which is made once before the
+    first level.
     """
 
     noise_levels: tuple[float, ...]
@@ -543,6 +592,8 @@ def stochastically_stable_states(
     constraints: ConstrainedActionMap,
     noise_levels: Sequence[float] = (1e-1, 1e-2, 1e-3),
     mass_threshold: float = 0.05,
+    *,
+    space: _Space | None = None,
 ) -> StableSetReport:
     """States whose stationary mass survives as the noise level shrinks.
 
@@ -550,7 +601,8 @@ def stochastically_stable_states(
     smallest noise level and non-decreasing (within `_TREND_SLACK`) along the
     whole schedule.  An empty schedule or a non-finite threshold is a
     ValueError; a chain that cannot be solved raises
-    StationaryConvergenceError naming its noise level.
+    StationaryConvergenceError naming its noise level.  Every level's chain
+    reads one payoff table, `space` when the caller made it.
     """
     levels = tuple(float(e) for e in noise_levels)
     if not levels:
@@ -562,9 +614,11 @@ def stochastically_stable_states(
     if any(b >= a for a, b in zip(levels, levels[1:])):
         raise ValueError("noise levels must be strictly decreasing")
     masses, build_s, solve_s, residuals = [], [], [], []
+    if space is None:
+        space = _space(game)
     for e in levels:
         start = time.perf_counter()
-        chain = build_chain(game, wake, constraints, e)
+        chain = build_chain(game, wake, constraints, e, space=space)
         built = time.perf_counter()
         try:
             masses.append(stationary_distribution(chain))
@@ -572,7 +626,7 @@ def stochastically_stable_states(
             raise StationaryConvergenceError(f"noise level {e:g}: {exc}") from exc
         solve_s.append(time.perf_counter() - built)
         build_s.append(built - start)
-        residuals.append(_residual(chain.kernel, masses[-1]))
+        residuals.append(chain.residual)
     states = chain.states
     masses = np.vstack(masses)
     stable = []
@@ -657,11 +711,13 @@ def _pair_resistances(space: _Space, source: np.ndarray, target: np.ndarray):
 
 
 def transition_resistances(
-    game: GameDefinition, constraints: ConstrainedActionMap
+    game: GameDefinition, constraints: ConstrainedActionMap, *, space: _Space | None = None
 ) -> list[tuple[JointAction, JointAction, tuple[int, ...], float]]:
     """(source, target, deviators, resistance) of every feasible transition
-    between distinct joint actions, in (source, target) state order."""
-    space = _space(game)
+    between distinct joint actions, in (source, target) state order.
+    `space`, when given, is `_space(game)` made once by the caller."""
+    if space is None:
+        space = _space(game)
     deviator_sets = [
         tuple(i for i in range(game.n_players) if bits >> i & 1)
         for bits in range(1 << game.n_players)
@@ -697,20 +753,24 @@ def verify_resistance_identity(
     game: GameDefinition,
     constraints: ConstrainedActionMap,
     tol: float = 1e-12,
+    *,
+    space: _Space | None = None,
 ) -> ResistanceIdentityReport:
     """Check R(a->b) - R(b->a) == potential(a) - potential(b) exhaustively.
 
     Requires a separable game (checked, with a witness on failure) and a
     symmetric constraint map; the potential is the sum of own-action values.
     Every feasible ordered pair, including multi-deviator and self
-    transitions, is checked.
+    transitions, is checked.  `space`, when given, is `_space(game)` made
+    once by the caller.
     """
     report = validate_constraints(constraints)
     if not report.symmetric:
         raise ValueError(
             f"constraint map must be symmetric; offending edges {report.asymmetric_pairs[:3]}"
         )
-    space = _space(game)
+    if space is None:
+        space = _space(game)
     values = _own_values(game, space)
     potential = np.zeros(len(space.states))
     for i in range(game.n_players):

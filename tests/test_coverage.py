@@ -673,6 +673,60 @@ class TestWorldWriters:
         assert world.flags == (frozenset(), frozenset())
 
 
+class TestGameRowMemo:
+    """`as_game` keeps each robot's row only while the world's position and
+    flag tuples and the robot's raster are the same objects."""
+
+    def frozen_values(self, seed, grid=8):
+        values = np.random.default_rng(seed).random((grid, grid))
+        values.setflags(write=False)
+        return values
+
+    def test_rows_equal_a_fresh_row_after_every_write(self):
+        world = flat_world(grid=8, robots=3)
+        cov.commit_positions(world, [(2, 2), (5, 5), (6, 1)])
+        rasters = [self.frozen_values(1), None, self.frozen_values(2)]
+        game = cov.as_game(world, rasters)
+        previous = {}
+
+        def check(changed):
+            action = tuple(cov.cell_index(world, p) for p in world.positions)
+            for i in range(world.n_robots):
+                fresh = cov.utility_row(world, i, rasters[i]).ravel()
+                for _ in range(2):  # the first call may be kept, the second is
+                    assert (game.utility_row(i, action) == fresh).all()
+                if i in changed:  # a stale row would fail the comparison above
+                    assert not (previous[i] == fresh).all()
+                previous[i] = fresh
+
+        check(changed=())
+        cov.commit_positions(world, [(3, 2), (5, 5), (6, 1)])
+        check(changed=(0, 1, 2))
+        assert math.dist((4, 3), world.positions[0]) <= world.flag_range
+        cov.lay_flag(world, 1, (4, 3))
+        check(changed=(0,))
+        rasters[2] = self.frozen_values(3)
+        check(changed=(2,))
+
+    def test_rows_are_read_only(self):
+        world = flat_world(grid=6, robots=2)
+        writable = np.full((6, 6), 0.01)
+        for values in (None, self.frozen_values(4, grid=6), writable):
+            game = cov.as_game(world, [values, values])
+            row = game.utility_row(0, (0, 0))
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+
+    def test_a_writable_raster_is_read_afresh(self):
+        world = flat_world(grid=6, robots=2)
+        values = np.full((6, 6), 0.01)
+        game = cov.as_game(world, [values, None])
+        first = game.utility_row(0, (0, 0)).copy()
+        values *= 2.0
+        assert (game.utility_row(0, (0, 0)) == cov.utility_row(world, 0, values).ravel()).all()
+        assert not (game.utility_row(0, (0, 0)) == first).all()
+
+
 class TestSharedOffsetOverlap:
     @pytest.mark.parametrize("radius", RADII + (0.3, 4.0))
     def test_every_displacement_matches_the_disc_walk(self, radius):

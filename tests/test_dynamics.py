@@ -295,32 +295,6 @@ class TestPSBLLLStep:
         # at the all-trials profile (1,1) both players gain 100: adopt w.p. ~1
         assert state.action == (1, 1)
 
-    def test_forced_single_wake_matches_blll_kernel_empirically(self):
-        table = np.array([[1.0, 0.0], [0.0, 0.6]])
-        game = GameDefinition.identical_interest(table)
-        cmap = ConstrainedActionMap.complete(game)
-        tau = 0.5
-        start = (0, 1)
-        n = 30_000
-        counts_b: dict = {}
-        state_b = LoglinearState(start, tau, make_rng(22, 1))
-        for _ in range(n):
-            state_b.action = start
-            blll_step(game, state_b, cmap)
-            counts_b[state_b.action] = counts_b.get(state_b.action, 0) + 1
-        counts_p: dict = {}
-        state_p = LoglinearState(start, tau, make_rng(22, 2))
-        for _ in range(n):
-            state_p.action = start
-            i = int(state_p.rng.integers(2))
-            psblll_step(game, state_p, cmap, wake=None, forced_awake=[i])
-            counts_p[state_p.action] = counts_p.get(state_p.action, 0) + 1
-        keys = set(counts_b) | set(counts_p)
-        tv = 0.5 * sum(
-            abs(counts_b.get(k, 0) / n - counts_p.get(k, 0) / n) for k in keys
-        )
-        assert tv <= 0.02
-
     def test_wake_probability_validation(self):
         game, _ = random_separable_game(make_rng(23), [2, 2])
         cmap = ConstrainedActionMap.complete(game)

@@ -7,7 +7,8 @@ A speed-up that changes a single bit of any column (positions, covered worth,
 potential or diagnostics) fails here.  Regenerate a digest only when a change
 of behaviour is intended, and say why in CHANGES.md.  The model-search
 digests pin the fitted mixture of `aic_model_search` the same way, and the
-oracle digests pin `OracleReport.resistances_csv()`.
+oracle digests pin `OracleReport.resistances_csv()` (with `stationary_csv()`
+for the 3x3 three-robot game).
 """
 import dataclasses
 import hashlib
@@ -152,11 +153,18 @@ def test_model_search_digest_is_unchanged(s):
 
 
 def oracle_game(name: str, tmp_path: Path):
-    """The separable 2x2 example config, or the 4x4 two-robot built-in coverage game."""
+    """The separable 2x2 example config, or the built-in coverage game
+    `coverage-<grid>x<grid>[-<robots>]` (two robots by default)."""
     if name == "separable-2x2":
         return load_game_spec(ROOT / "configs" / "game_separable_2x2.yaml")
+    size, _, robots = name.removeprefix("coverage-").partition("-")
     path = tmp_path / "coverage.yaml"
-    spec = {"builtin": "coverage", "grid_size": 4, "robots": 2, "placement_seed": 0}
+    spec = {
+        "builtin": "coverage",
+        "grid_size": int(size.split("x")[0]),
+        "robots": int(robots or 2),
+        "placement_seed": 0,
+    }
     path.write_text(yaml.safe_dump(spec))
     return load_game_spec(path)
 
@@ -193,3 +201,20 @@ def test_oracle_output_is_unchanged(name, tmp_path):
         assert report.stationary[:, k] == pytest.approx(masses, rel=1e-12, abs=0)
     assert isinstance(report, StableSetReport)
     assert report.stationary is report.masses
+
+
+# SHA-256 of `resistances_csv() + stationary_csv()` of `oracle_report` at its
+# defaults, recorded while every noise level, the resistance list and the
+# identity check still tabulated the payoffs afresh.  The masses are hashed
+# too, so unlike ORACLE_STATIONARY this digest also pins the last bits of the
+# GTH products on the 9-state factors.
+ORACLE_TABLES_GOLDEN = {
+    "coverage-3x3-3": "c754ae1194ec4962e19d0cf55eef61100857b178b40516ee35f74174bb820e9f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES_GOLDEN))
+def test_oracle_tables_are_unchanged(name, tmp_path):
+    report = oracle_report(*oracle_game(name, tmp_path))
+    text = report.resistances_csv() + report.stationary_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_TABLES_GOLDEN[name]

@@ -945,6 +945,68 @@ class TestPayoffTable:
         }
 
 
+def builtin_coverage_game(tmp_path, grid, robots):
+    path = tmp_path / "coverage.yaml"
+    path.write_text(f"builtin: coverage\ngrid_size: {grid}\nrobots: {robots}\n")
+    return harness.load_game_spec(path)
+
+
+class TestPayoffTableOncePerReport:
+    """One `oracle_report` tabulates the payoffs once: the coverage game
+    computes one all-cell row per robot and answers the rest from its memo."""
+
+    @pytest.mark.parametrize("grid,robots", [(4, 2), (3, 3)])
+    def test_one_row_per_robot(self, tmp_path, monkeypatch, grid, robots):
+        game, cmap = builtin_coverage_game(tmp_path, grid, robots)
+        calls = []
+        row = cov.utility_row
+
+        def counting(world, robot, values=None):
+            calls.append(robot)
+            return row(world, robot, values)
+
+        monkeypatch.setattr(cov, "utility_row", counting)
+        harness.oracle_report(game, cmap)
+        assert collections.Counter(calls) == {i: 1 for i in range(robots)}
+
+
+class TestWakeTable:
+    """Scalar and list wakes are resolved once per player and broadcast."""
+
+    @pytest.mark.parametrize("kind", ["scalar", "list", "callable", "cross-player"])
+    def test_equals_the_per_state_loop(self, kind):
+        rng = make_rng(18)
+        game, _ = random_separable_game(rng, [4, 3, 2])
+        if kind == "cross-player":
+            wake = lambda i, action: 0.2 + 0.1 * action[(i + 1) % 3]  # noqa: E731
+        else:
+            wake = wake_model(kind, 3, rng)
+        space = stability._space(game)
+        loop = np.array(
+            [[resolve_wake_probability(wake, i, a) for i in range(3)] for a in space.states]
+        )
+        table = stability._wake_table(wake, space)
+        assert table.shape == loop.shape
+        assert (table == loop).all()
+
+    @pytest.fixture
+    def coverage_4x4(self, tmp_path):
+        return builtin_coverage_game(tmp_path, 4, 2)
+
+    @pytest.mark.parametrize(
+        "wake", [[0.5], [0.5, 0.5, 0.5], True], ids=["one-entry", "three-entries", "bool"]
+    )
+    def test_rejects_a_wake_that_is_not_one_probability_per_player(self, coverage_4x4, wake):
+        game, cmap = coverage_4x4
+        with pytest.raises(ValueError, match="^wake must be"):
+            stochastically_stable_states(game, wake, cmap, (1e-2,))
+
+    def test_a_numpy_scalar_wake_is_a_probability(self, coverage_4x4):
+        game, cmap = coverage_4x4
+        report = stochastically_stable_states(game, np.float32(0.5), cmap, (1e-2,))
+        assert (report.masses == stochastically_stable_states(game, 0.5, cmap, (1e-2,)).masses).all()
+
+
 class TestStateCap:
     """The caps are checked on the joint size and on each dense matrix's
     size, before any enumeration or kernel allocation."""
