@@ -231,7 +231,7 @@ def _space(game: GameDefinition) -> _Space:
     return _Space(states=states, actions=actions, strides=strides, payoffs=payoffs)
 
 
-def _is_probability_like(value) -> bool:
+def _is_real(value) -> bool:
     """A real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
@@ -247,15 +247,15 @@ def _wake_table(wake: WakeModel, space: _Space) -> np.ndarray:
     if callable(wake):
         return np.array(
             [[resolve_wake_probability(wake, i, a) for i in range(n_players)] for a in space.states]
-        ).reshape(n, n_players)
-    if _is_probability_like(wake):
+        )
+    if _is_real(wake):
         per_player = [wake] * n_players
     elif (
         isinstance(wake, (Sequence, np.ndarray))
         and not isinstance(wake, (str, bytes))
         and getattr(wake, "ndim", 1) == 1
         and len(wake) == n_players
-        and all(_is_probability_like(p) for p in wake)
+        and all(_is_real(p) for p in wake)
     ):
         per_player = list(wake)
     else:
