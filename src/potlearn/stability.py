@@ -51,8 +51,9 @@ enumerated as above.
 GTH is the only solver, so every matrix ``build_chain`` makes dense, the
 enumerated kernel or each own-move kernel Q_i, has at most
 ``DENSE_SOLVE_LIMIT`` states; larger ones are refused before they are
-allocated.  A factored chain's joint kernel above that size is kept in CSR,
-only for the residual check.
+allocated.  A factored chain is built and solved on its factors alone:
+``stationary_distribution`` checks its residual through them, and its joint
+kernel is built only when read, dense up to that size and CSR above it.
 """
 from __future__ import annotations
 
@@ -179,20 +180,36 @@ def resistance(
     return TransitionResistance(source, target, deviators, total)
 
 
-@dataclass
 class PerturbedChain:
     """Markov chain over joint actions at a fixed noise level.
 
     `factors`, when set, holds each player's own-move kernel in player
-    order; the kernel is then their Kronecker product.  `residual` is
-    |pi P - pi|_1 of the last `stationary_distribution` solve that passed.
+    order; the kernel is then their Kronecker product.  A chain made from
+    factors alone builds `kernel` on its first read, by `_kron_kernel`, and
+    keeps it.  `residual` is |pi P - pi|_1 of the last
+    `stationary_distribution` solve that passed.
     """
 
-    states: tuple[JointAction, ...]
-    kernel: np.ndarray | sp.csr_matrix
-    noise: float
-    factors: tuple[np.ndarray, ...] | None = None
-    residual: float | None = None
+    def __init__(
+        self,
+        *,
+        states: tuple[JointAction, ...],
+        noise: float,
+        kernel: np.ndarray | sp.csr_matrix | None = None,
+        factors: tuple[np.ndarray, ...] | None = None,
+        residual: float | None = None,
+    ):
+        self.states = states
+        self.noise = noise
+        self.factors = factors
+        self.residual = residual
+        self._kernel = kernel
+
+    @property
+    def kernel(self) -> np.ndarray | sp.csr_matrix:
+        if self._kernel is None:
+            self._kernel = _kron_kernel(self.factors, self.n_states <= DENSE_SOLVE_LIMIT)
+        return self._kernel
 
     @property
     def n_states(self) -> int:
@@ -439,7 +456,8 @@ def build_chain(
     Games of more than `_CHAIN_MAX_STATES` joint actions are refused, and so
     is any matrix built dense above `DENSE_SOLVE_LIMIT` states: the
     enumerated kernel, or a player's own-move kernel in a factored chain.
-    The factored joint kernel is dense up to that limit and CSR above it.
+    A factored chain's joint kernel is built only when `chain.kernel` is
+    read, dense up to that limit and CSR above it.
     `space`, when given, is `_space(game)` made once by the caller.
     """
     tau = temperature_from_noise(eps)
@@ -457,8 +475,7 @@ def build_chain(
         )
     if factored:
         factors = _own_move_kernels(space, rp, tables, tau)
-        kernel = _kron_kernel(factors, n <= DENSE_SOLVE_LIMIT)
-        return PerturbedChain(states=space.states, kernel=kernel, noise=eps, factors=factors)
+        return PerturbedChain(states=space.states, noise=eps, factors=factors)
     paths = np.ones(n, dtype=np.int64)
     for i, (_, counts) in enumerate(tables):
         paths *= 1 + 2 * counts[space.actions[:, i]]
@@ -530,11 +547,9 @@ def _gth_stationary(kernel: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _residual(kernel: np.ndarray | sp.csr_matrix, pi: np.ndarray) -> float:
-    """|pi P - pi|_1.  A dense P is summed in row slabs of at most _GTH_SLAB
+def _residual(kernel: np.ndarray, pi: np.ndarray) -> float:
+    """|pi P - pi|_1 of a dense P, summed in row slabs of at most _GTH_SLAB
     multiply-adds, each a product OpenBLAS keeps on the calling thread."""
-    if not isinstance(kernel, np.ndarray):
-        return float(np.abs(np.asarray(pi @ kernel).ravel() - pi).sum())
     n = len(pi)
     slab = max(1, _GTH_SLAB // n)
     flow = np.zeros(n)
@@ -543,22 +558,43 @@ def _residual(kernel: np.ndarray | sp.csr_matrix, pi: np.ndarray) -> float:
     return float(np.abs(flow - pi).sum())
 
 
+def _factored_residual(factors: tuple[np.ndarray, ...], pi: np.ndarray) -> float:
+    """|pi P - pi|_1 for P = `_kron_kernel(factors, True)`, read off the factors.
+
+    pi shaped (m_1, ..., m_k) times the Kronecker product is pi with each
+    axis i contracted with Q_i, since (A x B)^T vec X = vec(B^T X A).
+    `_kron_kernel` adds 1 - prod_i rowsum(Q_i)[s_i] to each diagonal entry
+    s, so that self-loop adds pi times it.
+    """
+    x = pi.reshape([len(q) for q in factors])
+    flow = x
+    for q in factors:  # each contraction moves the new axis last
+        flow = np.tensordot(flow, q, axes=(0, 0))
+    loop = 1.0 - functools.reduce(np.multiply.outer, [q.sum(axis=1) for q in factors])
+    return float(np.abs(flow + x * loop - x).sum())
+
+
 def stationary_distribution(chain: PerturbedChain) -> np.ndarray:
     """Stationary probabilities of the chain, by GTH elimination.
 
     A factored chain (`chain.factors` set) is the normalised Kronecker
-    product of its own-move kernels' stationary vectors; any other chain is
-    solved on its one kernel, densified if it is CSR.  Either way the vector
-    is checked against the full kernel, raising when |pi P - pi|_1 exceeds
-    max(1e-10, 1e-12 n) for n states, and kept in `chain.residual`.
+    product of its own-move kernels' stationary vectors, checked against
+    the joint kernel through the factors without building it; any other
+    chain is solved on its one kernel, densified if it is CSR, and checked
+    against it.  Either way the solve raises when |pi P - pi|_1 exceeds
+    max(1e-10, 1e-12 n) for n states; the residual is kept in
+    `chain.residual`.
     """
-    kernel = chain.kernel
     if chain.factors is not None:
         pi = functools.reduce(np.kron, [_gth_stationary(q) for q in chain.factors])
         pi = pi / pi.sum()
+        residual = _factored_residual(chain.factors, pi)
     else:
-        pi = _gth_stationary(kernel if isinstance(kernel, np.ndarray) else kernel.toarray())
-    residual = _residual(kernel, pi)
+        kernel = chain.kernel
+        if not isinstance(kernel, np.ndarray):
+            kernel = kernel.toarray()
+        pi = _gth_stationary(kernel)
+        residual = _residual(kernel, pi)
     bound = max(_STATIONARY_TOL, 1e-12 * chain.n_states)
     if residual > bound:
         raise StationaryConvergenceError(f"GTH residual {residual:.3e} > bound {bound:.3e}")
@@ -573,7 +609,8 @@ class StableSetReport:
     Per noise level it also records the chain build and stationary solve
     wall times in seconds and the residual |pi P - pi|_1 the solve checked.
     The build time excludes the payoff table, which is made once before the
-    first level.
+    first level; for a factored chain it covers the own-move kernels only,
+    since neither the build nor the solve makes the joint kernel.
     """
 
     noise_levels: tuple[float, ...]

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import math
@@ -794,6 +795,88 @@ class TestFactoredChain:
             stationary_distribution(chain)
 
 
+def off_stochastic_factors(rng, sizes, offsets):
+    """Random factors whose rows each sum to 1 + offsets[i] in factor i."""
+    factors = []
+    for m, off in zip(sizes, offsets):
+        q = rng.random((m, m))
+        factors.append(q / q.sum(axis=1, keepdims=True) * (1.0 + off))
+    return tuple(factors)
+
+
+FACTOR_SIZES = [[16, 16], [4, 3, 3]]
+
+
+class TestFactoredResidual:
+    """The residual read off the factors against the joint kernel's."""
+
+    @pytest.mark.parametrize("sizes", FACTOR_SIZES, ids=str)
+    @pytest.mark.parametrize("off", [0.0, 1e-13])
+    def test_matches_the_joint_kernel_residual(self, sizes, off):
+        # a Dirichlet draw, not a product vector, keeps the residual of order one
+        rng = make_rng(46)
+        factors = off_stochastic_factors(rng, sizes, rng.choice([-off, off], len(sizes)))
+        pi = rng.dirichlet(np.ones(math.prod(sizes)))
+        want = stability._residual(stability._kron_kernel(factors, True), pi)
+        assert want > 0.1
+        got = stability._factored_residual(factors, pi)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("sizes", FACTOR_SIZES, ids=str)
+    def test_self_loop_absorbs_rows_off_from_one(self, sizes):
+        # rows of factor i sum to 1 + d_i, so the Kronecker product moves the
+        # product of the factors' stationary vectors by prod(1 + d_i) - 1;
+        # the self-loop that makes the joint rows sum to one moves it back
+        rng = make_rng(47)
+        offsets = [2e-13, 1e-13, -1e-13][: len(sizes)]
+        factors = off_stochastic_factors(rng, sizes, offsets)
+        pi = functools.reduce(np.kron, [stability._gth_stationary(q) for q in factors])
+        pi /= pi.sum()
+        assert abs(math.prod(1.0 + d for d in offsets) - 1.0) > 1e-13
+        assert stability._residual(stability._kron_kernel(factors, True), pi) < 2e-15
+        assert stability._factored_residual(factors, pi) < 2e-15
+
+
+class TestNoJointKernel:
+    """Building and solving a factored chain never makes its joint kernel;
+    reading `chain.kernel` afterwards makes the one the reference walks."""
+
+    @pytest.mark.parametrize("call", ["stable-set", "oracle-report"])
+    def test_solve_builds_no_joint_kernel(self, monkeypatch, tmp_path, call):
+        if call == "stable-set":
+            rng = make_rng(45)
+            sizes = [4, 3, 3]
+            game, _ = random_separable_game(rng, sizes)
+            cmap = random_cycle_map(rng, sizes)
+
+            def run():
+                stochastically_stable_states(game, 0.5, cmap, (1e-1, 1e-2))
+        else:
+            game, cmap = builtin_coverage_game(tmp_path, 4, 2)
+
+            def run():
+                harness.oracle_report(game, cmap)
+
+        def forbidden(factors, dense):
+            raise AssertionError("the joint kernel of a factored chain was built")
+
+        chains = []
+        build = stability.build_chain
+
+        def capture(*args, **kwargs):
+            chains.append(build(*args, **kwargs))
+            return chains[-1]
+
+        monkeypatch.setattr(stability, "_kron_kernel", forbidden)
+        monkeypatch.setattr(stability, "build_chain", capture)
+        run()
+        monkeypatch.undo()
+        chain = chains[-1]
+        assert chain.factors is not None
+        assert_kernels_match(chain.kernel, reference_build_chain(game, 0.5, cmap, chain.noise))
+        assert chain.kernel is chain.kernel
+
+
 # ---- references: the all-pairs resistance enumerations --------------------
 
 
@@ -1092,14 +1175,6 @@ class TestOracleTelemetry:
         assert want > 0.1
         assert stability._residual(kernel, pi) == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_sparse_residual_is_the_one_product(self):
-        rng = make_rng(41)
-        kernel = sp.random(300, 300, density=0.05, random_state=1, format="csr") + sp.eye(300)
-        kernel = sp.csr_matrix(kernel.multiply(1.0 / kernel.sum(axis=1)))
-        pi = rng.dirichlet(np.ones(300))
-        want = np.abs(np.asarray(pi @ kernel).ravel() - pi).sum()
-        assert stability._residual(kernel, pi) == want
-
 
 class TestChainCapture:
     """The benchmark captures chains by rebinding `stability.build_chain`."""
@@ -1144,8 +1219,9 @@ print(json.dumps([loaded, tree.total_resistance]))
 
 
 def test_import_loads_neither_networkx_nor_scipy_sparse():
-    """Only `min_resistance_tree` needs networkx, and only factored chains over
-    `DENSE_SOLVE_LIMIT` states need scipy.sparse; importing the package loads neither."""
+    """Only `min_resistance_tree` needs networkx, and only reading the joint
+    kernel of a factored chain over `DENSE_SOLVE_LIMIT` states needs
+    scipy.sparse; importing the package loads neither."""
     src = str(Path(stability.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
