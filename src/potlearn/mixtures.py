@@ -19,20 +19,19 @@ candidates built from one (estimate, log, log revision), and that estimate's
 own score, and reuses them until the estimate is replaced or the log grows.
 
 Every EM-family sweep (`responsibilities`, `em_iterate`, the partial
-re-estimation in `split_component`, `GmmEstimate.density`) evaluates all
-components with one stacked `worthfield.gaussian_log_density` call and floors
-all refitted covariances with one `eigh`.  The rule that keeps the results
-bit for bit equal to one call per component: only per-matrix LAPACK calls
-(`det`, `inv`, `eigh`) are batched, since on a stack they return each
-matrix's own result; each caller keeps its summation order (`em_iterate` sums
-its masses along axis 0, a split child sums its own weight vector); and the
-quadratic-form `einsum` and the `math.log` of each determinant stay per
-component, as the stacked `einsum` and `np.log` round differently.
+re-estimation in `split_component`, `GmmEstimate.density`) evaluates the M
+components as (M, n) rows of one `worthfield.gaussian_log_density` call and
+floors all refitted covariances with one `eigh`.  It stays bit for bit equal to
+one call per component: only per-matrix LAPACK calls are batched; the
+quadratic form keeps `einsum`'s order (from three points on) and `_sum_rows`
+numpy's order for a contiguous run; each mean is its own `w @ points`;
+`em_iterate` reads a C-ordered (n, M) responsibility array, so its masses stay
+sequential sums along axis 0; a split child sums its own weight row.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -115,51 +114,61 @@ class GmmEstimate:
         return len(self.weights)
 
     def copy(self) -> "GmmEstimate":
-        return GmmEstimate(
-            weights=self.weights.copy(),
-            means=self.means.copy(),
-            covs=self.covs.copy(),
-            log_likelihood=self.log_likelihood,
-            starved=self.starved,
+        return replace(
+            self, weights=self.weights.copy(), means=self.means.copy(), covs=self.covs.copy()
         )
 
     def density(self, points: np.ndarray) -> np.ndarray:
         return np.exp(mixture_log_density(self, points))
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """`scipy.special.logsumexp(a, axis=1, keepdims=True)` of a real 2-d array.
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Axis-0 sum of an (M, n) array in numpy's order for a contiguous run of M <= 128:
+    one by one below 8, else 8 partial sums added pairwise, then the rest one by one."""
+    if len(a) < 8:
+        return a.sum(axis=0)
+    blocks = len(a) - len(a) % 8
+    acc = sum((a[i:i + 8] for i in range(8, blocks, 8)), a[:8])
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    return np.concatenate((acc[:1] + acc[1:], a[blocks:])).sum(axis=0)
 
-    Bit for bit: the same ufuncs in the same order, without scipy's per-call
-    dispatch, which costs more than the arithmetic on the few-component
-    arrays fitted here.
-    """
-    a_max = a.max(axis=1, keepdims=True)
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """`scipy.special.logsumexp(b, axis=1)` of the C-ordered transpose b of a real
+    (M, n) array, bit for bit: the same ufuncs in the same order, without scipy's
+    per-call dispatch, which costs more than the arithmetic on few components."""
+    a_max = a.max(axis=0)
     is_max = a == a_max
-    m = is_max.sum(axis=1, keepdims=True, dtype=float)
+    m = is_max.sum(axis=0, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True) / m
+        s = _sum_rows(np.exp(np.where(is_max, -np.inf, a) - a_max)) / m
         out = np.log1p(s) + np.log(m) + a_max
         finite = np.isfinite(out)
         if finite.all():
             return out
-        return np.where(finite, out, np.log(np.exp(a).sum(axis=1, keepdims=True)))
+        return np.where(finite, out, np.log(_sum_rows(np.exp(a))))
 
 
 def component_log_densities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
-    """log(weight_j * g_j(point)) for every point and component, shape (n, M)."""
-    logw = np.array([math.log(w) if w > 0 else -math.inf for w in est.weights.tolist()])
+    """log(weight_j * g_j(point)) for every component and point, shape (M, n)."""
+    logw = np.array([[math.log(w) if w > 0 else -math.inf] for w in est.weights.tolist()])
     return logw + gaussian_log_density(points, est.means, est.covs)
 
 
 def mixture_log_density(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
-    return _row_logsumexp(component_log_densities(est, points))[:, 0]
+    return _logsumexp_rows(component_log_densities(est, points))
+
+
+def _posteriors(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
+    """Posterior component memberships as (M, n) rows; each column sums to one."""
+    logs = component_log_densities(est, points)
+    return np.exp(logs - _logsumexp_rows(logs))
 
 
 def responsibilities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
-    """Posterior component memberships; each row sums to one."""
-    logs = component_log_densities(est, points)
-    return np.exp(logs - _row_logsumexp(logs))
+    """Posterior component memberships, C-ordered (n, M); each row sums to one."""
+    return np.ascontiguousarray(_posteriors(est, points).T)
 
 
 def log_likelihood(est: GmmEstimate, log: ObservationLog) -> float:
@@ -184,18 +193,15 @@ def _floor_covariance(covs: np.ndarray, floor: float) -> np.ndarray:
 def _weighted_moments(
     weighted: Sequence[np.ndarray], masses: Sequence[float], points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Means (K, 2) and `COV_FLOOR`-floored covariances (K, 2, 2) of `points`
-    under each of K weight vectors, the k-th summing to `masses[k]`.
-
-    The caller passes the masses in, so each caller keeps its own summation
-    order; each moment is computed per weight vector, the floor once for all.
-    """
-    means = np.empty((len(masses), 2))
-    raw = np.empty((len(masses), 2, 2))
-    for k, (w, mass) in enumerate(zip(weighted, masses)):
-        means[k] = w @ points / mass
-        diff = points - means[k]
-        raw[k] = (diff.T * w) @ diff / mass
+    """Means (K, 2) and `COV_FLOOR`-floored covariances (K, 2, 2) of `points` under
+    each of K weight vectors, the k-th summing to `masses[k]`: the caller's masses
+    keep its summation order, and each mean is its own `w @ points` (a stacked
+    product rounds differently)."""
+    masses = np.asarray(masses, dtype=float)
+    means = np.array([w @ points for w in weighted]) / masses[:, None]
+    diff = points.T - means[:, :, None]  # (K, 2, n)
+    scaled = diff * np.reshape(weighted, (len(masses), 1, len(points)))
+    raw = scaled @ diff.swapaxes(1, 2) / masses[:, None, None]
     return means, _floor_covariance(raw, COV_FLOOR)
 
 
@@ -243,8 +249,7 @@ def em_iterate(log: ObservationLog, est: GmmEstimate, iters: int) -> GmmEstimate
         starved = [j for j in range(out.n_components) if mass[j] < STARVE_FRACTION * total]
         live = [j for j in range(out.n_components) if j not in starved]
         new_weights = mass / total
-        new_means = out.means.copy()
-        new_covs = out.covs.copy()
+        new_means, new_covs = out.means.copy(), out.covs.copy()
         new_means[live], new_covs[live] = _weighted_moments(
             [weighted[:, j] for j in live], [mass[j] for j in live], points
         )
@@ -254,10 +259,9 @@ def em_iterate(log: ObservationLog, est: GmmEstimate, iters: int) -> GmmEstimate
         out.weights, out.means, out.covs = new_weights, new_means, new_covs
         out.starved = tuple(starved)
         params = _params(out)
-        delta = np.abs(params - prev).max()
-        prev = params
-        if delta < 1e-6:
+        if np.abs(params - prev).max() < 1e-6:
             break
+        prev = params
     out.log_likelihood = log_likelihood(out, log)
     return out
 
@@ -444,7 +448,7 @@ def split_scores(
         binned = np.zeros(len(keys))
         np.add.at(binned, inverse, weighted)
         p = binned / total
-        q = np.maximum(densities[:, k], 1e-300)
+        q = np.maximum(densities[k], 1e-300)
         mask = p > 0
         scores[k] = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     return scores
@@ -495,36 +499,32 @@ def split_component(
         eps_scale = principal_split_scale(est, k)
     axis = np.linalg.eigh(est.covs[k])[1][:, -1]
     iso = math.sqrt(max(float(np.linalg.det(est.covs[k])), COV_FLOOR**2))
-    child_cov = iso * np.eye(2)
 
     keep = [j for j in range(est.n_components) if j != k]
     new_weights = np.concatenate([est.weights[keep], [est.weights[k] / 2] * 2])
-    new_means = np.vstack(
-        [est.means[keep], est.means[k] + eps_scale * axis, est.means[k] - eps_scale * axis]
-    )
-    new_covs = np.concatenate(
-        [est.covs[keep], child_cov.reshape(1, 2, 2), child_cov.reshape(1, 2, 2)]
-    )
+    offset = eps_scale * axis
+    new_means = np.vstack([est.means[keep], est.means[k] + offset, est.means[k] - offset])
+    new_covs = np.concatenate([est.covs[keep], [iso * np.eye(2)] * 2])
     # Views of the last two rows: the children's fits below write through them.
     children = GmmEstimate(new_weights[-2:], new_means[-2:], new_covs[-2:])
 
     total = weights.sum()
     prev = _params(children)
     for _ in range(max(iters, 1)):
-        share = responsibilities(children, points)
-        weighted = [share[:, c] * parent_resp * weights for c in range(2)]
-        masses = [w.sum() for w in weighted]
-        live = [c for c in range(2) if not masses[c] <= 0]  # a NaN mass is fitted, so it surfaces
-        for c in live:
-            children.weights[c] = masses[c] / total
-        children.means[live], children.covs[live] = _weighted_moments(
-            [weighted[c] for c in live], [masses[c] for c in live], points
-        )
+        weighted = _posteriors(children, points) * parent_resp * weights
+        masses = weighted.sum(axis=1)
+        # a NaN mass is fitted, so it surfaces; any live subset of two is a slice
+        live = [c for c, mass in enumerate(masses.tolist()) if not mass <= 0]
+        if live:
+            fit = slice(live[0], live[-1] + 1)
+            children.weights[fit] = masses[fit] / total
+            children.means[fit], children.covs[fit] = _weighted_moments(
+                weighted[fit], masses[fit], points
+            )
         params = _params(children)
-        delta = np.abs(params - prev).max()
-        prev = params
-        if delta < 1e-8:
+        if np.abs(params - prev).max() < 1e-8:
             break
+        prev = params
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
 
 

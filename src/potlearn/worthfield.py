@@ -52,42 +52,41 @@ class GaussianComponent:
 def _mahalanobis(
     points: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> tuple[np.ndarray, list[float]]:
-    """Squared Mahalanobis distance of each row of `points` from each of the
-    stacked means (M, 2) under the stacked covariances (M, 2, 2), shape (n, M),
-    and the M determinants as floats.  A single mean (2,) and covariance (2, 2)
-    is a stack of one.
+    """Squared Mahalanobis distance of each row of `points` (n, 2) from each of
+    the stacked means (M, 2) under the stacked covariances (M, 2, 2), as (M, n)
+    rows, and the M determinants as floats.  A single mean (2,) and covariance
+    (2, 2) is a stack of one.
 
     `det` and `inv` run once on the stack, which matches per-matrix calls bit for
-    bit; the quadratic form stays one `einsum` per component, since the stacked
-    subscripts sum in another order.
+    bit.  The quadratic form, one elementwise pass for all components, keeps the
+    order of `np.einsum("ni,ij,nj->n")` from three points on.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     means = np.asarray(means, dtype=float).reshape(-1, 2)
     covs = np.asarray(covs, dtype=float).reshape(-1, 2, 2)
     dets = np.linalg.det(covs).tolist()
     # `not <` also rejects NaN; a NaN or infinite entry makes its determinant NaN or infinite
     if not all(0 < d < math.inf for d in dets):
         raise ValueError("singular or non-finite covariance")
-    invs = np.linalg.inv(covs)
-    quad = np.empty((len(pts), len(means)))
-    for j in range(len(means)):
-        diff = pts - means[j]
-        quad[:, j] = np.einsum("ni,ij,nj->n", diff, invs[j], diff)
+    diff = pts.T - means[:, :, None]  # (M, 2, n)
+    # (((d0 a) d0 + (d0 b) d1) + (d1 c) d0) + (d1 e) d1 for inverse [[a, b], [c, e]]
+    terms = diff[:, :, None] * np.linalg.inv(covs)[..., None] * diff[:, None]
+    quad = ((terms[:, 0, 0] + terms[:, 0, 1]) + terms[:, 1, 0]) + terms[:, 1, 1]
     return quad, dets
 
 
 def gaussian_density(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Bivariate normal density of each stacked component at each row of `points`, (n, M)."""
+    """Bivariate normal density of each stacked component at each row of `points`, (M, n)."""
     quad, dets = _mahalanobis(points, means, covs)
-    return np.exp(-0.5 * quad) / np.array([2.0 * math.pi * math.sqrt(d) for d in dets])
+    return np.exp(-0.5 * quad) / np.array([[2.0 * math.pi * math.sqrt(d)] for d in dets])
 
 
 def gaussian_log_density(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Log of each stacked component's bivariate normal density at each row of
-    `points`, (n, M).  The constant of each component is scalar `math` arithmetic
+    `points`, (M, n).  The constant of each component is scalar `math` arithmetic
     (`np.log` may round differently)."""
     quad, dets = _mahalanobis(points, means, covs)
-    consts = np.array([-math.log(2.0 * math.pi) - 0.5 * math.log(d) for d in dets])
+    consts = np.array([[-math.log(2.0 * math.pi) - 0.5 * math.log(d)] for d in dets])
     return consts - 0.5 * quad
 
 
@@ -123,7 +122,7 @@ class WorthField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts))
         for c in self.components:
-            out += c.weight * gaussian_density(pts, c.mean, c.cov)[:, 0]
+            out += c.weight * gaussian_density(pts, c.mean, c.cov)[0]
         return out
 
     def raster(self) -> np.ndarray:

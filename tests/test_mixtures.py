@@ -34,7 +34,7 @@ from potlearn.mixtures import (
     MAX_COMPONENTS,
     component_log_densities,
     _floor_covariance,
-    _row_logsumexp,
+    _logsumexp_rows,
 )
 from potlearn.rng import make_rng
 from potlearn.worthfield import gaussian_log_density
@@ -59,12 +59,14 @@ def two_cluster_log(seed=42, separation=((10.0, 10.0), (30.0, 30.0)), sigma=2.0)
 
 
 class TestRowLogsumexp:
-    """`_row_logsumexp` against scipy's `logsumexp`, compared with `==`."""
+    """`_logsumexp_rows` of the (M, n) layout against scipy's `logsumexp` of the
+    C-ordered (n, M) array along axis 1, compared with `==`."""
 
     @staticmethod
-    def random_rows(seed):
+    def random_rows(seed, k=None):
         rng = make_rng(seed)
-        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, 12)) if k is None else k
         a = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 4) + rng.normal() * 1000
         case = seed % 6
         if case == 1:
@@ -79,18 +81,26 @@ class TestRowLogsumexp:
             a = np.round(a)
         return a
 
+    @staticmethod
+    def assert_equals_scipy(a):
+        ref = logsumexp(a, axis=1)
+        got = _logsumexp_rows(np.ascontiguousarray(a.T))
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref, equal_nan=True), a
+
     @pytest.mark.parametrize("seed", range(0, 3000, 500))
     def test_equals_scipy_bit_for_bit(self, seed):
         for s in range(seed, seed + 500):
-            a = self.random_rows(s)
-            ref = logsumexp(a, axis=1, keepdims=True)
-            got = _row_logsumexp(a)
-            assert got.shape == ref.shape
-            assert np.array_equal(got, ref, equal_nan=True), a
+            self.assert_equals_scipy(self.random_rows(s))
+
+    @pytest.mark.parametrize("k", [8, 9, 10])
+    def test_pairwise_component_counts_equal_scipy(self, k):
+        # no golden search reaches 8 components, so this alone guards the pairwise order
+        for s in range(300):
+            self.assert_equals_scipy(self.random_rows(10_000 * k + s, k))
 
     def test_all_minus_infinity_row(self):
-        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
-        assert np.array_equal(_row_logsumexp(a), logsumexp(a, axis=1, keepdims=True))
+        self.assert_equals_scipy(np.array([[-np.inf, -np.inf], [0.0, -np.inf]]))
 
 
 class TestObservationLog:
@@ -230,16 +240,16 @@ class TestBatchedKernel:
         )
         points = np.floor(rng.uniform(0.0, 40.0, size=(n, 2))) + 0.5
         got = component_log_densities(est, points)
-        assert got.shape == (n, m)
+        assert got.shape == (m, n)
         for j in range(m):
             single = gaussian_log_density(points, est.means[j], est.covs[j])
-            assert single.shape == (n, 1)
-            assert np.array_equal(got[:, j], math.log(est.weights[j]) + single[:, 0])
+            assert single.shape == (1, n)
+            assert np.array_equal(got[j], math.log(est.weights[j]) + single[0])
 
     def test_zero_weight_component_has_minus_infinity(self):
         est = GmmEstimate(np.array([1.0, 0.0]), np.zeros((2, 2)), np.array([np.eye(2)] * 2))
         logs = component_log_densities(est, np.array([[0.5, 0.5]]))
-        assert np.isfinite(logs[0, 0]) and logs[0, 1] == -np.inf
+        assert np.isfinite(logs[0, 0]) and logs[1, 0] == -np.inf
 
     def test_stacked_floor_matches_per_matrix_calls(self):
         below, at, above = 0.1, COV_FLOOR, 3.0
@@ -572,6 +582,81 @@ class TestSplit:
         est = initial_estimate(log, 1)
         with pytest.raises(ValueError):
             split_component(est, 3, log)
+
+
+def iterated_split(est, k, log, eps_scale=None, iters=300, tol=1e-8):
+    """The split as per-child partial re-estimation sweeps, kept as a reference;
+    returns the split estimate and the number of sweeps run."""
+    points, weights = log.arrays()
+    parent_resp = responsibilities(est, points)[:, k]
+    eps = principal_split_scale(est, k) if eps_scale is None else eps_scale
+    axis = np.linalg.eigh(est.covs[k])[1][:, -1]
+    iso = math.sqrt(max(float(np.linalg.det(est.covs[k])), COV_FLOOR**2))
+    keep = [j for j in range(est.n_components) if j != k]
+    new_weights = np.concatenate([est.weights[keep], [est.weights[k] / 2] * 2])
+    new_means = np.vstack([est.means[keep], est.means[k] + eps * axis, est.means[k] - eps * axis])
+    new_covs = np.concatenate([est.covs[keep], [iso * np.eye(2)] * 2])
+    first = len(keep)
+    total = weights.sum()
+    for sweep in range(1, max(iters, 1) + 1):
+        before = GmmEstimate(
+            new_weights[first:].copy(), new_means[first:].copy(), new_covs[first:].copy()
+        )
+        share = responsibilities(before, points)
+        for c in range(2):
+            w = share[:, c] * parent_resp * weights
+            mass = w.sum()
+            if mass <= 0:
+                continue
+            new_weights[first + c] = mass / total
+            new_means[first + c] = w @ points / mass
+            diff = points - new_means[first + c]
+            new_covs[first + c] = _floor_covariance((diff.T * w) @ diff / mass, COV_FLOOR)
+        delta = max(
+            float(np.abs(new_weights[first:] - before.weights).max()),
+            float(np.abs(new_means[first:] - before.means).max()),
+            float(np.abs(new_covs[first:] - before.covs).max()),
+        )
+        if delta < tol:
+            break
+    return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs), sweep
+
+
+class TestSplitAgainstIteratedFit:
+    """`split_component` against the per-child reference sweeps, compared with `==`."""
+
+    @staticmethod
+    def assert_equal(est, k, log, eps_scale=None):
+        out = split_component(est, k, log, eps_scale=eps_scale)
+        ref, sweeps = iterated_split(est, k, log, eps_scale=eps_scale)
+        for a, b in ((out.weights, ref.weights), (out.means, ref.means), (out.covs, ref.covs)):
+            assert np.array_equal(a, b)
+        return ref, sweeps
+
+    def test_criterion7_split_at_the_sweep_cap(self):
+        from test_golden import criterion7_log
+
+        log = criterion7_log(0)
+        est = em_iterate(log, initial_estimate(log, 1), 10)
+        assert self.assert_equal(est, 0, log)[1] == 300
+
+    def test_two_cell_log(self):
+        log = ObservationLog()
+        log.append((10.5, 12.5), 3)
+        log.append((13.5, 11.5), 5)
+        est = em_iterate(log, initial_estimate(log, 1), 10)
+        self.assert_equal(est, 0, log)
+
+    def test_child_without_mass_keeps_its_start(self):
+        # children 500 cells either side of x = 0, data near x = 10: the far
+        # child's share underflows to zero at every point
+        log = cluster_log(make_rng(44), [(10.0, 10.0)], sigma=1.5, n_per=200)
+        est = GmmEstimate(np.ones(1), np.array([[0.0, 10.0]]), np.diag([4.0, 1.0])[None])
+        ref, _ = self.assert_equal(est, 0, log, eps_scale=500.0)
+        far = int(np.argmin(ref.means[:, 0]))
+        assert ref.weights[far] == 0.5
+        assert abs(ref.means[far, 0]) == 500.0
+        assert np.array_equal(ref.covs[far], 2.0 * np.eye(2))
 
 
 class TestModelSearch:

@@ -114,15 +114,21 @@ class TestGradientMemo:
         assert field.local_gradient((3.0, -2.0)) == scalar_gradient(field, (3.0, -2.0))
 
 
+def quadratic_form(diff, inv):
+    """diff_n^T inv diff_n for each row of `diff` (n, 2), written out term by term."""
+    d0, d1 = diff[:, 0], diff[:, 1]
+    (a, b), (c, e) = inv
+    return (((d0 * a) * d0 + (d0 * b) * d1) + (d1 * c) * d0) + (d1 * e) * d1
+
+
 def one_component_kernel(points, mean, cov):
-    """The bivariate normal of one component: its own `det`, `inv` and `einsum`.
+    """The bivariate normal of one component: its own `det`, `inv` and quadratic form.
 
     Returns the log density and the density, each written as a one-component
     kernel computes it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     det = float(np.linalg.det(cov))
-    diff = pts - mean
-    quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
+    quad = quadratic_form(pts - mean, np.linalg.inv(cov))
     log = -math.log(2.0 * math.pi) - 0.5 * math.log(det) - 0.5 * quad
     return log, np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
@@ -140,12 +146,23 @@ class TestStackedKernel:
         points = rng.uniform(0.0, 40.0, size=(n, 2))
         logs = gaussian_log_density(points, means, covs)
         dens = gaussian_density(points, means, covs)
-        assert logs.shape == dens.shape == (n, m)
+        assert logs.shape == dens.shape == (m, n)
         for j in range(m):
             want_log, want_dens = one_component_kernel(points, means[j], covs[j])
-            assert np.array_equal(logs[:, j], want_log)
-            assert np.array_equal(dens[:, j], want_dens)
-            assert np.array_equal(gaussian_log_density(points, means[j], covs[j])[:, 0], want_log)
+            assert np.array_equal(logs[j], want_log)
+            assert np.array_equal(dens[j], want_dens)
+            assert np.array_equal(gaussian_log_density(points, means[j], covs[j])[0], want_log)
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 17])
+    def test_quadratic_form_equals_einsum_from_three_points(self, n):
+        # below three points `einsum` adds the four terms in another order
+        rng = np.random.default_rng(n)
+        for _ in range(3000):
+            diff = rng.uniform(-40.0, 40.0, size=(n, 2))
+            a = rng.normal(size=(2, 2))
+            inv = np.linalg.inv(a @ a.T + 0.25 * np.eye(2))
+            want = np.einsum("ni,ij,nj->n", diff, inv, diff)
+            assert np.array_equal(quadratic_form(diff, inv), want)
 
     def test_field_density_keeps_the_one_component_sum(self):
         field = generate_scenario(3, 24, (4, 4))
