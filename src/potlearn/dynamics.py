@@ -8,8 +8,11 @@ Three learners share the same binary smoothed-best-response kernel:
   from its constrained set and plays a binary logit choice against it.
 * ``psblll_step``  -- every player independently wakes with its revision
   probability; the awake set draws trials simultaneously and each awake
-  player plays a binary logit choice between staying and the profile in
-  which all awake players adopt their trials.
+  player plays a binary logit choice between staying and its own trial,
+  weighed with the others at their current actions.  A revising player
+  knows the others' actions, not their simultaneous trials (Marden &
+  Shamma's synchronous log-linear learning), so given the current profile
+  the players move independently.
 
 Step functions mutate only the state passed in and advance its RNG stream;
 distinct runs with distinct states may execute concurrently.  Each step
@@ -20,6 +23,7 @@ current action; for ``lll_step`` only when the resampled action differs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -235,20 +239,43 @@ def blll_step(
     return psblll_step(game, state, constraints, None, forced_awake=(i,))
 
 
-def resolve_wake_probability(
-    wake: WakeModel, player: int, action: JointAction
-) -> float:
-    if wake is None:
-        raise ValueError("need wake probabilities unless forced_awake is given")
+def _is_real(value) -> bool:
+    """A real number that is not a bool; a float is asked no further, since
+    the steps ask this of every wake entry."""
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    )
+
+
+def wake_probabilities(wake: WakeModel, n_players: int, action: JointAction) -> list[float]:
+    """Each player's wake probability at `action`.
+
+    A scalar is every player's, a sequence holds exactly one per player and
+    a callable is asked once per player.  Anything else is a ValueError
+    naming `wake`, and so is a probability outside [0, 1].
+    """
     if callable(wake):
-        p = float(wake(player, action))
-    elif isinstance(wake, (int, float)):
-        p = float(wake)
+        probs = [float(wake(i, action)) for i in range(n_players)]
+    elif _is_real(wake):
+        probs = [float(wake)] * n_players
+    elif (
+        # list and tuple first: the Sequence ABC check is the slow one
+        isinstance(wake, (list, tuple, np.ndarray, Sequence))
+        and not isinstance(wake, (str, bytes))
+        and getattr(wake, "ndim", 1) == 1
+        and len(wake) == n_players
+        and all(_is_real(p) for p in wake)
+    ):
+        probs = [float(p) for p in wake]
     else:
-        p = float(wake[player])
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"wake probability {p} outside [0, 1]")
-    return p
+        raise ValueError(
+            f"wake must be a probability, a sequence of {n_players} probabilities "
+            f"(one per player) or a callable, got {wake!r}"
+        )
+    for p in probs:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"wake probability {p} outside [0, 1]")
+    return probs
 
 
 def psblll_step(
@@ -260,20 +287,17 @@ def psblll_step(
 ) -> LoglinearState:
     """Partial-synchronous binary step: independent wake-ups, simultaneous trials.
 
-    Each awake player draws one trial uniformly from its constrained set;
-    the alternative payoff every awake player weighs is evaluated at the
-    profile where all awake players adopt their trials and sleepers repeat.
-    `forced_awake` bypasses the wake draws entirely (`blll_step` wakes its
-    one player this way); sleeping players' actions are untouched.
+    Each awake player draws one trial uniformly from its constrained set and
+    weighs its payoff there, the others held at their current actions,
+    against its current payoff.  `forced_awake` bypasses the wake draws
+    entirely (`blll_step` wakes its one player this way); sleeping players'
+    actions are untouched.
     """
     if forced_awake is not None:
         awake = sorted(set(int(i) for i in forced_awake))
     else:
-        awake = [
-            i
-            for i in range(game.n_players)
-            if state.rng.random() < resolve_wake_probability(wake, i, state.action)
-        ]
+        probs = wake_probabilities(wake, game.n_players, state.action)
+        awake = [i for i, p in enumerate(probs) if state.rng.random() < p]
     state.awake = tuple(awake)
     state.adopted = ()
     if not awake:
@@ -283,13 +307,12 @@ def psblll_step(
     for i in awake:
         options = constraints.allowed(i, state.action[i])
         trials[i] = int(options[state.rng.integers(len(options))])
-    trial_profile = tuple(trials)
     new_action = list(state.action)
     adopted = []
     for i in awake:
         keep, _ = binary_logit_weights(
             game.utility(i, state.action),
-            game.utility(i, trial_profile),
+            game.utility(i, replace_action(state.action, i, trials[i])),
             state.temperature,
         )
         if state.rng.random() >= keep:

@@ -31,6 +31,7 @@ sequential sums along axis 0; a split child sums its own weight row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -61,8 +62,12 @@ class ObservationLog:
         self._cache: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def append(self, point: Sequence[float], multiplicity: int = 1) -> None:
-        if multiplicity < 1:
-            raise ValueError("multiplicity must be at least 1")
+        if (
+            type(multiplicity) is bool
+            or not isinstance(multiplicity, numbers.Integral)
+            or multiplicity < 1
+        ):
+            raise ValueError(f"multiplicity must be an integer of at least 1, got {multiplicity!r}")
         key = (float(point[0]), float(point[1]))
         if not (math.isfinite(key[0]) and math.isfinite(key[1])):
             raise ValueError(f"observation point must be finite, got {key!r}")

@@ -10,9 +10,14 @@ stable states.
 
 The kernel ``build_chain`` makes is the one transition model: it sums
 every wake, draw and accept path of the learner, including those on which
-a player wakes and keeps or re-selects its current action.  ``resistance``
-charges the direct path only, on which the deviators wake and the others
-sleep; the tests read its exponent off the kernel's entries as eps -> 0.
+a player wakes and keeps or re-selects its current action.  Each awake
+player weighs its own trial with the others at the source, as
+``dynamics.psblll_step`` does, so given the source the players move
+independently and every kernel row is the product of the players'
+next-action rows, which ``_marginal_rows`` builds.  ``resistance`` charges
+the direct path, on which the deviators wake and the others sleep; each
+deviator's term reads its own target with the others at the source, so it
+is the exponent of the kernel entry as eps -> 0, which the tests read off.
 
 The exhaustive layers read one payoff table, ``U[state, player]``, whose
 column for player i is filled by one ``game.utility_row(i, .)`` call per
@@ -24,58 +29,54 @@ is resolved once per player and broadcast, a callable is asked once per
 (state, player).  States are numbered in
 ``game.joint_actions()`` order, so a joint action's index is its mixed-radix
 value (the last player's action varies fastest).  ``build_chain`` works on
-chunks of source states with numpy: for each wake mask it lays out the trial
-grid of the awake players' allowed sets, evaluates the binary-logit keep
-weights of every trial at once, and sums every accept pattern into the rows
-with ``np.bincount``.  ``_gth_stationary`` is blocked GTH elimination: it
-eliminates ``_GTH_BLOCK`` states at a time, keeping only the block's rows and
-columns current, then updates the leading submatrix with one rank-block
-product; every term stays a sum of non-negative products.  It works only
-inside the kernel's bandwidth b, the largest |i - j| over its nonzero
-entries.  Constrained actions keep b small: a Moore move changes a robot's
-cell index by at most grid + 1, so in mixed-radix order the 6x6-grid,
-2-robot coverage chain has b = 259 of 1295.  Eliminating state k combines
-entries within b of k only, so fill stays inside the band, and the solve
-skips only entries that stay exactly zero.  The resistance enumerators visit only the
-feasible targets of each source, the product of the players' allowed sets.
+chunks of source states with numpy: it builds each player's next-action
+rows from those sources and multiplies them out in player order, which is
+the mixed-radix order of the targets.  ``_gth_stationary`` is blocked GTH
+elimination: it eliminates ``_GTH_BLOCK`` states at a time, keeping only
+the block's rows and columns current, then updates the leading submatrix
+with one rank-block product; every term stays a sum of non-negative
+products.  It works only inside the kernel's bandwidth b, the largest
+|i - j| over its nonzero entries.  Constrained actions keep b small: a
+Moore move changes a robot's cell index by at most grid + 1, so in
+mixed-radix order the 6x6-grid, 2-robot coverage chain has b = 259 of 1295.
+Eliminating state k combines entries within b of k only, so fill stays
+inside the band, and the solve skips only entries that stay exactly zero.
+The resistance enumerators visit only the feasible targets of each source,
+the product of the players' allowed sets.
 
 When every player's payoff column and wake probability depend on its own
-action only, as in every built-in coverage game, the players wake, draw and
-accept independently.  The kernel is then the Kronecker product of the
-players' own-move kernels in player order, P(s -> t) = prod_i Q_i(s_i, t_i),
-and the stationary vector is the product of theirs.  ``build_chain`` builds
-the m_i x m_i kernels Q_i and keeps them in ``PerturbedChain.factors``, and
-``stationary_distribution`` solves each by GTH.  Every other game is
-enumerated as above.
+action only, as in every built-in coverage game, so does each player's
+next-action row.  The kernel is then the Kronecker product of the players'
+own-move kernels in player order, P(s -> t) = prod_i Q_i(s_i, t_i), and the
+stationary vector is the product of theirs.  ``build_chain`` keeps the
+m_i x m_i kernels Q_i, player i's rows from the states where the others
+play 0, in ``PerturbedChain.factors``, and ``stationary_distribution``
+solves each by GTH.  Every other game is enumerated as above.
 
-GTH is the only solver, so every matrix ``build_chain`` makes dense, the
+GTH is the only solver, so every matrix ``build_chain`` makes, the
 enumerated kernel or each own-move kernel Q_i, has at most
 ``DENSE_SOLVE_LIMIT`` states; larger ones are refused before they are
 allocated.  A factored chain is built and solved on its factors alone:
 ``stationary_distribution`` checks its residual through them, and its joint
-kernel is built only when read, dense up to that size and CSR above it.
+kernel is built only when read, and refused above that size.
 """
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import (
     ConstrainedActionMap,
     WakeModel,
-    resolve_wake_probability,
     validate_constraints,
+    wake_probabilities,
 )
-from .games import GameDefinition, JointAction
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .games import GameDefinition, JointAction, replace_action
 
 # Most states of a matrix build_chain makes dense and GTH solves.
 DENSE_SOLVE_LIMIT = 2000
@@ -88,8 +89,8 @@ _GTH_BLOCK = 48
 # to a second thread, which cost up to 15 ms per product on a busy 2-core
 # host and made a 1296-state solve ten times slower.
 _GTH_SLAB = 200_000
-# Work-array entries a chunk may hold: trial paths plus kernel entries in
-# build_chain, feasible pairs in the resistance enumerators.
+# Work-array entries a chunk may hold: kernel entries in build_chain,
+# feasible pairs in the resistance enumerators.
 _CHUNK_ENTRIES = 1 << 17
 # Stationary-mass drop between noise levels that still counts as non-decreasing.
 _TREND_SLACK = 1e-9
@@ -164,9 +165,10 @@ def resistance(
 ) -> TransitionResistance:
     """Resistance of a feasible transition.
 
-    Each deviating player contributes the shortfall of its target payoff
-    against the better of its two payoffs, so improving moves are free and
-    the total is always non-negative.
+    Each deviating player contributes the shortfall of its payoff at its own
+    target, the others at the source, against the better of that and its
+    source payoff, so improving moves are free and the total is always
+    non-negative.
     """
     if constraints is None:
         deviators = deviating_set(source, target)
@@ -175,7 +177,7 @@ def resistance(
     total = 0.0
     for i in deviators:
         u1 = game.utility(i, source)
-        u2 = game.utility(i, target)
+        u2 = game.utility(i, replace_action(source, i, target[i]))
         total += max(u1, u2) - u2
     return TransitionResistance(source, target, deviators, total)
 
@@ -186,7 +188,8 @@ class PerturbedChain:
     `factors`, when set, holds each player's own-move kernel in player
     order; the kernel is then their Kronecker product.  A chain made from
     factors alone builds `kernel` on its first read, by `_kron_kernel`, and
-    keeps it.  `residual` is |pi P - pi|_1 of the last
+    keeps it; above `DENSE_SOLVE_LIMIT` states that read is a ValueError.
+    `residual` is |pi P - pi|_1 of the last
     `stationary_distribution` solve that passed.
     """
 
@@ -195,7 +198,7 @@ class PerturbedChain:
         *,
         states: tuple[JointAction, ...],
         noise: float,
-        kernel: np.ndarray | sp.csr_matrix | None = None,
+        kernel: np.ndarray | None = None,
         factors: tuple[np.ndarray, ...] | None = None,
         residual: float | None = None,
     ):
@@ -206,9 +209,14 @@ class PerturbedChain:
         self._kernel = kernel
 
     @property
-    def kernel(self) -> np.ndarray | sp.csr_matrix:
+    def kernel(self) -> np.ndarray:
         if self._kernel is None:
-            self._kernel = _kron_kernel(self.factors, self.n_states <= DENSE_SOLVE_LIMIT)
+            if self.n_states > DENSE_SOLVE_LIMIT:
+                raise ValueError(
+                    f"the joint kernel would have {self.n_states} states, "
+                    f"above DENSE_SOLVE_LIMIT = {DENSE_SOLVE_LIMIT}"
+                )
+            self._kernel = _kron_kernel(self.factors)
         return self._kernel
 
     @property
@@ -248,40 +256,17 @@ def _space(game: GameDefinition) -> _Space:
     return _Space(states=states, actions=actions, strides=strides, payoffs=payoffs)
 
 
-def _is_real(value) -> bool:
-    """A real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-
-
 def _wake_table(wake: WakeModel, space: _Space) -> np.ndarray:
     """Wake probabilities, (n, players): rp[k, i] is player i's in states[k].
 
     A scalar or a sequence of one probability per player is resolved once
-    per player and broadcast over the states; only a callable is asked per
-    (state, player).  Anything else is a ValueError naming `wake`.
+    and broadcast over the states; only a callable is asked per (state,
+    player).  `dynamics.wake_probabilities` rejects anything else.
     """
     n, n_players = space.actions.shape
     if callable(wake):
-        return np.array(
-            [[resolve_wake_probability(wake, i, a) for i in range(n_players)] for a in space.states]
-        )
-    if _is_real(wake):
-        per_player = [wake] * n_players
-    elif (
-        isinstance(wake, (Sequence, np.ndarray))
-        and not isinstance(wake, (str, bytes))
-        and getattr(wake, "ndim", 1) == 1
-        and len(wake) == n_players
-        and all(_is_real(p) for p in wake)
-    ):
-        per_player = list(wake)
-    else:
-        raise ValueError(
-            f"wake must be a probability, a sequence of {n_players} probabilities "
-            f"(one per player) or a callable, got {wake!r}"
-        )
-    rp = np.array([resolve_wake_probability(float(p), i, ()) for i, p in enumerate(per_player)])
-    return np.broadcast_to(rp, (n, n_players))
+        return np.array([wake_probabilities(wake, n_players, a) for a in space.states])
+    return np.broadcast_to(wake_probabilities(wake, n_players, ()), (n, n_players))
 
 
 def _option_table(
@@ -319,30 +304,6 @@ def _chunks(cost: np.ndarray):
         lo = hi
 
 
-def _trial_grid(space: _Space, tables, players, lo: int, hi: int):
-    """Every combination of the listed players' options from each source.
-
-    The grid has one axis per listed player over the sources in [lo, hi);
-    combinations that use padding are dropped.  Returns each combination's
-    row (its source minus lo) and, per listed player, the state-index shift
-    of switching to its option, in (source, first player's option, ...)
-    order.
-    """
-    k = len(players)
-    valid = np.ones((hi - lo,) + (1,) * k, dtype=bool)
-    shifts = []
-    for j, i in enumerate(players):
-        options, counts = tables[i]
-        own = space.actions[lo:hi, i]
-        shape = [hi - lo] + [1] * k
-        shape[j + 1] = options.shape[1]
-        shifts.append(((options[own] - own[:, None]) * space.strides[i]).reshape(shape))
-        used = np.arange(options.shape[1]) < counts[own][:, None]
-        valid = valid & used.reshape(shape)
-    rows = np.nonzero(valid)[0]
-    return rows, [np.broadcast_to(s, valid.shape)[valid] for s in shifts]
-
-
 def _keep_weights(u_current: np.ndarray, u_alternative: np.ndarray, temperature: float):
     """Keep probabilities of the binary logit, by `binary_logit_weights`' branches."""
     d = (u_alternative - u_current) / temperature
@@ -350,84 +311,39 @@ def _keep_weights(u_current: np.ndarray, u_alternative: np.ndarray, temperature:
     return np.where(d >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
-def _chain_rows(space: _Space, rp: np.ndarray, tables, tau: float, lo: int, hi: int) -> np.ndarray:
-    """Kernel rows of the sources in [lo, hi), as a dense (hi - lo, n) block."""
-    n, n_players = space.payoffs.shape
-    rows = hi - lo
-    source = np.arange(lo, hi)
-    block = np.zeros(rows * n)
-    keys, weights = [], []
-    for mask in range(1 << n_players):
-        if sum(len(k) for k in keys) > _CHUNK_ENTRIES:  # one source with many paths
-            block += np.bincount(np.concatenate(keys), np.concatenate(weights), minlength=rows * n)
-            keys, weights = [], []
-        awake = [i for i in range(n_players) if mask >> i & 1]
-        p = np.ones(rows)
-        for i in range(n_players):
-            p = p * (rp[lo:hi, i] if mask >> i & 1 else 1.0 - rp[lo:hi, i])
-        if not p.any():
-            continue
-        for i in awake:
-            p = p / tables[i][1][space.actions[lo:hi, i]]
-        r, shifts = _trial_grid(space, tables, awake, lo, hi)
-        src = source[r]
-        trial = src + sum(shifts)
-        keep = [_keep_weights(space.payoffs[src, i], space.payoffs[trial, i], tau) for i in awake]
-        switch = [1.0 - kp for kp in keep]
-        for accept in range(1 << len(awake)):
-            w = p[r]
-            out = src
-            for bit in range(len(awake)):
-                if accept >> bit & 1:
-                    w = w * switch[bit]
-                    out = out + shifts[bit]
-                else:
-                    w = w * keep[bit]
-            keys.append(r * n + out)
-            weights.append(w)
-    if keys:
-        block += np.bincount(np.concatenate(keys), np.concatenate(weights), minlength=rows * n)
-    block = block.reshape(rows, n)
-    block[np.arange(rows), source] += 1.0 - block.sum(axis=1)
-    return block
+def _marginal_rows(
+    space: _Space, rp: np.ndarray, tables, tau: float, i: int, sources: np.ndarray
+) -> np.ndarray:
+    """Player i's next-action distribution from each source, (len(sources), m_i).
 
-
-def _own_move_kernels(
-    space: _Space, rp: np.ndarray, tables, tau: float
-) -> tuple[np.ndarray, ...]:
-    """Each player's own-move kernel, built by `_chain_rows` on its own actions.
-
-    Valid when every player's payoff column and wake probability depend on
-    its own action only (`_cross_dependence` finds no witness in either).
+    One `np.bincount` adds, per row, the sleep term, each trial's keep term
+    in option order, then each trial's switch term; the row's residual goes
+    to staying.  The trial is weighed with the others at the source.
     """
-    factors = []
-    for i, table in enumerate(tables):
-        m = len(table[1])
-        own = np.arange(m) * space.strides[i]
-        alone = _Space(
-            states=tuple((a,) for a in range(m)),
-            actions=np.arange(m)[:, None],
-            strides=np.ones(1, dtype=np.int64),
-            payoffs=space.payoffs[own, i][:, None],
-        )
-        factors.append(_chain_rows(alone, rp[own, i][:, None], [table], tau, 0, m))
-    return tuple(factors)
-
-
-def _kron_kernel(factors: tuple[np.ndarray, ...], dense: bool):
-    """Kronecker product of the factors in player order, self-loop absorbing
-    the rows' floating residual; CSR without stored zeros unless `dense`."""
-    if dense:
-        kernel = functools.reduce(np.kron, factors)
-        kernel[np.diag_indices_from(kernel)] += 1.0 - kernel.sum(axis=1)
-        return kernel
-    import scipy.sparse as sp
-
-    kernel = functools.reduce(
-        lambda a, b: sp.kron(a, b, format="csr"), (sp.csr_matrix(q) for q in factors)
+    options, counts = tables[i]
+    m = len(counts)
+    own = space.actions[sources, i]
+    wake = rp[sources, i]
+    r, j = np.nonzero(np.arange(options.shape[1]) < counts[own][:, None])
+    src, trial = sources[r], options[own[r], j]
+    keep = _keep_weights(
+        space.payoffs[src, i], space.payoffs[src + (trial - own[r]) * space.strides[i], i], tau
     )
-    kernel = (kernel + sp.diags(1.0 - np.asarray(kernel.sum(axis=1)).ravel())).tocsr()
-    kernel.eliminate_zeros()
+    w = (wake / counts[own])[r]
+    rows = np.bincount(
+        np.concatenate([np.arange(len(sources)) * m + own, r * m + own[r], r * m + trial]),
+        np.concatenate([1.0 - wake, w * keep, w * (1.0 - keep)]),
+        minlength=len(sources) * m,
+    ).reshape(len(sources), m)
+    rows[np.arange(len(sources)), own] += 1.0 - rows.sum(axis=1)
+    return rows
+
+
+def _kron_kernel(factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Kronecker product of the factors in player order, self-loop absorbing
+    the rows' floating residual."""
+    kernel = functools.reduce(np.kron, factors)
+    kernel[np.diag_indices_from(kernel)] += 1.0 - kernel.sum(axis=1)
     return kernel
 
 
@@ -441,23 +357,25 @@ def build_chain(
 ) -> PerturbedChain:
     """Construct the full one-step kernel of the partial-synchronous learner.
 
-    For every source profile the builder enumerates all wake subsets, all
-    trial draws of the awake players, and all accept/keep outcomes, so paths
-    on which a player wakes but ends up re-selecting its current action are
-    aggregated with genuine sleep events.  Rows sum to one; any floating
+    Row s sums every wake subset, trial draw and accept outcome from s, so
+    paths on which a player wakes but ends up re-selecting its current
+    action are aggregated with genuine sleep events.  Each awake player
+    weighs its own trial with the others at s, so the players move
+    independently given s and the row is the outer product, in player
+    order, of their `_marginal_rows` at s.  Rows sum to one; any floating
     residual is absorbed into the self-loop.
 
     When every player's payoff and wake probability depend on its own action
-    only, the players wake, draw and accept independently, so the kernel is
-    the Kronecker product of their own-move kernels in player order (the
-    mixed-radix state order).  Those kernels are built instead and kept in
-    `factors`; the enumeration runs only for other games.
+    only, so does its row, and the kernel is the Kronecker product of the
+    players' own-move kernels in player order (the mixed-radix state order).
+    Those kernels are built instead and kept in `factors`; the joint rows
+    are built only for other games.
 
     Games of more than `_CHAIN_MAX_STATES` joint actions are refused, and so
     is any matrix built dense above `DENSE_SOLVE_LIMIT` states: the
     enumerated kernel, or a player's own-move kernel in a factored chain.
     A factored chain's joint kernel is built only when `chain.kernel` is
-    read, dense up to that limit and CSR above it.
+    read, and refused above that limit.
     `space`, when given, is `_space(game)` made once by the caller.
     """
     tau = temperature_from_noise(eps)
@@ -474,14 +392,20 @@ def build_chain(
             f"{what} would have {largest} states, above DENSE_SOLVE_LIMIT = {DENSE_SOLVE_LIMIT}"
         )
     if factored:
-        factors = _own_move_kernels(space, rp, tables, tau)
+        factors = tuple(
+            _marginal_rows(space, rp, tables, tau, i, np.arange(len(counts)) * space.strides[i])
+            for i, (_, counts) in enumerate(tables)
+        )
         return PerturbedChain(states=space.states, noise=eps, factors=factors)
-    paths = np.ones(n, dtype=np.int64)
-    for i, (_, counts) in enumerate(tables):
-        paths *= 1 + 2 * counts[space.actions[:, i]]
     kernel = np.empty((n, n))
-    for lo, hi in _chunks(paths + n):
-        kernel[lo:hi] = _chain_rows(space, rp, tables, tau, lo, hi)
+    for lo, hi in _chunks(np.full(n, n)):
+        sources = np.arange(lo, hi)
+        rows = functools.reduce(
+            lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(hi - lo, -1),
+            [_marginal_rows(space, rp, tables, tau, i, sources) for i in range(n_players)],
+        )
+        rows[np.arange(hi - lo), sources] += 1.0 - rows.sum(axis=1)
+        kernel[lo:hi] = rows
     return PerturbedChain(states=space.states, kernel=kernel, noise=eps)
 
 
@@ -559,7 +483,7 @@ def _residual(kernel: np.ndarray, pi: np.ndarray) -> float:
 
 
 def _factored_residual(factors: tuple[np.ndarray, ...], pi: np.ndarray) -> float:
-    """|pi P - pi|_1 for P = `_kron_kernel(factors, True)`, read off the factors.
+    """|pi P - pi|_1 for P = `_kron_kernel(factors)`, read off the factors.
 
     pi shaped (m_1, ..., m_k) times the Kronecker product is pi with each
     axis i contracted with Q_i, since (A x B)^T vec X = vec(B^T X A).
@@ -580,21 +504,17 @@ def stationary_distribution(chain: PerturbedChain) -> np.ndarray:
     A factored chain (`chain.factors` set) is the normalised Kronecker
     product of its own-move kernels' stationary vectors, checked against
     the joint kernel through the factors without building it; any other
-    chain is solved on its one kernel, densified if it is CSR, and checked
-    against it.  Either way the solve raises when |pi P - pi|_1 exceeds
-    max(1e-10, 1e-12 n) for n states; the residual is kept in
-    `chain.residual`.
+    chain is solved on its one kernel and checked against it.  Either way
+    the solve raises when |pi P - pi|_1 exceeds max(1e-10, 1e-12 n) for n
+    states; the residual is kept in `chain.residual`.
     """
     if chain.factors is not None:
         pi = functools.reduce(np.kron, [_gth_stationary(q) for q in chain.factors])
         pi = pi / pi.sum()
         residual = _factored_residual(chain.factors, pi)
     else:
-        kernel = chain.kernel
-        if not isinstance(kernel, np.ndarray):
-            kernel = kernel.toarray()
-        pi = _gth_stationary(kernel)
-        residual = _residual(kernel, pi)
+        pi = _gth_stationary(chain.kernel)
+        residual = _residual(chain.kernel, pi)
     bound = max(_STATIONARY_TOL, 1e-12 * chain.n_states)
     if residual > bound:
         raise StationaryConvergenceError(f"GTH residual {residual:.3e} > bound {bound:.3e}")
@@ -716,7 +636,8 @@ def _feasible_pairs(game: GameDefinition, constraints: ConstrainedActionMap, spa
 
     Self-transitions are included; pairs come in (source, target) state
     order, the targets of a source being the product of the players'
-    feasible-target sets.
+    feasible-target sets.  Each chunk lays out a grid with one axis per
+    player over its sources and drops the combinations that use padding.
     """
     n_players = game.n_players
     tables = [_option_table(game, constraints, i, feasible=True) for i in range(n_players)]
@@ -724,26 +645,37 @@ def _feasible_pairs(game: GameDefinition, constraints: ConstrainedActionMap, spa
     for i, (_, counts) in enumerate(tables):
         count *= counts[space.actions[:, i]]
     for lo, hi in _chunks(count):
-        rows, shifts = _trial_grid(space, tables, range(n_players), lo, hi)
-        source = rows + lo
-        yield source, source + sum(shifts)
+        valid = np.ones((hi - lo,) + (1,) * n_players, dtype=bool)
+        shift = np.zeros_like(valid, dtype=np.int64)
+        for i, (options, counts) in enumerate(tables):
+            own = space.actions[lo:hi, i]
+            shape = [hi - lo] + [1] * n_players
+            shape[i + 1] = options.shape[1]
+            shift = shift + ((options[own] - own[:, None]) * space.strides[i]).reshape(shape)
+            valid = valid & (np.arange(options.shape[1]) < counts[own][:, None]).reshape(shape)
+        source = np.nonzero(valid)[0] + lo
+        yield source, source + shift[valid]
 
 
 def _pair_resistances(space: _Space, source: np.ndarray, target: np.ndarray):
     """(deviator bits, forward, backward) resistances of transition pairs.
 
-    Each player's term is added in player order as in `resistance`, so the
-    values equal its results exactly.
+    A deviator's forward term reads its payoff at source + shift_i, its own
+    target with the others at the source, and its backward term at
+    target - shift_i.  Each player's term is added in player order as in
+    `resistance`, so the values equal its results exactly.
     """
     bits = np.zeros(len(source), dtype=np.int64)
     forward = np.zeros(len(source))
     backward = np.zeros(len(source))
     for i in range(space.payoffs.shape[1]):
-        deviates = space.actions[source, i] != space.actions[target, i]
+        shift = (space.actions[target, i] - space.actions[source, i]) * space.strides[i]
+        deviates = shift != 0
         u_source, u_target = space.payoffs[source, i], space.payoffs[target, i]
+        u_moved, u_back = space.payoffs[source + shift, i], space.payoffs[target - shift, i]
         bits |= deviates.astype(np.int64) << i
-        forward = forward + np.where(deviates, np.maximum(u_source, u_target) - u_target, 0.0)
-        backward = backward + np.where(deviates, np.maximum(u_target, u_source) - u_source, 0.0)
+        forward = forward + np.where(deviates, np.maximum(u_source, u_moved) - u_moved, 0.0)
+        backward = backward + np.where(deviates, np.maximum(u_target, u_back) - u_back, 0.0)
     return bits, forward, backward
 
 

@@ -281,19 +281,20 @@ class TestPSBLLLStep:
             sigma = math.sqrt(max(expected * (1 - expected), 1e-4) / n)
             assert abs(switches / n - expected) <= 4 * sigma
 
-    def test_trial_profile_evaluated_with_all_awake_trials(self):
-        # player 0's payoff depends on player 1's action; with both awake and
-        # deterministic trials, acceptance odds must use the joint trial profile
-        table0 = np.array([[0.0, 100.0], [0.0, 100.0]])  # u0 high iff p1 plays 1
-        table1 = np.array([[0.0, 0.0], [100.0, 100.0]])  # u1 high iff p0 plays 1
+    def test_each_awake_player_weighs_its_own_trial(self):
+        # both players awake, each trial flips the action; each player loses
+        # 100 at its own trial with the other at the source and would gain
+        # 100 at the joint trial profile (1, 1), which it does not weigh
+        table0 = np.array([[0.0, 0.0], [-100.0, 100.0]])
+        table1 = np.array([[0.0, -100.0], [0.0, 100.0]])
         game = GameDefinition.from_tables([table0, table1])
-        cmap = ConstrainedActionMap.from_lists(
-            [[(1,), (0,)], [(1,), (0,)]]
-        )  # each trial flips the action
+        cmap = ConstrainedActionMap.from_lists([[(1,), (0,)], [(1,), (0,)]])
         state = LoglinearState((0, 0), 0.1, make_rng(21))
         psblll_step(game, state, cmap, wake=None, forced_awake=[0, 1])
-        # at the all-trials profile (1,1) both players gain 100: adopt w.p. ~1
-        assert state.action == (1, 1)
+        assert state.action == (0, 0)
+        # the chain the oracle solves weighs the same trials
+        kernel = build_chain(game, 1.0, cmap, math.exp(-1.0 / 0.1)).kernel
+        assert kernel[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_wake_probability_validation(self):
         game, _ = random_separable_game(make_rng(23), [2, 2])
@@ -301,6 +302,24 @@ class TestPSBLLLStep:
         state = LoglinearState((0, 0), 0.5, make_rng(24))
         with pytest.raises(ValueError):
             psblll_step(game, state, cmap, wake=1.5)
+
+    @pytest.mark.parametrize(
+        "wake", [[0.5], [0.5, 0.5, 0.5], True], ids=["one-entry", "three-entries", "bool"]
+    )
+    def test_rejects_a_wake_that_is_not_one_probability_per_player(self, wake):
+        game, _ = random_separable_game(make_rng(23), [2, 3])
+        state = LoglinearState((0, 0), 0.5, make_rng(24))
+        with pytest.raises(ValueError, match="^wake must be"):
+            psblll_step(game, state, ConstrainedActionMap.complete(game), wake)
+
+    def test_a_numpy_scalar_wake_is_a_probability(self):
+        game, _ = random_separable_game(make_rng(23), [2, 3])
+        cmap = ConstrainedActionMap.complete(game)
+        paths = []
+        for wake in (np.float32(0.5), 0.5):
+            state = LoglinearState((0, 0), 0.5, make_rng(24))
+            paths.append([psblll_step(game, state, cmap, wake).action for _ in range(50)])
+        assert paths[0] == paths[1]
 
 
 def tables_game(seed, shape):

@@ -122,6 +122,18 @@ class TestObservationLog:
         with pytest.raises(ValueError):
             ObservationLog().append((0.5, 0.5), multiplicity=0)
 
+    @pytest.mark.parametrize("multiplicity", [2.7, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_multiplicity_rejected_by_name(self, multiplicity):
+        log = ObservationLog()
+        with pytest.raises(ValueError, match="^multiplicity must be an integer"):
+            log.append((0.5, 0.5), multiplicity)
+        assert log.n_unique == 0 and log.revision == 0
+
+    def test_numpy_integer_multiplicity_accepted(self):
+        log = ObservationLog()
+        log.append((0.5, 0.5), np.int64(3))
+        assert len(log) == 3
+
     @pytest.mark.parametrize("point", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)])
     def test_non_finite_point_rejected_by_name(self, point):
         log = ObservationLog()

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
@@ -20,7 +19,7 @@ from potlearn import harness, stability
 from potlearn.dynamics import (
     ConstrainedActionMap,
     binary_logit_weights,
-    resolve_wake_probability,
+    wake_probabilities,
 )
 from potlearn.games import GameDefinition, random_separable_game, replace_action
 from potlearn.rng import make_rng
@@ -111,6 +110,20 @@ class TestTransitionProbability:
             assert errors[-1] <= 0.01
             assert errors[0] >= errors[1] >= errors[2] - 1e-12
 
+    def test_resistance_is_the_kernel_exponent_on_a_non_separable_game(self):
+        # ln P = ln C - R ln(1 / eps), so the slope of ln P against ln eps is R
+        rng = np.random.default_rng(3)
+        game = GameDefinition.from_tables(
+            [0.1 * rng.permutation(9).reshape(3, 3).astype(float) for _ in range(2)]
+        )
+        cmap = ConstrainedActionMap.complete(game)
+        hi, lo = (build_chain(game, 0.5, cmap, eps).kernel for eps in (1e-6, 1e-8))
+        states = list(game.joint_actions())
+        for (j, source), (k, target) in itertools.permutations(enumerate(states), 2):
+            slope = (math.log(hi[j, k]) - math.log(lo[j, k])) / (math.log(1e-6) - math.log(1e-8))
+            r = resistance(game, source, target).resistance
+            assert abs(slope - r) <= 0.1, f"{source} -> {target}: slope {slope:.3f}, R {r:.3f}"
+
     def test_noise_temperature_round_trip(self):
         tau = temperature_from_noise(0.1)
         assert math.exp(-1.0 / tau) == pytest.approx(0.1, rel=1e-12)
@@ -185,11 +198,6 @@ class TestStationaryDistribution:
         )
         with pytest.raises(StationaryConvergenceError):
             stationary_distribution(chain)
-
-    def test_csr_kernel_without_factors_is_densified(self):
-        kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
-        chain = PerturbedChain(states=((0,), (1,)), kernel=sp.csr_matrix(kernel), noise=0.1)
-        assert stationary_distribution(chain) == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
 
     def perturb_solver(self, monkeypatch):
         """Make every GTH solve return its vector moved by 1e-6 toward state 0."""
@@ -412,7 +420,7 @@ def reference_build_chain(game, wake, constraints, eps):
     n_players = game.n_players
     kernel = np.zeros((n, n))
     for si, source in enumerate(states):
-        rp = [resolve_wake_probability(wake, i, source) for i in range(n_players)]
+        rp = wake_probabilities(wake, n_players, source)
         allowed = [constraints.allowed(i, source[i]) for i in range(n_players)]
         u_source = utils[source]
         row: dict[int, float] = {}
@@ -430,12 +438,12 @@ def reference_build_chain(game, wake, constraints, eps):
             for i in awake:
                 p_draw /= len(allowed[i])
             for trial_vec in itertools.product(*(allowed[i] for i in awake)):
-                profile = list(source)
-                for i, t in zip(awake, trial_vec):
-                    profile[i] = t
-                u_trial = utils[tuple(profile)]
+                # each awake player weighs its own trial, the others at the source
                 keeps = [
-                    binary_logit_weights(u_source[i], u_trial[i], tau)[0] for i in awake
+                    binary_logit_weights(
+                        u_source[i], utils[replace_action(source, i, t)][i], tau
+                    )[0]
+                    for i, t in zip(awake, trial_vec)
                 ]
                 for accept in range(1 << len(awake)):
                     p = p_draw
@@ -492,10 +500,14 @@ def wide_range_kernel(n, lower, upper):
 
 
 def assert_kernels_match(kernel, ref):
-    dense = kernel.toarray() if sp.issparse(kernel) else np.asarray(kernel)
+    # below the smallest normal double the product of the players' rows and
+    # the reference's per-path product may differ by one subnormal step
+    tiny = np.finfo(float).tiny
     off = ~np.eye(len(ref), dtype=bool)
-    np.testing.assert_allclose(dense[off], ref[off], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(np.diag(dense), np.diag(ref), rtol=0, atol=1e-14)
+    normal = off & (np.abs(ref) >= tiny)
+    np.testing.assert_allclose(kernel[normal], ref[normal], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(kernel[off & ~normal], ref[off & ~normal], rtol=0, atol=tiny)
+    np.testing.assert_allclose(np.diag(kernel), np.diag(ref), rtol=0, atol=1e-14)
 
 
 @st_.composite
@@ -546,8 +558,12 @@ class TestChainDifferential:
         ref = reference_build_chain(game, wake, cmap, eps)
         assert_kernels_match(chain.kernel, ref)
         assert chain.states == tuple(game.joint_actions())
+        # a subnormal entry's rounding error is far above 1e-12 of it, so with
+        # one blocked GTH is checked on the builder's own kernel
+        subnormal = ((ref > 0) & (ref < np.finfo(float).tiny)).any()
+        solve_on = chain.kernel if subnormal else ref
         try:
-            ref_pi = reference_gth(ref)
+            ref_pi = reference_gth(solve_on)
         except StationaryConvergenceError:
             with pytest.raises(StationaryConvergenceError):
                 stability._gth_stationary(chain.kernel)
@@ -559,9 +575,7 @@ class TestChainDifferential:
     @pytest.mark.parametrize("chunk", [1, 50, 1 << 17])
     def test_sparse_path_and_chunking_match_the_reference(self, monkeypatch, chunk):
         # random tables lack the own-action property, so the enumerating
-        # builder's chunks run; the separable game is factored, and a limit
-        # between its largest factor (4) and its 36 states makes its joint
-        # kernel CSR
+        # builder's chunks run; the separable game is factored
         rng = make_rng(40)
         separable, _ = random_separable_game(rng, [4, 3, 3])
         tables = GameDefinition.from_tables([rng.random((4, 3, 3)) for _ in range(3)])
@@ -574,14 +588,11 @@ class TestChainDifferential:
         )
         wake = [0.2, 0.5, 0.9]
         monkeypatch.setattr(stability, "_CHUNK_ENTRIES", chunk)
-        for game, limits in ((separable, (stability.DENSE_SOLVE_LIMIT, 5)), (tables, (36,))):
-            ref = reference_build_chain(game, wake, cmap, 1e-2)
-            for limit in limits:
-                monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", limit)
-                chain = build_chain(game, wake, cmap, 1e-2)
-                assert sp.isspmatrix_csr(chain.kernel) == (limit == 5)
-                assert (chain.factors is not None) == (game is separable)
-                assert_kernels_match(chain.kernel, ref)
+        for game, limit in ((separable, stability.DENSE_SOLVE_LIMIT), (tables, 36)):
+            monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", limit)
+            chain = build_chain(game, wake, cmap, 1e-2)
+            assert (chain.factors is not None) == (game is separable)
+            assert_kernels_match(chain.kernel, reference_build_chain(game, wake, cmap, 1e-2))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
     def test_gth_block_edges_match_sequential_gth(self, offset):
@@ -734,10 +745,10 @@ def assert_solves_like_the_reference(chain, ref):
 class TestFactoredChain:
     """Own-action games build per-player kernels; others enumerate the chain."""
 
-    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("above_limit", [False, True])
     @pytest.mark.parametrize("wake_kind", ["scalar", "list", "callable"])
     @pytest.mark.parametrize("map_kind", ["random", "moore"])
-    def test_own_action_games_are_factored(self, monkeypatch, sparse, wake_kind, map_kind):
+    def test_own_action_games_are_factored(self, monkeypatch, above_limit, wake_kind, map_kind):
         rng = make_rng(14)
         if map_kind == "moore":
             sides = [2, 3]
@@ -748,12 +759,20 @@ class TestFactoredChain:
             cmap = random_cycle_map(rng, sizes)
         game, _ = random_separable_game(rng, sizes)
         wake = wake_model(wake_kind, len(sizes), rng)
-        if sparse:  # the largest factor is dense, the joint kernel CSR
+        ref = reference_build_chain(game, wake, cmap, 1e-2)
+        if above_limit:  # the largest factor fits, the joint kernel does not
             monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", max(sizes))
         chain = build_chain(game, wake, cmap, 1e-2)
-        assert sp.isspmatrix_csr(chain.kernel) == sparse
         assert [q.shape for q in chain.factors] == [(m, m) for m in sizes]
-        assert_solves_like_the_reference(chain, reference_build_chain(game, wake, cmap, 1e-2))
+        if above_limit:
+            limit = f"above DENSE_SOLVE_LIMIT = {max(sizes)}$"
+            with pytest.raises(ValueError, match=f"joint kernel would have 36 states, {limit}"):
+                chain.kernel
+            np.testing.assert_allclose(
+                stationary_distribution(chain), reference_gth(ref), rtol=1e-12, atol=0
+            )
+        else:
+            assert_solves_like_the_reference(chain, ref)
 
     def test_payoff_reading_another_player_takes_the_general_path(self):
         rng = make_rng(15)
@@ -817,7 +836,7 @@ class TestFactoredResidual:
         rng = make_rng(46)
         factors = off_stochastic_factors(rng, sizes, rng.choice([-off, off], len(sizes)))
         pi = rng.dirichlet(np.ones(math.prod(sizes)))
-        want = stability._residual(stability._kron_kernel(factors, True), pi)
+        want = stability._residual(stability._kron_kernel(factors), pi)
         assert want > 0.1
         got = stability._factored_residual(factors, pi)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -833,7 +852,7 @@ class TestFactoredResidual:
         pi = functools.reduce(np.kron, [stability._gth_stationary(q) for q in factors])
         pi /= pi.sum()
         assert abs(math.prod(1.0 + d for d in offsets) - 1.0) > 1e-13
-        assert stability._residual(stability._kron_kernel(factors, True), pi) < 2e-15
+        assert stability._residual(stability._kron_kernel(factors), pi) < 2e-15
         assert stability._factored_residual(factors, pi) < 2e-15
 
 
@@ -857,7 +876,7 @@ class TestNoJointKernel:
             def run():
                 harness.oracle_report(game, cmap)
 
-        def forbidden(factors, dense):
+        def forbidden(factors):
             raise AssertionError("the joint kernel of a factored chain was built")
 
         chains = []
@@ -1065,9 +1084,7 @@ class TestWakeTable:
         else:
             wake = wake_model(kind, 3, rng)
         space = stability._space(game)
-        loop = np.array(
-            [[resolve_wake_probability(wake, i, a) for i in range(3)] for a in space.states]
-        )
+        loop = np.array([wake_probabilities(wake, 3, a) for a in space.states])
         table = stability._wake_table(wake, space)
         assert table.shape == loop.shape
         assert (table == loop).all()
@@ -1129,7 +1146,7 @@ class TestStateCap:
         def no_rows(*args):
             raise AssertionError("kernel rows built above the dense limit")
 
-        monkeypatch.setattr(stability, "_chain_rows", no_rows)
+        monkeypatch.setattr(stability, "_marginal_rows", no_rows)
         monkeypatch.setattr(stability, "DENSE_SOLVE_LIMIT", limit)
         with pytest.raises(ValueError, match=f"^{message}, above DENSE_SOLVE_LIMIT = {limit}$"):
             build_chain(game, 0.5, cmap, 0.1)
@@ -1219,8 +1236,7 @@ print(json.dumps([loaded, tree.total_resistance]))
 
 
 def test_import_loads_neither_networkx_nor_scipy_sparse():
-    """Only `min_resistance_tree` needs networkx, and only reading the joint
-    kernel of a factored chain over `DENSE_SOLVE_LIMIT` states needs
+    """Only `min_resistance_tree` needs networkx, and no chain needs
     scipy.sparse; importing the package loads neither."""
     src = str(Path(stability.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
