@@ -80,6 +80,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args.out_dir)
     (out / "sweep.csv").write_text(harness.sweep_csv(report))
     (out / "sweep.svg").write_text(harness.sweep_svg(report))
+    (out / "sweep_cells.csv").write_text(harness.sweep_cells_csv(report))
     ok = [c for c in report.cells if c.error is None]
     print(f"sweep: {len(ok)}/{len(report.cells)} cells succeeded")
     _print_failed_proposals(sum((c.record.failed_proposals for c in ok), Counter()))
@@ -88,7 +89,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"  config {cell.config_index} seed {cell.seed} failed: {cell.error}",
             file=sys.stderr,
         )
-    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.svg'}")
+    print(f"wrote {out / 'sweep.csv'}, {out / 'sweep.svg'} and {out / 'sweep_cells.csv'}")
     return 0 if not report.failures() else 1
 
 

@@ -186,7 +186,13 @@ def revision_probability(policy: RevisionPolicy, signal: float, gradient: float)
 @dataclass
 class LoglinearState:
     """Evolving state of a log-linear run: joint action, temperature, clock, RNG,
-    and the players that woke and adopted in the last step."""
+    the players that woke and adopted in the last step, and every player's
+    payoff at the step's new action with the others at the source.
+
+    The payoffs are the values the step weighed (for a player that did not
+    revise, its payoff at its kept action), so on the coverage game their
+    sum is the step potential and costs no further payoff query.
+    """
 
     action: JointAction
     temperature: float
@@ -194,6 +200,7 @@ class LoglinearState:
     n: int = 0
     awake: tuple[int, ...] = ()
     adopted: tuple[int, ...] = ()
+    payoffs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.temperature > 0:
@@ -221,10 +228,14 @@ def binary_logit_weights(
 def lll_step(game: GameDefinition, state: LoglinearState) -> LoglinearState:
     """One uniformly random player resamples from the full-support logit."""
     i = int(state.rng.integers(game.n_players))
-    probs = logit_map(game.utility_row(i, state.action), state.temperature)
-    choice = draw_index(probs, state.rng)
+    row = game.utility_row(i, state.action)
+    choice = draw_index(logit_map(row, state.temperature), state.rng)
     state.awake = (i,)
     state.adopted = (i,) if choice != state.action[i] else ()
+    state.payoffs = tuple(
+        float(row[choice]) if j == i else game.utility(j, state.action)
+        for j in range(game.n_players)
+    )
     state.action = replace_action(state.action, i, choice)
     state.n += 1
     return state
@@ -291,7 +302,9 @@ def psblll_step(
     weighs its payoff there, the others held at their current actions,
     against its current payoff.  `forced_awake` bypasses the wake draws
     entirely (`blll_step` wakes its one player this way); sleeping players'
-    actions are untouched.
+    actions are untouched.  `state.payoffs` keeps each awake player's
+    weighed payoff at the option it took and each sleeping player's payoff
+    at its action.
     """
     if forced_awake is not None:
         awake = sorted(set(int(i) for i in forced_awake))
@@ -299,25 +312,26 @@ def psblll_step(
         probs = wake_probabilities(wake, game.n_players, state.action)
         awake = [i for i, p in enumerate(probs) if state.rng.random() < p]
     state.awake = tuple(awake)
-    state.adopted = ()
-    if not awake:
-        state.n += 1
-        return state
     trials = list(state.action)
     for i in awake:
         options = constraints.allowed(i, state.action[i])
         trials[i] = int(options[state.rng.integers(len(options))])
     new_action = list(state.action)
     adopted = []
+    weighed: dict[int, float] = {}
     for i in awake:
-        keep, _ = binary_logit_weights(
-            game.utility(i, state.action),
-            game.utility(i, replace_action(state.action, i, trials[i])),
-            state.temperature,
-        )
+        current = game.utility(i, state.action)
+        alternative = game.utility(i, replace_action(state.action, i, trials[i]))
+        keep, _ = binary_logit_weights(current, alternative, state.temperature)
+        weighed[i] = current
         if state.rng.random() >= keep:
             new_action[i] = trials[i]
             adopted.append(i)
+            weighed[i] = alternative
+    state.payoffs = tuple(
+        weighed[j] if j in weighed else game.utility(j, state.action)
+        for j in range(game.n_players)
+    )
     state.action = tuple(new_action)
     state.adopted = tuple(adopted)
     state.n += 1

@@ -9,12 +9,22 @@ The runners are world bookkeeping around the learner step kernels of
 `dynamics` and `qlearning`, played on `coverage.as_game` of the run's world:
 they sense, set wake probabilities, run component-count rounds, commit the
 kernel's joint action, lay flags and observe, refit estimates and record.
-Payoffs are therefore scored against the world as it stood before the step.
+Payoffs are therefore scored against the world as it stood before the step,
+and the payoffs the step weighed sum to the recorded potential (to
+`potential_est` in estimated-field mode, where they are read off the
+robots' estimate rasters).
+
+A sweep's (config, seed) cells share nothing, so `sweep` runs them in forked
+worker processes, one per CPU of the affinity mask, and collects the records
+in cell order; they equal the records of in-process runs bit for bit.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 import numbers
+import os
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
@@ -468,10 +478,15 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             p if a == b else cov.index_cell(world, a)
             for p, a, b in zip(world.positions, state.action, before)
         ]
-        phi = cov.potential(world, new_positions, world.positions, None, False)
+        # The step's payoffs are scored on the robots' own rasters, which are
+        # the true field's only in known-field mode.
+        step_potential = float(sum(state.payoffs))
         diagnostics = {"awake": float(len(state.awake))}
         if estimated:
-            diagnostics["potential_est"] = float(sum(game.utilities(state.action)))
+            phi = cov.potential(world, new_positions, world.positions, None, False)
+            diagnostics["potential_est"] = step_potential
+        else:
+            phi = step_potential
         cov.commit_positions(world, new_positions)
         for i in range(n_robots):
             cov.lay_flag(world, i)
@@ -563,30 +578,68 @@ class SweepReport:
         return [c for c in self.cells if c.error is not None]
 
 
+def _sweep_cell(cell: tuple[int, ExperimentConfig, int]) -> SweepCell:
+    """One isolated sweep cell: its record, or the failure that ended it."""
+    config_index, config, seed = cell
+    try:
+        return SweepCell(config_index, seed, run_experiment(config, seed))
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return SweepCell(config_index, seed, None, f"{type(exc).__name__}: {exc}")
+
+
+def _pooled_cells(todo: list[tuple[int, ExperimentConfig, int]], workers: int) -> list[SweepCell]:
+    """`_sweep_cell` of each cell in forked worker processes, in cell order.
+
+    A worker that dies breaks the pool: the cells already finished keep
+    their records and every other cell fails with the pool's error.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Fork, not spawn: workers start without re-importing the program and
+    # inherit the caller's state, patched functions included.  A fork pool
+    # starts every worker before it starts its own threads.
+    context = multiprocessing.get_context("fork")
+    cells = []
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = [pool.submit(_sweep_cell, cell) for cell in todo]
+        for (config_index, _, seed), future in zip(todo, futures):
+            try:
+                cells.append(future.result())
+            except BrokenProcessPool as exc:
+                cells.append(SweepCell(config_index, seed, None, f"{type(exc).__name__}: {exc}"))
+    return cells
+
+
 def sweep(
     configs: Sequence[ExperimentConfig],
     seeds: Sequence[int] | None = None,
     labels: Sequence[str] | None = None,
 ) -> SweepReport:
-    """Run every (config, seed) cell sequentially and aggregate bands.
+    """Run every (config, seed) cell and aggregate bands.
 
-    Cell failures are recorded and do not stop the sweep.  Trajectories
-    shorter than the longest in their config (early steady state) are padded
-    by holding their final value.
+    Cells are independent and fully seeded, so they run in forked worker
+    processes, one per CPU in the affinity mask (`taskset` limits them),
+    and each record equals the one `run_experiment` returns in-process.  A
+    one-cell sweep, or a host with one CPU, runs its cells in this process.
+    Cell failures, a dying worker included, are recorded and do not stop the
+    sweep.  Trajectories shorter than the longest in their config (early
+    steady state) are padded by holding their final value.
     """
-    cells: list[SweepCell] = []
-    bands: list[dict] = []
     names = list(labels) if labels else [c.algorithm for c in configs]
-    for ci, config in enumerate(configs):
-        use_seeds = tuple(seeds) if seeds is not None else config.seeds
-        records = []
-        for seed in use_seeds:
-            try:
-                record = run_experiment(config, seed)
-                cells.append(SweepCell(ci, seed, record))
-                records.append(record)
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                cells.append(SweepCell(ci, seed, None, f"{type(exc).__name__}: {exc}"))
+    todo = [
+        (ci, config, seed)
+        for ci, config in enumerate(configs)
+        for seed in (tuple(seeds) if seeds is not None else config.seeds)
+    ]
+    # `sched_getaffinity` exists only on hosts that fork.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(todo), cpus)
+    cells = _pooled_cells(todo, workers) if workers > 1 else list(map(_sweep_cell, todo))
+    bands: list[dict] = []
+    for ci in range(len(configs)):
+        records = [c.record for c in cells if c.config_index == ci and c.record is not None]
         if not records:
             bands.append({"n": [], "mean": [], "lo": [], "hi": []})
             continue
@@ -620,6 +673,19 @@ def sweep_csv(report: SweepReport) -> str:
                 f"{_float_repr(band['hi'][k])}"
             )
     return "\n".join(lines) + "\n"
+
+
+def sweep_cells_csv(report: SweepReport) -> str:
+    """One row per cell in cell order: its run length and wall time, or the
+    full text of its failure."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["config", "label", "seed", "iterations", "wall_s", "error"])
+    for c in report.cells:
+        ran = (c.record.iterations, _float_repr(c.record.wall_time)) if c.record else ("", "")
+        label = report.labels[c.config_index]
+        writer.writerow([c.config_index, label, c.seed, *ran, c.error or ""])
+    return out.getvalue()
 
 
 def sweep_svg(report: SweepReport, title: str = "covered worth") -> str:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 
@@ -94,6 +96,31 @@ def test_sweep_subcommand(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert (out / "sweep.csv").read_text().startswith("config,label,n,mean,lo,hi")
     ET.fromstring((out / "sweep.svg").read_text())
+
+
+def test_sweep_writes_each_cells_wall_time_and_failure(tmp_path, monkeypatch):
+    from potlearn import harness
+
+    real = harness.run_experiment
+
+    def run_or_raise(config, seed):
+        if seed == 2:
+            raise ValueError('bad "cell", seed 2\nsecond line')
+        return real(config, seed)
+
+    cfg = write_config(tmp_path, seeds=[1, 2, 3])
+    out = tmp_path / "out"
+    monkeypatch.setattr(harness, "run_experiment", run_or_raise)
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    rows = list(csv.reader(io.StringIO((out / "sweep_cells.csv").read_text(), newline="")))
+    assert rows[0] == ["config", "label", "seed", "iterations", "wall_s", "error"]
+    assert [r[:3] for r in rows[1:]] == [["0", "psblll", s] for s in ("1", "2", "3")]
+    assert rows[2][3:] == ["", "", 'ValueError: bad "cell", seed 2\nsecond line']
+    for row in (rows[1], rows[3]):
+        assert row[3] == "60" and float(row[4]) > 0 and row[5] == ""
+    report = harness.sweep([harness.ExperimentConfig.from_yaml(cfg)])
+    assert (out / "sweep.csv").read_text() == harness.sweep_csv(report)
+    assert (out / "sweep.svg").read_text() == harness.sweep_svg(report)
 
 
 def test_sweep_reports_failed_proposals(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from potlearn.dynamics import (
     revision_probability,
     validate_constraints,
 )
-from potlearn.games import GameDefinition, logit_map, random_separable_game
+from potlearn.games import GameDefinition, logit_map, random_separable_game, replace_action
 from potlearn.rng import make_rng
 from potlearn.stability import PerturbedChain, build_chain, stationary_distribution
 
@@ -429,6 +429,25 @@ class TestStepRecords:
             assert state.adopted == ((i,) if state.action[i] != before[i] else ())
             outcomes.add(bool(state.adopted))
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("learner", ["lll", "blll", "psblll"])
+    def test_payoffs_are_each_players_new_action_against_the_source(self, learner):
+        # not separable, so a payoff read at the new joint action would differ
+        game = tables_game(31, (3, 3, 3))
+        cmap = ConstrainedActionMap.complete(game)
+        state = LoglinearState((0, 1, 2), 0.3, make_rng(32))
+        steps = {
+            "lll": lambda: lll_step(game, state),
+            "blll": lambda: blll_step(game, state, cmap),
+            "psblll": lambda: psblll_step(game, state, cmap, wake=0.5),
+        }
+        for _ in range(200):
+            source = state.action
+            steps[learner]()
+            expected = tuple(
+                game.utility(j, replace_action(source, j, state.action[j])) for j in range(3)
+            )
+            assert state.payoffs == expected
 
 
 class TestLoglinearState:

@@ -1,4 +1,8 @@
+import concurrent.futures
+import multiprocessing
+import os
 import re
+import time
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -388,6 +392,13 @@ class TestRunners:
         assert record.covered == []
 
 
+def failing_config(**overrides):
+    """Set past the load-time check, so every run of it raises: its weights sum to 0.5."""
+    config = small_config(**overrides)
+    config.scenario_components = ({"weight": 0.5, "mean": [1, 1], "cov": [[1, 0], [0, 1]]},)
+    return config
+
+
 class TestSweep:
     def test_single_cell_band_equals_trajectory(self):
         config = small_config(seeds=(7,))
@@ -419,10 +430,8 @@ class TestSweep:
             assert (padded <= np.asarray(band["hi"]) + 1e-15).all()
 
     def test_failures_reported_and_sweep_continues(self):
-        bad = small_config()
-        bad.scenario_components = ({"weight": 0.5, "mean": [1, 1], "cov": [[1, 0], [0, 1]]},)
         good = small_config(seeds=(1,))
-        report = sweep([bad, good], seeds=None)
+        report = sweep([failing_config(), good], seeds=None)
         assert report.failures()
         assert any(c.record is not None for c in report.cells)
 
@@ -435,6 +444,107 @@ class TestSweep:
         import xml.etree.ElementTree as ET
 
         ET.fromstring(svg)
+
+
+def cell_by_cell(configs):
+    """(config index, seed, run CSV, error) of each cell, each run in this process."""
+    out = []
+    for ci, config in enumerate(configs):
+        for seed in config.seeds:
+            try:
+                out.append((ci, seed, run_experiment(config, seed).to_csv(), None))
+            except Exception as exc:  # noqa: BLE001 - the sweep's cell isolation
+                out.append((ci, seed, None, f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def cell_rows(report):
+    return [
+        (c.config_index, c.seed, c.record.to_csv() if c.record else None, c.error)
+        for c in report.cells
+    ]
+
+
+def cpus(monkeypatch, count):
+    """Pretend the affinity mask holds `count` CPUs, which sets the sweep's worker count."""
+    mask = set(range(count))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: mask, raising=False)
+
+
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+
+
+@fork_only
+class TestParallelSweep:
+    CONFIGS = (
+        small_config(seeds=(1, 2, 3)),
+        small_config(environment="estimated-field", model_check_period=20, seeds=(4, 5, 6)),
+        failing_config(seeds=(1, 2)),
+    )
+
+    def test_parallel_sweep_equals_cell_by_cell_runs(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cpus(monkeypatch, 2)
+        report = sweep(self.CONFIGS)
+        assert multiprocessing.active_children() == []
+        assert pools == [(2,)]
+        assert cell_rows(report) == cell_by_cell(self.CONFIGS)
+        cpus(monkeypatch, 1)
+        in_process = sweep(self.CONFIGS)
+        assert pools == [(2,)]
+        assert report.bands == in_process.bands
+        assert cell_rows(report) == cell_rows(in_process)
+        assert report.bands[2] == {"n": [], "mean": [], "lo": [], "hi": []}
+
+    def test_a_one_cell_sweep_starts_no_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-cell sweep started a worker pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cpus(monkeypatch, 2)
+        report = sweep([small_config(seeds=(7,))])
+        assert report.cells[0].error is None
+        cpus(monkeypatch, 1)
+        assert not sweep([small_config(seeds=(1, 2))]).failures()
+
+    def test_a_dying_worker_fails_its_unfinished_cells(self, monkeypatch, tmp_path):
+        real = harness.run_experiment
+
+        def run_or_die(config, seed):
+            if seed == 3:
+                # die once both other cells are done and their records sent
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline and not all(
+                    (tmp_path / f"done{s}").exists() for s in (1, 2)
+                ):
+                    time.sleep(0.01)
+                time.sleep(0.5)
+                os._exit(3)
+            record = real(config, seed)
+            (tmp_path / f"done{seed}").touch()
+            return record
+
+        monkeypatch.setattr(harness, "run_experiment", run_or_die)
+        cpus(monkeypatch, 2)
+        config = small_config(seeds=(1, 2, 3))
+        report = sweep([config])
+        assert multiprocessing.active_children() == []
+        assert [c.seed for c in report.cells] == [1, 2, 3]
+        for cell in report.cells[:2]:
+            assert cell.error is None
+            assert cell.record.to_csv() == real(config, cell.seed).to_csv()
+        assert report.cells[2].record is None
+        assert report.cells[2].error.startswith("BrokenProcessPool: ")
+        assert len(report.bands[0]["n"]) == max(c.record.iterations for c in report.cells[:2])
 
 
 class TestOracle:
