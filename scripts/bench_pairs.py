@@ -7,13 +7,18 @@
 Each pair runs `python3 perfbench/run.py --workload W --seed S`, unmodified,
 once in each checkout; the first run of a pair alternates between the two
 sides so that host drift falls on both.  Only the last line of each run's
-output (the JSON object of end-to-end metrics), the `environment:` line and
-the `host slowdown` line are read.  For each gated metric of the change's
-BENCHMARK.json the summary holds the median and quartiles per side, the
-relative change of the medians and the number of pairs in which the change
-was better.  `runs` lists, per side and in pair order, whether each run went
-first or second in its pair and its host-slowdown reading, so order effects
-and drift of the slowdown divisor can be read from the file.  The entry replaces
+output (the JSON object of end-to-end metrics), the `environment:` line, the
+`host slowdown` line, the named-value lines and the `positions sha256` cell
+lines are read.  For each gated metric of the change's BENCHMARK.json the
+summary holds the median and quartiles per side, the relative change of the
+medians and the number of pairs in which the change was better; `named`
+holds the median and quartiles per side of each named value every run
+printed.  `positions` compares the cell lines (sweep, seed, iteration count
+and positions digest) of the two runs of every pair: a pair matches when
+both printed the same cells, and each mismatch is printed as it happens.
+`runs` lists, per side and in pair order, whether each run went first or
+second in its pair and its host-slowdown reading, so order effects and
+drift of the slowdown divisor can be read from the file.  The entry replaces
 any entry of the same workload and seed already in `--out`, so one file can
 hold several workloads.  `--logs` keeps every run's full output.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -28,11 +34,33 @@ from pathlib import Path
 
 ENV_PREFIX = "environment: "
 SLOWDOWN_PREFIX = "host slowdown "
+# `  psblll_iter_us     277.1 us/iter`; n/a and failed/attempted lines do not match
+NAMED_LINE = re.compile(r"^  ([a-z0-9_]+) +(\S+) (\S+)$")
+# `    psblll seed 3: 400 iterations, positions sha256 <hex>`
+CELL_LINE = re.compile(r"^ +(\S+ seed \d+): (\d+ iterations), positions sha256 ([0-9a-f]+)$")
+
+
+def named_values(lines: list[str]) -> dict[str, tuple[float, str]]:
+    """The named values a run printed, as (value, unit) by name."""
+    named = {}
+    for line in lines:
+        match = NAMED_LINE.match(line)
+        if match:
+            try:
+                named[match[1]] = (float(match[2]), match[3])
+            except ValueError:
+                continue
+    return named
+
+
+def cell_digests(lines: list[str]) -> dict[str, str]:
+    """Iteration count and positions digest of every cell a run printed, by cell."""
+    return {m[1]: f"{m[2]}, {m[3]}" for m in map(CELL_LINE.match, lines) if m}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> tuple[str, float | None, dict, str]:
     """One benchmark run in `checkout`: its environment line, host-slowdown
-    reading (None if the run printed none), last JSON line and output."""
+    reading (None if the run printed none), last JSON line and full output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
@@ -78,6 +106,27 @@ def summarise(gated: list[dict], runs: dict[str, list[dict]]) -> dict:
     return metrics
 
 
+def summarise_named(named: dict[str, list[dict[str, tuple[float, str]]]]) -> dict:
+    """Median and quartiles per side of each named value every run printed."""
+    common = set.intersection(*(set(v) for runs in named.values() for v in runs))
+    return {
+        name: {
+            "unit": named["change"][0][name][1],
+            **{s: quartiles([v[name][0] for v in named[s]]) for s in named},
+        }
+        for name in sorted(common)
+    }
+
+
+def compare_cells(parent: list[str], change: list[str]) -> dict:
+    """The number of cells the two runs of a pair printed, and the cells whose
+    iteration count or positions digest differ between them (or that one
+    run lacks)."""
+    p, c = cell_digests(parent), cell_digests(change)
+    cells = sorted(p.keys() | c.keys())
+    return {"cells": len(cells), "differing": [x for x in cells if p.get(x) != c.get(x)]}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -95,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     placed: dict[str, list[dict]] = {"parent": [], "change": []}
+    named: dict[str, list[dict]] = {"parent": [], "change": []}
+    lines: dict[str, list[str]] = {}
+    positions = []
     environments = set()
     if args.logs:
         args.logs.mkdir(parents=True, exist_ok=True)
@@ -104,11 +156,17 @@ def main(argv: list[str] | None = None) -> int:
             env, slowdown, result, output = run_once(sides[side], args.workload, args.seed)
             environments.add(env)
             runs[side].append(result)
+            lines[side] = output.splitlines()
+            named[side].append(named_values(lines[side]))
             placed[side].append({"pair": k, "position": position, "host_slowdown": slowdown})
             if args.logs:
                 (args.logs / f"{args.workload}-seed{args.seed}-{side}-{k}.txt").write_text(output)
             value = result["metrics"]["unit_cost_us"]["value"]
             print(f"pair {k} {side}: unit_cost_us {value:.6g}", flush=True)
+        positions.append({"pair": k, **compare_cells(lines["parent"], lines["change"])})
+        if positions[-1]["differing"]:
+            differing = ", ".join(positions[-1]["differing"])
+            print(f"pair {k}: positions sha256 differ: {differing}", flush=True)
 
     entry = {
         "workload": args.workload,
@@ -119,6 +177,12 @@ def main(argv: list[str] | None = None) -> int:
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
         "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
         "metrics": summarise(gated, runs),
+        "named": summarise_named(named),
+        "positions": {
+            "pairs_matching": sum(not p["differing"] for p in positions),
+            "pairs_differing": [p["pair"] for p in positions if p["differing"]],
+            "per_pair": positions,
+        },
         "runs": placed,
     }
     existing = json.loads(args.out.read_text()) if args.out.exists() else []
@@ -129,6 +193,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
             f"({m['relative_change']:+.1%}), change better in {m['change_wins']}/{args.pairs}"
         )
+    for name, m in entry["named"].items():
+        print(f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} {m['unit']}")
+    matching, differing = (entry["positions"][k] for k in ("pairs_matching", "pairs_differing"))
+    print(
+        f"positions sha256: {matching}/{args.pairs} pairs match"
+        + (f"; pairs {differing} differ" if differing else "")
+    )
     return 0
 
 

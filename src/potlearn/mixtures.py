@@ -27,6 +27,19 @@ quadratic form keeps `einsum`'s order (from three points on) and `_sum_rows`
 numpy's order for a contiguous run; each mean is its own `w @ points`;
 `em_iterate` reads a C-ordered (n, M) responsibility array, so its masses stay
 sequential sums along axis 0; a split child sums its own weight row.
+
+The fixed cost of a sweep is cut by rules that keep every bit.  `em_iterate`
+and `split_component` hand the E-step the transpose of C-contiguous (2, n)
+coordinate rows, made once per fit, so the kernel's difference from the means
+is a contiguous pass over the same values.  The log-sum-exp of two rows
+strictly ordered in every column (every split sweep, in practice) is
+`log1p(exp(lo - hi)) + hi`: the general path's sum of the max row's
+`exp(-inf) = 0` and that one term, divided by one match, plus `log(1) = 0`,
+so the same operations on the same operands; a tie or a NaN takes the
+general path.  One component with finite log densities has posterior exactly
+`exp(x - x) = 1`.  The moment difference is built as a contiguous (K, n, 2)
+array and read as (K, 2, n), the memory layout numpy gives the broadcast
+`points.T - means`, so the covariance product takes the same BLAS path.
 """
 from __future__ import annotations
 
@@ -142,7 +155,17 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """`scipy.special.logsumexp(b, axis=1)` of the C-ordered transpose b of a real
     (M, n) array, bit for bit: the same ufuncs in the same order, without scipy's
-    per-call dispatch, which costs more than the arithmetic on few components."""
+    per-call dispatch, which costs more than the arithmetic on few components.
+
+    Two rows strictly ordered in every column take `log1p(exp(lo - hi)) + hi`,
+    which is exact: the general sum is then `exp(-inf) = 0` plus that one term,
+    divided by m = 1, and `log(1) = 0`; an infinite `hi` gives inf on both paths.
+    A tie (two -inf entries too) or a NaN sends the array to the general path."""
+    if len(a) == 2:
+        lo, hi = np.minimum(a[0], a[1]), np.maximum(a[0], a[1])
+        if (lo < hi).all():
+            with np.errstate(over="ignore"):  # `lo - hi` overflows where the general path's does
+                return np.log1p(np.exp(lo - hi)) + hi
     a_max = a.max(axis=0)
     is_max = a == a_max
     m = is_max.sum(axis=0, dtype=float)
@@ -166,9 +189,13 @@ def mixture_log_density(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
 
 
 def _posteriors(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
-    """Posterior component memberships as (M, n) rows; each column sums to one."""
+    """Posterior component memberships as (M, n) rows; each column sums to one.
+    One component with finite log densities is exactly 1 (exp(x - x)) everywhere."""
     logs = component_log_densities(est, points)
-    return np.exp(logs - _logsumexp_rows(logs))
+    if len(logs) == 1 and np.isfinite(logs).all():
+        return np.ones_like(logs)
+    logs -= _logsumexp_rows(logs)
+    return np.exp(logs, out=logs)
 
 
 def responsibilities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
@@ -179,6 +206,13 @@ def responsibilities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
 def log_likelihood(est: GmmEstimate, log: ObservationLog) -> float:
     points, weights = log.arrays()
     return float(weights @ mixture_log_density(est, points))
+
+
+def _coordinate_rows(points: np.ndarray) -> np.ndarray:
+    """`points` (n, 2) as the transpose of C-contiguous (2, n) x and y rows, made
+    once per fit: the same values, but the Gaussian kernel's `points.T - means`
+    then reads contiguous rows instead of strided columns."""
+    return np.ascontiguousarray(points.T).T
 
 
 def _params(est: GmmEstimate) -> np.ndarray:
@@ -204,7 +238,9 @@ def _weighted_moments(
     product rounds differently)."""
     masses = np.asarray(masses, dtype=float)
     means = np.array([w @ points for w in weighted]) / masses[:, None]
-    diff = points.T - means[:, :, None]  # (K, 2, n)
+    # (K, 2, n) view of a contiguous (K, n, 2) difference: the memory layout numpy gives
+    # the broadcast `points.T - means`, on which the product's BLAS path depends
+    diff = (points - means[:, None, :]).transpose(0, 2, 1)
     scaled = diff * np.reshape(weighted, (len(masses), 1, len(points)))
     raw = scaled @ diff.swapaxes(1, 2) / masses[:, None, None]
     return means, _floor_covariance(raw, COV_FLOOR)
@@ -244,11 +280,12 @@ def em_iterate(log: ObservationLog, est: GmmEstimate, iters: int) -> GmmEstimate
     natural merge candidates).  The input estimate is not mutated.
     """
     points, weights = log.arrays()
+    xy = _coordinate_rows(points)
     total = weights.sum()
     out = est.copy()
     prev = _params(out)
     for _ in range(iters):
-        resp = responsibilities(out, points)
+        resp = responsibilities(out, xy)
         weighted = resp * weights[:, None]
         mass = weighted.sum(axis=0)
         starved = [j for j in range(out.n_components) if mass[j] < STARVE_FRACTION * total]
@@ -285,12 +322,27 @@ def worth_weighted_multiplicity(f_value: float, f_mode: float, repeat_factor: in
     return 1 + repeat_factor * int(math.floor(f_value / f_mode + 0.5))
 
 
+def _percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
+    """`np.percentile(values, q)` of finite values, bit for bit, without its
+    per-call dispatch: numpy's linear rule on the sorted values."""
+    if not 0 <= q <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    s = np.sort(values)
+    top = len(s) - 1
+    at = top * (q / 100)
+    # numpy's neighbours are floor(at) and the next value, or from `top` on the last
+    # value twice with fraction at + 1; from a fraction of 0.5 it interpolates down
+    i, j = (math.floor(at), math.floor(at) + 1) if at < top else (-1, -1)
+    lo, hi, t = s[i].item(), s[j].item(), at - i
+    return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
+
+
 def sensed_multiplicity(
     f_value: float, sensed: Sequence[float] | np.ndarray, percentile: float, repeat_factor: int
 ) -> int:
     """`worth_weighted_multiplicity` against the adaptive worthwhile threshold,
     the `percentile`-th percentile of the sensed worths; 1 while that is not positive."""
-    threshold = float(np.percentile(sensed, percentile)) if len(sensed) else 0.0
+    threshold = _percentile(sensed, percentile) if len(sensed) else 0.0
     if threshold > 0:
         return worth_weighted_multiplicity(f_value, threshold, repeat_factor)
     return 1
@@ -513,10 +565,13 @@ def split_component(
     # Views of the last two rows: the children's fits below write through them.
     children = GmmEstimate(new_weights[-2:], new_means[-2:], new_covs[-2:])
 
+    xy = _coordinate_rows(points)
     total = weights.sum()
     prev = _params(children)
     for _ in range(max(iters, 1)):
-        weighted = _posteriors(children, points) * parent_resp * weights
+        weighted = _posteriors(children, xy)
+        weighted *= parent_resp
+        weighted *= weights
         masses = weighted.sum(axis=1)
         # a NaN mass is fitted, so it surfaces; any live subset of two is a slice
         live = [c for c, mass in enumerate(masses.tolist()) if not mass <= 0]

@@ -3,8 +3,12 @@ import itertools
 import math
 from pathlib import Path
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from scipy.special import logsumexp
 
 from potlearn import mixtures as mix
@@ -35,6 +39,9 @@ from potlearn.mixtures import (
     component_log_densities,
     _floor_covariance,
     _logsumexp_rows,
+    _percentile,
+    _posteriors,
+    _weighted_moments,
 )
 from potlearn.rng import make_rng
 from potlearn.worthfield import gaussian_log_density
@@ -101,6 +108,44 @@ class TestRowLogsumexp:
 
     def test_all_minus_infinity_row(self):
         self.assert_equals_scipy(np.array([[-np.inf, -np.inf], [0.0, -np.inf]]))
+
+    @pytest.mark.parametrize("seed", range(0, 3000, 1000))
+    def test_two_rows_equal_scipy(self, seed):
+        # every case of `random_rows` at k = 2, where the two-row identity applies
+        for s in range(seed, seed + 1000):
+            self.assert_equals_scipy(self.random_rows(s, 2))
+
+    def test_two_rows_of_large_magnitude_equal_scipy(self):
+        rng = make_rng(22)
+        for _ in range(300):
+            a = rng.normal(size=(int(rng.integers(1, 40)), 2)) * 10.0 ** rng.uniform(0, 300)
+            self.assert_equals_scipy(a)
+
+    TWO_ROW_COLUMNS = [
+        (0.0, 0.0), (-0.0, 0.0), (3.5, 3.5), (1e300, 1e300),  # ties
+        (-np.inf, 0.0), (2.0, -np.inf), (-np.inf, -np.inf),  # zero weights
+        (np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan), (np.nan, -np.inf),
+        (np.inf, 0.0), (-1.0, np.inf), (np.inf, np.inf), (np.inf, -np.inf),
+        (1e300, -1e300), (-1e300, 1e300), (1e300, 1e300 * (1 - 2.0**-52)),
+        (1.7e308, -1.7e308),  # `lo - hi` overflows to -inf
+        (5e-324, 0.0), (1.0, 1.0 + 2.0**-52), (-745.0, 0.0), (0.0, 710.0),
+    ]
+
+    @pytest.mark.parametrize("column", TWO_ROW_COLUMNS, ids=repr)
+    def test_two_row_special_column_equals_scipy(self, column):
+        finite = (-3.0, 1.0)  # strictly ordered, so alone it takes the identity
+        for rows in ([column], [column, finite], [finite, column, finite]):
+            a = np.array(rows, dtype=float)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no warning escapes the kernel
+                got = _logsumexp_rows(np.ascontiguousarray(a.T))
+            with np.errstate(over="ignore"):
+                want = logsumexp(a, axis=1)
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_two_rows_with_every_special_column_equal_scipy(self):
+        with np.errstate(over="ignore"):
+            self.assert_equals_scipy(np.array(self.TWO_ROW_COLUMNS, dtype=float))
 
 
 class TestObservationLog:
@@ -323,6 +368,95 @@ class TestWorthWeightedMultiplicity:
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
             worth_weighted_multiplicity(0.1, 0.0, 3)
+
+
+class TestOneComponentPosteriors:
+    """`_posteriors` of one component against the general log-sum-exp path,
+    compared with `np.array_equal` (NaN equal to NaN)."""
+
+    ROWS = {
+        "finite": [-3.2, 0.0, 17.5, -1e300, 1e300, 5e-324],
+        "minus_inf": [-np.inf, 0.5, -np.inf],
+        "all_minus_inf": [-np.inf, -np.inf],
+        "nan": [0.5, np.nan, -2.0],
+        "plus_inf": [np.inf, 1.0],
+    }
+
+    @pytest.mark.parametrize("name", ROWS)
+    def test_equals_the_general_path(self, monkeypatch, name):
+        row = np.array([self.ROWS[name]])
+        monkeypatch.setattr(mix, "component_log_densities", lambda est, points: row.copy())
+        est = GmmEstimate(np.ones(1), np.zeros((1, 2)), np.eye(2)[None])
+        with np.errstate(invalid="ignore"):  # -inf - -inf, as in the general path
+            want = np.exp(row - _logsumexp_rows(row))
+            got = _posteriors(est, np.zeros((row.shape[1], 2)))
+        assert got.shape == row.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_fitted_single_component_is_one(self):
+        log = cluster_log(make_rng(9), [(10.0, 10.0)], sigma=2.0, n_per=300)
+        points = log.arrays()[0]
+        est = em_iterate(log, initial_estimate(log, 1), 3)
+        logs = component_log_densities(est, points)
+        assert np.array_equal(_posteriors(est, points), np.exp(logs - _logsumexp_rows(logs)))
+
+
+class TestWeightedMoments:
+    @staticmethod
+    def strided_moments(weighted, masses, points):
+        """The moments with the strided `points.T - means` difference, kept as a reference."""
+        masses = np.asarray(masses, dtype=float)
+        means = np.array([w @ points for w in weighted]) / masses[:, None]
+        diff = points.T - means[:, :, None]
+        scaled = diff * np.reshape(weighted, (len(masses), 1, len(points)))
+        raw = scaled @ diff.swapaxes(1, 2) / masses[:, None, None]
+        return means, _floor_covariance(raw, COV_FLOOR)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_contiguous_difference_equals_the_strided_one(self, k):
+        rng = make_rng(70 + k)
+        for _ in range(750):
+            n = int(rng.integers(1, 401))
+            points = np.floor(rng.uniform(0.0, 40.0, size=(n, 2))) + 0.5
+            weighted = rng.random((k, n)) * rng.integers(1, 50, size=n)
+            weighted[rng.random((k, n)) < 0.1] = 0.0
+            weighted[:, 0] += 1e-3  # every mass positive
+            masses = weighted.sum(axis=1)
+            got = _weighted_moments(weighted, masses, points)
+            want = self.strided_moments(weighted, masses, points)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (k, n)
+
+
+class TestPercentile:
+    """`_percentile` against `np.percentile`, compared with `==`."""
+
+    values = st_.lists(
+        st_.one_of(
+            st_.floats(0.0, 1e3),
+            st_.sampled_from([0.0, 0.0, 0.25, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310]),
+        ),
+        min_size=1,
+        max_size=2000,
+    )
+
+    qs = st_.one_of(st_.sampled_from([0, 60, 100, 0.0, 60.0, 100.0]), st_.floats(0.0, 100.0))
+
+    @given(values, qs)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_numpy(self, values, q):
+        assert _percentile(np.array(values), q) == float(np.percentile(np.array(values), q))
+
+    @pytest.mark.parametrize(
+        "values,q", [([0.7, 0.1], 50), ([0.1, 0.7, 0.7], 25.0), ([0.7, 0.1, 0.7, 0.1, 0.7], 37.5)]
+    )
+    def test_fraction_one_half_interpolates_down_from_the_upper_value(self, values, q):
+        # 0.1 + 0.6 * 0.5 is 0.4 but 0.7 - 0.6 * 0.5 is 0.39999999999999997
+        assert _percentile(np.array(values), q) == np.percentile(values, q) == 0.7 - 0.6 * 0.5
+
+    @pytest.mark.parametrize("q", [-1.0, 100.5, math.nan])
+    def test_out_of_range_rejected(self, q):
+        with pytest.raises(ValueError):
+            _percentile(np.array([1.0]), q)
 
 
 class TestSensedMultiplicity:
