@@ -28,18 +28,13 @@ numpy's order for a contiguous run; each mean is its own `w @ points`;
 `em_iterate` reads a C-ordered (n, M) responsibility array, so its masses stay
 sequential sums along axis 0; a split child sums its own weight row.
 
-The fixed cost of a sweep is cut by rules that keep every bit.  `em_iterate`
-and `split_component` hand the E-step the transpose of C-contiguous (2, n)
-coordinate rows, made once per fit, so the kernel's difference from the means
-is a contiguous pass over the same values.  The log-sum-exp of two rows
-strictly ordered in every column (every split sweep, in practice) is
-`log1p(exp(lo - hi)) + hi`: the general path's sum of the max row's
-`exp(-inf) = 0` and that one term, divided by one match, plus `log(1) = 0`,
-so the same operations on the same operands; a tie or a NaN takes the
-general path.  One component with finite log densities has posterior exactly
-`exp(x - x) = 1`.  The moment difference is built as a contiguous (K, n, 2)
-array and read as (K, 2, n), the memory layout numpy gives the broadcast
-`points.T - means`, so the covariance product takes the same BLAS path.
+Fits pass the E-step contiguous (2, n) coordinate rows made once per fit.
+Two rows strictly ordered in every column (every split sweep) take
+`log1p(exp(lo - hi)) + hi`, exact because the general sum adds the max row's
+`exp(-inf) = 0` and divides by one match, and `log(1) = 0`; ties and NaN take
+the general path.  The moment difference is a contiguous (K, n, 2) array read
+as (K, 2, n), the layout of the broadcast `points.T - means` whose BLAS path
+the covariance product must keep.
 """
 from __future__ import annotations
 
@@ -156,11 +151,8 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """`scipy.special.logsumexp(b, axis=1)` of the C-ordered transpose b of a real
     (M, n) array, bit for bit: the same ufuncs in the same order, without scipy's
     per-call dispatch, which costs more than the arithmetic on few components.
-
-    Two rows strictly ordered in every column take `log1p(exp(lo - hi)) + hi`,
-    which is exact: the general sum is then `exp(-inf) = 0` plus that one term,
-    divided by m = 1, and `log(1) = 0`; an infinite `hi` gives inf on both paths.
-    A tie (two -inf entries too) or a NaN sends the array to the general path."""
+    Two strictly ordered rows take the exact two-row identity (module docstring);
+    an infinite `hi` gives inf on both paths, and two -inf entries are a tie."""
     if len(a) == 2:
         lo, hi = np.minimum(a[0], a[1]), np.maximum(a[0], a[1])
         if (lo < hi).all():
@@ -206,13 +198,6 @@ def responsibilities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
 def log_likelihood(est: GmmEstimate, log: ObservationLog) -> float:
     points, weights = log.arrays()
     return float(weights @ mixture_log_density(est, points))
-
-
-def _coordinate_rows(points: np.ndarray) -> np.ndarray:
-    """`points` (n, 2) as the transpose of C-contiguous (2, n) x and y rows, made
-    once per fit: the same values, but the Gaussian kernel's `points.T - means`
-    then reads contiguous rows instead of strided columns."""
-    return np.ascontiguousarray(points.T).T
 
 
 def _params(est: GmmEstimate) -> np.ndarray:
@@ -280,7 +265,7 @@ def em_iterate(log: ObservationLog, est: GmmEstimate, iters: int) -> GmmEstimate
     natural merge candidates).  The input estimate is not mutated.
     """
     points, weights = log.arrays()
-    xy = _coordinate_rows(points)
+    xy = np.ascontiguousarray(points.T).T  # (n, 2) view of contiguous (2, n) rows for the kernel
     total = weights.sum()
     out = est.copy()
     prev = _params(out)
@@ -565,7 +550,7 @@ def split_component(
     # Views of the last two rows: the children's fits below write through them.
     children = GmmEstimate(new_weights[-2:], new_means[-2:], new_covs[-2:])
 
-    xy = _coordinate_rows(points)
+    xy = np.ascontiguousarray(points.T).T  # as in `em_iterate`
     total = weights.sum()
     prev = _params(children)
     for _ in range(max(iters, 1)):

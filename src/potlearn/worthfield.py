@@ -68,8 +68,7 @@ def _mahalanobis(
     # `not <` also rejects NaN; a NaN or infinite entry makes its determinant NaN or infinite
     if not all(0 < d < math.inf for d in dets):
         raise ValueError("singular or non-finite covariance")
-    # (M, 2, n); one contiguous pass when `points` is the transpose of (2, n) rows
-    diff = pts.T - means[:, :, None]
+    diff = pts.T - means[:, :, None]  # (M, 2, n); contiguous when `points` is rows.T
     # (((d0 a) d0 + (d0 b) d1) + (d1 c) d0) + (d1 e) d1 for inverse [[a, b], [c, e]]
     terms = diff[:, :, None] * np.linalg.inv(covs)[..., None] * diff[:, None]
     quad = ((terms[:, 0, 0] + terms[:, 0, 1]) + terms[:, 1, 0]) + terms[:, 1, 1]
