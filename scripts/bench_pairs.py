@@ -35,22 +35,14 @@ from pathlib import Path
 ENV_PREFIX = "environment: "
 SLOWDOWN_PREFIX = "host slowdown "
 # `  psblll_iter_us     277.1 us/iter`; n/a and failed/attempted lines do not match
-NAMED_LINE = re.compile(r"^  ([a-z0-9_]+) +(\S+) (\S+)$")
+NAMED_LINE = re.compile(r"^  ([a-z0-9_]+) +([-+.0-9e]+) (\S+)$")
 # `    psblll seed 3: 400 iterations, positions sha256 <hex>`
 CELL_LINE = re.compile(r"^ +(\S+ seed \d+): (\d+ iterations), positions sha256 ([0-9a-f]+)$")
 
 
 def named_values(lines: list[str]) -> dict[str, tuple[float, str]]:
     """The named values a run printed, as (value, unit) by name."""
-    named = {}
-    for line in lines:
-        match = NAMED_LINE.match(line)
-        if match:
-            try:
-                named[match[1]] = (float(match[2]), match[3])
-            except ValueError:
-                continue
-    return named
+    return {m[1]: (float(m[2]), m[3]) for m in map(NAMED_LINE.match, lines) if m}
 
 
 def cell_digests(lines: list[str]) -> dict[str, str]:
