@@ -408,8 +408,6 @@ def as_game(
     cost, covering radius and field are fixed at construction.  A writable
     raster may change in place, so its rows are never kept.
     """
-    L = world.grid_size
-    labels = tuple(f"{ix},{iy}" for ix in range(L) for iy in range(L))
     rasters = [None] * world.n_robots if values is None else values
     # robot -> ((positions, flags, raster) the row was made from, row)
     kept: dict[int, tuple[tuple, np.ndarray]] = {}
@@ -437,7 +435,7 @@ def as_game(
         return out
 
     return GameDefinition(
-        action_sets=tuple(labels for _ in range(world.n_robots)),
+        action_counts=(world.grid_size**2,) * world.n_robots,
         utility_fn=payoff,
         row_fn=row,
     )

@@ -29,40 +29,35 @@ TIE_REL_TOL = 1e-12
 class GameDefinition:
     """A finite N-player game.
 
-    action_sets holds one tuple of action labels per player; utility_fn maps
+    action_counts holds each player's number of actions; utility_fn maps
     (player index, joint action) to a finite real payoff and must be defined
     on the whole joint-action space.  row_fn, when given, maps (player, joint
     action) to that player's payoff for each of its actions with the others'
     held fixed, equal entry for entry to the utility_fn loop it replaces.
     """
 
-    action_sets: tuple[tuple[str, ...], ...]
+    action_counts: tuple[int, ...]
     utility_fn: Callable[[int, JointAction], float]
-    players: tuple[str, ...] = ()
     row_fn: Callable[[int, JointAction], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        self.action_sets = tuple(tuple(s) for s in self.action_sets)
-        if not self.action_sets or any(len(s) == 0 for s in self.action_sets):
-            raise ValueError("every player needs a non-empty action set")
-        if not self.players:
-            self.players = tuple(f"p{i}" for i in range(len(self.action_sets)))
-        if len(self.players) != len(self.action_sets):
-            raise ValueError("players and action_sets lengths differ")
+        self.action_counts = tuple(self.action_counts)
+        if not self.action_counts or min(self.action_counts) < 1:
+            raise ValueError("every player needs at least one action")
 
     @property
     def n_players(self) -> int:
-        return len(self.action_sets)
+        return len(self.action_counts)
 
     def n_actions(self, player: int) -> int:
-        return len(self.action_sets[player])
+        return self.action_counts[player]
 
     @property
     def joint_size(self) -> int:
-        return math.prod(len(s) for s in self.action_sets)
+        return math.prod(self.action_counts)
 
     def joint_actions(self) -> Iterator[JointAction]:
-        return itertools.product(*(range(len(s)) for s in self.action_sets))
+        return itertools.product(*map(range, self.action_counts))
 
     def utility(self, player: int, action: JointAction) -> float:
         return float(self.utility_fn(player, action))
@@ -82,12 +77,7 @@ class GameDefinition:
         )
 
     @classmethod
-    def from_tables(
-        cls,
-        tables: Sequence[np.ndarray],
-        players: Sequence[str] | None = None,
-        action_labels: Sequence[Sequence[str]] | None = None,
-    ) -> "GameDefinition":
+    def from_tables(cls, tables: Sequence[np.ndarray]) -> "GameDefinition":
         """Build a game from one dense payoff array per player.
 
         Each array must have one axis per player, identically shaped across
@@ -104,14 +94,7 @@ class GameDefinition:
                 raise ValueError("payoff tables must share a common shape")
             if not np.isfinite(a).all():
                 raise ValueError("payoffs must be finite")
-        if action_labels is None:
-            action_labels = [[f"a{j}" for j in range(n)] for n in shape]
-        sets = tuple(tuple(labels) for labels in action_labels)
-        return cls(
-            action_sets=sets,
-            utility_fn=lambda i, a: float(arrays[i][a]),
-            players=tuple(players) if players else (),
-        )
+        return cls(action_counts=shape, utility_fn=lambda i, a: float(arrays[i][a]))
 
     @classmethod
     def identical_interest(cls, table: np.ndarray) -> "GameDefinition":

@@ -830,8 +830,7 @@ def load_game_spec(path: str | Path) -> tuple[GameDefinition, ConstrainedActionM
         type(a) is int and a > 0 or isinstance(a, list) and a for a in actions
     ):
         raise ConfigError(f"actions must list action counts > 0 or labels, got {actions!r}")
-    labels = [[f"a{j}" for j in range(a)] if type(a) is int else list(a) for a in actions]
-    shape = tuple(len(l) for l in labels)
+    shape = tuple(a if type(a) is int else len(a) for a in actions)
     utilities = raw["utilities"]
     if not isinstance(utilities, list) or len(utilities) != len(shape):
         raise ConfigError("utilities must hold one table per player")
@@ -849,11 +848,10 @@ def load_game_spec(path: str | Path) -> tuple[GameDefinition, ConstrainedActionM
             )
         tables.append(flat.reshape(shape))
     players = raw.get("players", len(shape))
-    if type(players) is int:
-        players = [f"p{i}" for i in range(players)]
-    if not isinstance(players, list) or len(players) != len(shape):
+    count = players if type(players) is int else len(players) if isinstance(players, list) else None
+    if count != len(shape):
         raise ConfigError(f"players must count or name the {len(shape)} players, got {players!r}")
-    game = GameDefinition.from_tables(tables, players=players, action_labels=labels)
+    game = GameDefinition.from_tables(tables)
     return game, ConstrainedActionMap.complete(game)
 
 

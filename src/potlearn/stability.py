@@ -326,13 +326,14 @@ def _marginal_rows(
     wake = rp[sources, i]
     r, j = np.nonzero(np.arange(options.shape[1]) < counts[own][:, None])
     src, trial = sources[r], options[own[r], j]
-    keep = _keep_weights(
-        space.payoffs[src, i], space.payoffs[src + (trial - own[r]) * space.strides[i], i], tau
-    )
+    u_src = space.payoffs[src, i]
+    u_trial = space.payoffs[src + (trial - own[r]) * space.strides[i], i]
+    # The switch is the reversed pair's keep, not 1 - keep, which rounds to 0 below about 1e-16.
+    keep, switch = _keep_weights(u_src, u_trial, tau), _keep_weights(u_trial, u_src, tau)
     w = (wake / counts[own])[r]
     rows = np.bincount(
         np.concatenate([np.arange(len(sources)) * m + own, r * m + own[r], r * m + trial]),
-        np.concatenate([1.0 - wake, w * keep, w * (1.0 - keep)]),
+        np.concatenate([1.0 - wake, w * keep, w * switch]),
         minlength=len(sources) * m,
     ).reshape(len(sources), m)
     rows[np.arange(len(sources)), own] += 1.0 - rows.sum(axis=1)
@@ -516,7 +517,7 @@ def stationary_distribution(chain: PerturbedChain) -> np.ndarray:
         pi = _gth_stationary(chain.kernel)
         residual = _residual(chain.kernel, pi)
     bound = max(_STATIONARY_TOL, 1e-12 * chain.n_states)
-    if residual > bound:
+    if not residual <= bound:  # a NaN residual fails too
         raise StationaryConvergenceError(f"GTH residual {residual:.3e} > bound {bound:.3e}")
     chain.residual = residual
     return pi

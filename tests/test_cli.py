@@ -189,6 +189,8 @@ GAME_SPECS = {
         ("table", "players", 3),
         ("table", "utilities", [[0, 0, 1, "x"], [0, 1, 0, 1]]),
         ("table", "utilities", [[0, 0, 1, math.nan], [0, 1, 0, 1]]),
+        ("table", "players", ["only one"]),
+        ("table", "players", True),
     ],
 )
 def test_oracle_bad_spec_value_exits_2_naming_its_key(tmp_path, capsys, kind, key, value):
@@ -249,9 +251,9 @@ def test_oracle_bad_argument_exits_2_naming_it(tmp_path, capsys, args, name):
 
 UNSOLVABLE_GAMES = {
     # own-action payoffs: the chain is factored per player
-    "separable": {"actions": [2, 2], "utilities": [[0, 0, 1, 1], [0, 0.8, 0, 0.8]]},
+    "separable": {"actions": [2, 2], "utilities": [[0, 0, 2, 2], [0, 1.6, 0, 1.6]]},
     # player 0's payoff for "move" depends on player 1: the whole chain is enumerated
-    "cross": {"actions": [2, 2], "utilities": [[0, 0, 1, 2], [0, 0.8, 0, 0.8]]},
+    "cross": {"actions": [2, 2], "utilities": [[0, 0, 2, 4], [0, 1.6, 0, 1.6]]},
 }
 
 
@@ -261,7 +263,8 @@ UNSOLVABLE_GAMES = {
     [
         # no player ever moves
         (["--wake", "0"], "noise level 0.1:"),
-        # every switch weight underflows to zero
+        # every downhill switch weight, exp(-1.6 * 690.8) or less, is below the
+        # smallest subnormal, so the best profile is absorbing
         (["--noise", "1e-300"], "noise level 1e-300:"),
     ],
 )
@@ -275,6 +278,38 @@ def test_oracle_unsolvable_chain_exits_2_naming_the_noise_level(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {level}")
     assert "reducible" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("best", [0, 1])
+def test_oracle_masses_far_below_the_rounding_of_one_are_kept(tmp_path, capsys, best):
+    # each player's switch away from its best action weighs exp(-10 / tau) = eps^10
+    table = [0, 0, 10, 10] if best else [10, 10, 0, 0]
+    spec = {"actions": [2, 2], "utilities": [table, [table[0], table[2]] * 2]}
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump(spec))
+    out = tmp_path / "out"
+    assert main(["oracle", "--game", str(game), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    header, *rows = csv.reader(io.StringIO((out / "stationary.csv").read_text()))
+    assert header == ["state", "eps_0.1", "eps_0.01", "eps_0.001"]
+    mass = {row[0]: [float(v) for v in row[1:]] for row in rows}
+    off = 1 - best
+    for k, eps in ((1, 1e-2), (2, 1e-3)):
+        assert mass[f"({best}, {off})"][k] == pytest.approx(eps**10, rel=1e-6, abs=0)
+        assert mass[f"({off}, {best})"][k] == pytest.approx(eps**10, rel=1e-6, abs=0)
+        assert mass[f"({off}, {off})"][k] == pytest.approx(eps**20, rel=1e-6, abs=0)
+
+
+def test_oracle_overflowing_solve_exits_2_naming_the_residual(tmp_path, capsys):
+    # switch weights near 1e-240 are exact, but GTH's unnormalised masses overflow
+    game = tmp_path / "game.yaml"
+    spec = {"actions": [2, 2], "utilities": [[0, 0, 1, 2], [0, 0.8, 0, 0.8]]}
+    game.write_text(yaml.safe_dump(spec))
+    out = tmp_path / "out"
+    assert main(["oracle", "--game", str(game), "--out-dir", str(out), "--noise", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise level 1e-300: GTH residual nan")
     assert not out.exists()
 
 

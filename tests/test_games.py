@@ -215,7 +215,7 @@ class TestDrawIndex:
 class TestGameDefinition:
     def test_rejects_empty_action_set(self):
         with pytest.raises(ValueError):
-            GameDefinition(action_sets=((), ("a",)), utility_fn=lambda i, a: 0.0)
+            GameDefinition(action_counts=(0, 1), utility_fn=lambda i, a: 0.0)
 
     def test_rejects_non_finite_payoffs(self):
         with pytest.raises(ValueError):

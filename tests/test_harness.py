@@ -636,9 +636,13 @@ def load_game_spec_dict(raw):
 class TestGameSpecs:
     def test_label_based_actions(self):
         game, _ = load_game_spec_dict(
-            {"actions": [["l", "r"], ["u", "d"]], "utilities": [[0, 1, 2, 3], [3, 2, 1, 0]]}
+            {
+                "players": ["row", "column"],
+                "actions": [["l", "r"], ["u", "d"]],
+                "utilities": [[0, 1, 2, 3], [3, 2, 1, 0]],
+            }
         )
-        assert game.action_sets == (("l", "r"), ("u", "d"))
+        assert [game.n_actions(i) for i in range(game.n_players)] == [2, 2]
         assert game.utility(0, (1, 0)) == 2.0
 
     def test_unknown_key_named_in_error(self, tmp_path):

@@ -111,18 +111,22 @@ class TestTransitionProbability:
             assert errors[0] >= errors[1] >= errors[2] - 1e-12
 
     def test_resistance_is_the_kernel_exponent_on_a_non_separable_game(self):
-        # ln P = ln C - R ln(1 / eps), so the slope of ln P against ln eps is R
-        rng = np.random.default_rng(3)
-        game = GameDefinition.from_tables(
-            [0.1 * rng.permutation(9).reshape(3, 3).astype(float) for _ in range(2)]
-        )
-        cmap = ConstrainedActionMap.complete(game)
-        hi, lo = (build_chain(game, 0.5, cmap, eps).kernel for eps in (1e-6, 1e-8))
-        states = list(game.joint_actions())
-        for (j, source), (k, target) in itertools.permutations(enumerate(states), 2):
-            slope = (math.log(hi[j, k]) - math.log(lo[j, k])) / (math.log(1e-6) - math.log(1e-8))
-            r = resistance(game, source, target).resistance
-            assert abs(slope - r) <= 0.1, f"{source} -> {target}: slope {slope:.3f}, R {r:.3f}"
+        # ln P = ln C - R ln(1 / eps), so the slope of ln P against ln eps is R;
+        # at scale 0.5 some switch weights fall below 1e-16, where 1 - keep rounds to 0
+        for scale in (0.1, 0.5):
+            rng = np.random.default_rng(3)
+            game = GameDefinition.from_tables(
+                [scale * rng.permutation(9).reshape(3, 3).astype(float) for _ in range(2)]
+            )
+            cmap = ConstrainedActionMap.complete(game)
+            hi, lo = (build_chain(game, 0.5, cmap, eps).kernel for eps in (1e-6, 1e-8))
+            states = list(game.joint_actions())
+            for (j, source), (k, target) in itertools.permutations(enumerate(states), 2):
+                ratio = math.log(hi[j, k]) - math.log(lo[j, k])
+                slope = ratio / (math.log(1e-6) - math.log(1e-8))
+                r = resistance(game, source, target).resistance
+                msg = f"scale {scale}, {source} -> {target}: slope {slope:.3f}, R {r:.3f}"
+                assert abs(slope - r) <= 0.1, msg
 
     def test_noise_temperature_round_trip(self):
         tau = temperature_from_noise(0.1)
@@ -438,19 +442,20 @@ def reference_build_chain(game, wake, constraints, eps):
             for i in awake:
                 p_draw /= len(allowed[i])
             for trial_vec in itertools.product(*(allowed[i] for i in awake)):
-                # each awake player weighs its own trial, the others at the source
-                keeps = [
-                    binary_logit_weights(
-                        u_source[i], utils[replace_action(source, i, t)][i], tau
-                    )[0]
+                # each awake player weighs its own trial, the others at the source;
+                # a switch is the reversed pair's keep, exact where 1 - keep rounds to 0
+                weighed = [
+                    (u_source[i], utils[replace_action(source, i, t)][i])
                     for i, t in zip(awake, trial_vec)
                 ]
+                keeps = [binary_logit_weights(u, v, tau)[0] for u, v in weighed]
+                switches = [binary_logit_weights(v, u, tau)[0] for u, v in weighed]
                 for accept in range(1 << len(awake)):
                     p = p_draw
                     out = list(source)
                     for bit, i in enumerate(awake):
                         if accept >> bit & 1:
-                            p *= 1.0 - keeps[bit]
+                            p *= switches[bit]
                             out[i] = trial_vec[bit]
                         else:
                             p *= keeps[bit]
@@ -1112,10 +1117,7 @@ class TestStateCap:
     size, before any enumeration or kernel allocation."""
 
     def huge_game(self):
-        return GameDefinition(
-            action_sets=tuple(tuple(str(j) for j in range(10)) for _ in range(12)),
-            utility_fn=lambda i, a: 0.0,
-        )
+        return GameDefinition(action_counts=(10,) * 12, utility_fn=lambda i, a: 0.0)
 
     def test_build_chain_raises_at_once(self):
         game = self.huge_game()
