@@ -18,7 +18,9 @@ and positions digest) of the two runs of every pair: a pair matches when
 both printed the same cells, and each mismatch is printed as it happens.
 `runs` lists, per side and in pair order, whether each run went first or
 second in its pair and its host-slowdown reading, so order effects and
-drift of the slowdown divisor can be read from the file.  The entry replaces
+drift of the slowdown divisor can be read from the file; each gated
+metric's `by_position` holds, per side, the median of its first-position
+and of its second-position runs.  The entry replaces
 any entry of the same workload and seed already in `--out`, so one file can
 hold several workloads.  `--logs` keeps every run's full output.
 """
@@ -79,7 +81,16 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def summarise(gated: list[dict], runs: dict[str, list[dict]]) -> dict:
+def by_position(values: list[float], placed: list[dict]) -> dict:
+    """Median of the runs that went first in their pair and of those that went second."""
+    return {
+        position: statistics.median(v for v, p in zip(values, placed) if p["position"] == position)
+        for position in ("first", "second")
+        if any(p["position"] == position for p in placed)
+    }
+
+
+def summarise(gated: list[dict], runs: dict[str, list[dict]], placed: dict[str, list[dict]]) -> dict:
     metrics = {}
     for metric in gated:
         name = metric["name"]
@@ -94,6 +105,7 @@ def summarise(gated: list[dict], runs: dict[str, list[dict]]) -> dict:
             "change": change,
             "relative_change": change["median"] / parent["median"] - 1.0,
             "change_wins": wins,
+            "by_position": {s: by_position(side[s], placed[s]) for s in runs},
         }
     return metrics
 
@@ -168,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         "environment": sorted(environments),
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
         "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
-        "metrics": summarise(gated, runs),
+        "metrics": summarise(gated, runs, placed),
         "named": summarise_named(named),
         "positions": {
             "pairs_matching": sum(not p["differing"] for p in positions),
@@ -185,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
             f"({m['relative_change']:+.1%}), change better in {m['change_wins']}/{args.pairs}"
         )
+        for side, medians in m["by_position"].items():
+            print(f"  {side} by position: " + ", ".join(f"{k} {v:.6g}" for k, v in medians.items()))
     for name, m in entry["named"].items():
         print(f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} {m['unit']}")
     matching, differing = (entry["positions"][k] for k in ("pairs_matching", "pairs_differing"))

@@ -91,14 +91,14 @@ class CoverageWorld:
             for dy in range(-reach, reach + 1)
             if math.dist((dx, dy), (0, 0)) <= self.flag_range
         ]
-        # Every (disc cell l, cell c in the disc of l) offset pair, as
-        # (lx, ly, cx, cy) rows in the order overlap_worth() visits them.
-        self._overlap_pairs = np.array(
-            [
-                (ex, ey, ex + ox, ey + oy)
-                for ex, ey in self._cover_offsets
-                for ox, oy in self._cover_offsets
-            ]
+        # Every (disc cell l, cell c in the disc of l) offset pair, in the order
+        # overlap_worth() visits them, as flat index offsets from a robot's
+        # cell: l's in the worth raster padded by r, c's in the sum padded by 2r.
+        r, L = int(math.floor(self.cover_radius)), self.grid_size
+        pairs = [(e, o) for e in self._cover_offsets for o in self._cover_offsets]
+        self._overlap_reads = np.array([(ex + r) * (L + 2 * r) + ey + r for (ex, ey), _ in pairs])
+        self._overlap_writes = np.array(
+            [(ex + ox + 2 * r) * (L + 4 * r) + ey + oy + 2 * r for (ex, ey), (ox, oy) in pairs]
         )
         span = np.arange(1 - self.grid_size, self.grid_size)
         self._step_lengths = np.hypot(span[:, None], span[None, :])
@@ -243,16 +243,11 @@ def overlap_worth_map(
     # covered cells land in the padding of the result and are cut off.
     worth = np.zeros((L + 2 * r, L + 2 * r))
     worth[r : r + L, r : r + L] = grid
-    pos = np.array(others, dtype=int)[:, None, :]
-    pairs = world._overlap_pairs
-    l_cells = pos + pairs[:, :2] + r
-    c_cells = pos + pairs[:, 2:] + 2 * r
+    x, y = np.array(others).T
     n = L + 4 * r
-    overlap = np.bincount(
-        (c_cells[..., 0] * n + c_cells[..., 1]).ravel(),
-        weights=worth[l_cells[..., 0], l_cells[..., 1]].ravel(),
-        minlength=n * n,
-    )
+    reads = (x * (L + 2 * r) + y)[:, None] + world._overlap_reads
+    writes = (x * n + y)[:, None] + world._overlap_writes
+    overlap = np.bincount(writes.ravel(), weights=worth.ravel()[reads.ravel()], minlength=n * n)
     return overlap.reshape(n, n)[2 * r : 2 * r + L, 2 * r : 2 * r + L]
 
 
@@ -282,9 +277,9 @@ def step_lengths(world: CoverageWorld, origin: Cell) -> np.ndarray:
 
 def visible_foreign_flag(world: CoverageWorld, robot: int, cell: Cell, vantage: Cell) -> bool:
     """Whether `cell` carries another robot's flag detectable from `vantage`."""
-    if math.dist(cell, vantage) > world.flag_range:
+    if not world._owners.get(cell, 0) & ~(1 << robot):
         return False
-    return bool(world._owners.get(cell, 0) & ~(1 << robot))
+    return math.dist(cell, vantage) <= world.flag_range
 
 
 def visible_foreign_flags(world: CoverageWorld, robot: int, vantage: Cell) -> set[Cell]:
@@ -328,6 +323,13 @@ def utility(
             abs(x - old[0]) <= 1 and abs(y - old[1]) <= 1 and 0 <= x < L and 0 <= y < L
         ):
             raise ValueError(f"move {old} -> {new_pos} outside the constrained set")
+    return _move_payoff(world, robot, new_pos, old, values)
+
+
+def _move_payoff(
+    world: CoverageWorld, robot: int, new_pos: Cell, old: Cell, values: np.ndarray | None
+) -> float:
+    """utility() past its reachability check: the one payoff formula."""
     move_cost = world.move_cost * math.dist(new_pos, old)
     if visible_foreign_flag(world, robot, new_pos, old):
         return -move_cost
@@ -400,6 +402,7 @@ def as_game(
     `values`, when given, holds one worth raster per robot (None for the
     true field); positions, flags and `values[i]` are read at call time, so
     the game follows the world as it advances and as estimates are replaced.
+    `utilities` scores every robot in one loop over the kernel `utility` runs.
 
     A robot's payoff row reads only the world and its raster, never the
     joint action, so each robot's last row is kept, read-only, while the
@@ -413,14 +416,13 @@ def as_game(
     kept: dict[int, tuple[tuple, np.ndarray]] = {}
 
     def payoff(i: int, joint: JointAction) -> float:
-        return utility(
-            world,
-            i,
-            index_cell(world, joint[i]),
-            world.positions[i],
-            rasters[i],
-            enforce_reachable=False,
-        )
+        return _move_payoff(world, i, index_cell(world, joint[i]), world.positions[i], rasters[i])
+
+    def payoffs(joint: JointAction) -> list[float]:
+        cells, L = world.positions, world.grid_size
+        return [
+            _move_payoff(world, i, divmod(a, L), cells[i], rasters[i]) for i, a in enumerate(joint)
+        ]
 
     def row(i: int, joint: JointAction) -> np.ndarray:
         raster = rasters[i]
@@ -438,6 +440,7 @@ def as_game(
         action_counts=(world.grid_size**2,) * world.n_robots,
         utility_fn=payoff,
         row_fn=row,
+        utilities_fn=payoffs,
     )
 
 

@@ -232,10 +232,8 @@ def lll_step(game: GameDefinition, state: LoglinearState) -> LoglinearState:
     choice = draw_index(logit_map(row, state.temperature), state.rng)
     state.awake = (i,)
     state.adopted = (i,) if choice != state.action[i] else ()
-    state.payoffs = tuple(
-        float(row[choice]) if j == i else game.utility(j, state.action)
-        for j in range(game.n_players)
-    )
+    source = game.utilities(state.action)
+    state.payoffs = source[:i] + (float(row[choice]),) + source[i + 1 :]
     state.action = replace_action(state.action, i, choice)
     state.n += 1
     return state
@@ -318,20 +316,15 @@ def psblll_step(
         trials[i] = int(options[state.rng.integers(len(options))])
     new_action = list(state.action)
     adopted = []
-    weighed: dict[int, float] = {}
+    weighed = list(game.utilities(state.action))
     for i in awake:
-        current = game.utility(i, state.action)
         alternative = game.utility(i, replace_action(state.action, i, trials[i]))
-        keep, _ = binary_logit_weights(current, alternative, state.temperature)
-        weighed[i] = current
+        keep, _ = binary_logit_weights(weighed[i], alternative, state.temperature)
         if state.rng.random() >= keep:
             new_action[i] = trials[i]
             adopted.append(i)
             weighed[i] = alternative
-    state.payoffs = tuple(
-        weighed[j] if j in weighed else game.utility(j, state.action)
-        for j in range(game.n_players)
-    )
+    state.payoffs = tuple(weighed)
     state.action = tuple(new_action)
     state.adopted = tuple(adopted)
     state.n += 1

@@ -33,12 +33,15 @@ class GameDefinition:
     (player index, joint action) to a finite real payoff and must be defined
     on the whole joint-action space.  row_fn, when given, maps (player, joint
     action) to that player's payoff for each of its actions with the others'
-    held fixed, equal entry for entry to the utility_fn loop it replaces.
+    held fixed, equal entry for entry to the utility_fn loop it replaces;
+    utilities_fn, when given, maps a joint action to every player's payoff
+    there, equal to the utility_fn loop it replaces.
     """
 
     action_counts: tuple[int, ...]
     utility_fn: Callable[[int, JointAction], float]
     row_fn: Callable[[int, JointAction], np.ndarray] | None = None
+    utilities_fn: Callable[[JointAction], Sequence[float]] | None = None
 
     def __post_init__(self) -> None:
         self.action_counts = tuple(self.action_counts)
@@ -63,6 +66,8 @@ class GameDefinition:
         return float(self.utility_fn(player, action))
 
     def utilities(self, action: JointAction) -> tuple[float, ...]:
+        if self.utilities_fn is not None:
+            return tuple(map(float, self.utilities_fn(action)))
         return tuple(self.utility(i, action) for i in range(self.n_players))
 
     def utility_row(self, player: int, action: JointAction) -> np.ndarray:
@@ -120,9 +125,12 @@ def check_simplex(weights: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 def argmax_ties(values: Sequence[float], rel_tol: float = TIE_REL_TOL) -> tuple[int, ...]:
     """Indices of all values within a relative tolerance of the maximum."""
     vals = np.asarray(values, dtype=float)
-    top = vals.max()
-    cut = top - rel_tol * max(1.0, abs(top))
-    return tuple(np.flatnonzero(vals >= cut).tolist())
+    return tuple(np.flatnonzero(vals >= tie_cut(vals.max(), rel_tol)).tolist())
+
+
+def tie_cut(top: float, rel_tol: float = TIE_REL_TOL) -> float:
+    """Least value argmax_ties() groups with the maximum `top`."""
+    return top - rel_tol * max(1.0, abs(top))
 
 
 @dataclass

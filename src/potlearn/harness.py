@@ -430,6 +430,11 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             refit(i, mix.initial_estimate(logs[i], 1))
     max_f = [0.0] * n_robots
     max_g = [0.0] * n_robots
+    # Each robot's last sensing (cell tuple, (f, g)) and last wake inputs and
+    # probability: both are pure functions of what they are kept with, and
+    # a robot that stays keeps its cell tuple.
+    last_sense: list[tuple] = [((), None)] * n_robots
+    last_wake: list[tuple] = [((), None)] * n_robots
     # Robots decide on their own rasters; `rasters` entries are replaced as
     # estimates are refitted, and the game reads them at call time.
     game = cov.as_game(world, rasters)
@@ -450,24 +455,24 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
 
         if estimated or config.algorithm == "psblll":
             sensed = []
-            for i in range(n_robots):
-                f, g = cov.sense(world, i)
+            for i, cell in enumerate(world.positions):
+                if last_sense[i][0] is not cell:
+                    last_sense[i] = (cell, cov.sense(world, i))
+                f, g = last_sense[i][1]
                 if estimated:
                     sensed_worths[i, sensed_count[i]] = f
                     sensed_count[i] += 1
                 max_f[i] = max(max_f[i], f)
                 max_g[i] = max(max_g[i], g)
-                sensed.append((f, g))
+                sensed.append((f, g, max_f[i], max_g[i]))
         before = state.action
         if config.algorithm == "psblll":
-            wake = [
-                policy.probability(
-                    _normalized(sensed[i][0], max_f[i]),
-                    _normalized(sensed[i][1], max_g[i]),
-                )
-                for i in range(n_robots)
-            ]
-            psblll_step(game, state, moves, wake)
+            for i, key in enumerate(sensed):
+                if last_wake[i][0] != key:
+                    f, g, top_f, top_g = key
+                    p = policy.probability(_normalized(f, top_f), _normalized(g, top_g))
+                    last_wake[i] = (key, p)
+            psblll_step(game, state, moves, [p for _, p in last_wake])
         elif config.algorithm == "blll":
             blll_step(game, state, moves)
         else:

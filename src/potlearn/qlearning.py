@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import ConstrainedActionMap
-from .games import GameDefinition, argmax_ties, draw_index
+from .games import GameDefinition, argmax_ties, draw_index, tie_cut
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,16 @@ def perturb_strategy(x: np.ndarray, params: SOQLParams) -> np.ndarray:
     is active.
     """
     x = np.asarray(x, dtype=float)
-    top = float(x.max())
-    zeta = params.commitment_threshold
-    rho = params.perturbation_size * max(0.0, (top - zeta) / (1.0 - zeta))
+    rho = _perturbation_weight(float(x.max()), params)
     if rho == 0.0:
         return x
     return (1.0 - rho) * x + rho / x.size
+
+
+def _perturbation_weight(top: float, params: SOQLParams) -> float:
+    """perturb_strategy()'s blend weight for a strategy whose maximum is `top`."""
+    zeta = params.commitment_threshold
+    return params.perturbation_size * max(0.0, (top - zeta) / (1.0 - zeta))
 
 
 def adaptive_step(x_tilde: np.ndarray, action: int) -> float:
@@ -231,26 +235,35 @@ def soql_episode_step(
     strategy and step sizes adapt per action -- but a token limits the round
     to at most one realized non-best-response draw, so perturbations stay
     asynchronous.  Returns the state and the realized joint action.
+
+    Only the allowed entries of a strategy are read: the perturbation blend
+    is elementwise, with its weight from the maximum over all entries, and
+    `q[a] >= tie_cut(max q)` is `a in best_response_indices(q)`, so each
+    draw, weight and token test equals that of the full-strategy round.
     """
-    zone = commitment_zone_active(state, params)
+    tops = [float(x.max()) for x in state.strategies]
+    zone = all(top > params.commitment_threshold for top in tops)
     token_available = True
     draws: list[int] = []
-    draw_strategies: list[np.ndarray] = []
+    adaptive_steps: list[float] = []
     for i in range(game.n_players):
-        if zone and token_available:
-            x_draw = perturb_strategy(state.strategies[i], params)
-        else:
-            x_draw = state.strategies[i]
+        x = state.strategies[i]
         allowed = constraints.allowed(i, state.actions[i])
-        a = constrained_draw(x_draw, allowed, rng)
-        if zone and a not in best_response_indices(state.q_values[i]):
+        weights = x[list(allowed)]
+        rho = _perturbation_weight(tops[i], params) if zone and token_available else 0.0
+        if rho != 0.0:
+            weights = (1.0 - rho) * weights + rho / x.size
+        k = _renormalized_draw(weights, rng)
+        a = int(allowed[k])
+        q = state.q_values[i]
+        if zone and token_available and not q[a] >= tie_cut(q.max()):
             token_available = False
         draws.append(a)
-        draw_strategies.append(x_draw)
+        adaptive_steps.append(adaptive_step(weights, k))
     realized = tuple(draws)
     state.payoffs = game.utilities(realized)
     for i in range(game.n_players):
-        step = adaptive_step(draw_strategies[i], realized[i]) if zone else params.aggregation_step
+        step = adaptive_steps[i] if zone else params.aggregation_step
         if step > 0.0:
             soql_update(state, i, realized[i], state.payoffs[i], step)
         greedy_update(state, i, params.selection_step, rng)

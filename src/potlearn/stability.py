@@ -466,9 +466,14 @@ def _gth_stationary(kernel: np.ndarray) -> np.ndarray:
             p[r : r + slab, w:lo] += p[r : r + slab, lo:top] @ p[lo:top, w:lo]
     pi = np.zeros(n)
     pi[0] = 1.0
-    for k in range(1, n):
-        start = max(k - b, 0)
-        pi[k] = pi[start:k] @ p[start:k, k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            start = max(k - b, 0)
+            pi[k] = pi[start:k] @ p[start:k, k]
+            if not math.isfinite(pi[k]):
+                # unnormalised masses overflowed: rescale the solved ones and redo
+                pi[:k] /= pi[:k].max()
+                pi[k] = pi[start:k] @ p[start:k, k]
     return pi / pi.sum()
 
 

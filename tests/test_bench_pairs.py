@@ -70,3 +70,24 @@ def test_summarise_named_keeps_values_every_run_printed():
     assert named["model_search_s"]["unit"] == "s"
     assert named["model_search_s"]["parent"]["median"] == 0.214915
     assert named["model_search_s"]["change"]["values"] == [0.214915, 0.2]
+
+
+def test_summarise_splits_each_side_by_position_in_the_pair():
+    gated = [{"name": "unit_cost_us", "unit": "us", "better": "lower"}]
+
+    def run(value):
+        return {"metrics": {"unit_cost_us": {"value": value}}}
+
+    runs = {"parent": [run(v) for v in (110, 100, 114, 98)], "change": [run(v) for v in (90, 96, 89, 97)]}
+    placed = {
+        side: [{"pair": k, "position": ("first", "second")[(k + first) % 2]} for k in range(4)]
+        for side, first in (("parent", 0), ("change", 1))
+    }
+    metric = bench_pairs.summarise(gated, runs, placed)["unit_cost_us"]
+    assert metric["by_position"] == {
+        "parent": {"first": 112, "second": 99},
+        "change": {"first": 96.5, "second": 89.5},
+    }
+    assert metric["change_wins"] == 4
+    single = bench_pairs.summarise(gated, {s: r[:1] for s, r in runs.items()}, {s: p[:1] for s, p in placed.items()})
+    assert single["unit_cost_us"]["by_position"] == {"parent": {"first": 110}, "change": {"second": 90}}

@@ -301,16 +301,18 @@ def test_oracle_masses_far_below_the_rounding_of_one_are_kept(tmp_path, capsys, 
         assert mass[f"({off}, {off})"][k] == pytest.approx(eps**20, rel=1e-6, abs=0)
 
 
-def test_oracle_overflowing_solve_exits_2_naming_the_residual(tmp_path, capsys):
-    # switch weights near 1e-240 are exact, but GTH's unnormalised masses overflow
+def test_oracle_solve_whose_unnormalised_masses_overflow_is_rescaled(tmp_path, capsys):
+    # switch weights near 1e-240 are exact; GTH's unnormalised masses would
+    # overflow without the rescale in its back substitution
     game = tmp_path / "game.yaml"
     spec = {"actions": [2, 2], "utilities": [[0, 0, 1, 2], [0, 0.8, 0, 0.8]]}
     game.write_text(yaml.safe_dump(spec))
     out = tmp_path / "out"
-    assert main(["oracle", "--game", str(game), "--out-dir", str(out), "--noise", "1e-300"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: noise level 1e-300: GTH residual nan")
-    assert not out.exists()
+    assert main(["oracle", "--game", str(game), "--out-dir", str(out), "--noise", "1e-300"]) == 0
+    capsys.readouterr()
+    rows = list(csv.reader(io.StringIO((out / "stationary.csv").read_text())))
+    mass = {state: float(value) for state, value in rows[1:]}
+    assert mass["(1, 1)"] == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

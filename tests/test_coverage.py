@@ -727,6 +727,65 @@ class TestGameRowMemo:
         assert not (game.utility_row(0, (0, 0)) == first).all()
 
 
+class TestGameUtilities:
+    """`as_game(...).utilities` equals its own per-player utility loop, with ==."""
+
+    def assert_utilities_match(self, world, rasters, seed):
+        game = cov.as_game(world, rasters)
+        n, cells = world.n_robots, world.grid_size**2
+        source = tuple(cov.cell_index(world, p) for p in world.positions)
+        rng = np.random.default_rng(seed)
+        joints = [source] + [tuple(int(a) for a in rng.integers(cells, size=n)) for _ in range(4)]
+        for joint in joints:
+            expected = tuple(game.utility(i, joint) for i in range(n))
+            assert game.utilities(joint) == expected
+            assert expected == tuple(
+                ref_utility(world, i, cov.index_cell(world, a), None, rasters[i], False)
+                for i, a in enumerate(joint)
+            )
+
+    @given(coverage_cases(), st_.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_utilities_equal_the_per_player_loop(self, case, seed):
+        world, values = case
+        L = world.grid_size
+        estimate = GmmEstimate(
+            weights=np.array([1.0]), means=np.array([[L / 3, L / 2]]), covs=np.array([np.eye(2)])
+        )
+        other = _estimate_raster(estimate, world.field_model)
+        rasters = [(values, None, other)[i % 3] for i in range(world.n_robots)]
+        self.assert_utilities_match(world, rasters, seed)
+
+    def test_foreign_flags_at_and_just_past_the_range(self):
+        world = flat_world(grid=8, robots=3)
+        cov.commit_positions(world, [(0, 0), (0, 0), (7, 7)])
+        assert world.flag_range == 3.0
+        for cell in ((3, 0), (3, 1), (0, 3), (2, 2), (3, 3)):
+            cov.lay_flag(world, 2, cell)
+        cov.lay_flag(world, 0, (1, 1))
+        game = cov.as_game(world)
+        for dest in ((3, 0), (3, 1), (0, 3), (2, 2), (3, 3), (1, 1), (0, 0)):
+            joint = (cov.cell_index(world, dest),) * 2 + (cov.cell_index(world, (7, 7)),)
+            payoffs = game.utilities(joint)
+            assert payoffs == tuple(game.utility(i, joint) for i in range(3))
+            # only robot 1 sees robot 0's flag on (1, 1)
+            assert (payoffs[0] == payoffs[1]) == (dest != (1, 1))
+        self.assert_utilities_match(world, [None] * 3, 0)
+
+    def test_a_writable_raster_mutated_between_calls_is_read_afresh(self):
+        world = flat_world(grid=6, robots=3)
+        cov.commit_positions(world, [(0, 5), (1, 4), (1, 4)])
+        values = np.random.default_rng(5).random((6, 6))
+        game = cov.as_game(world, [values, values, None])
+        joint = (cov.cell_index(world, (0, 4)), 3, 27)
+        before = game.utilities(joint)
+        values *= 2.0
+        after = game.utilities(joint)
+        assert after == tuple(game.utility(i, joint) for i in range(3))
+        assert after[0] != before[0] and after[1] != before[1] and after[2] == before[2]
+        self.assert_utilities_match(world, [values, values, None], 1)
+
+
 class TestSharedOffsetOverlap:
     @pytest.mark.parametrize("radius", RADII + (0.3, 4.0))
     def test_every_displacement_matches_the_disc_walk(self, radius):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st_
 
 from potlearn import coverage as cov
 from potlearn.dynamics import ConstrainedActionMap
-from potlearn.games import GameDefinition, check_simplex, logit_map
+from potlearn.games import TIE_REL_TOL, GameDefinition, check_simplex, logit_map, tie_cut
 from potlearn.qlearning import (
     QState,
     SOQLParams,
@@ -292,6 +294,102 @@ class TestAllowedSetBoltzmannDraw:
             _, realized = ql_episode_step(game, state, params, moves, rng)
             assert realized == expected
             assert rng.random() == ref_rng.random()
+
+
+def ref_soql_episode_step(game, state, params, constraints, rng):
+    """The second-order round as written before: every draw reads a perturbed
+    copy of the whole strategy and the token test reads the best-response set."""
+    zone = commitment_zone_active(state, params)
+    token_available = True
+    draws, draw_strategies = [], []
+    for i in range(game.n_players):
+        if zone and token_available:
+            x_draw = perturb_strategy(state.strategies[i], params)
+        else:
+            x_draw = state.strategies[i]
+        a = constrained_draw(x_draw, constraints.allowed(i, state.actions[i]), rng)
+        if zone and a not in best_response_indices(state.q_values[i]):
+            token_available = False
+        draws.append(a)
+        draw_strategies.append(x_draw)
+    realized = tuple(draws)
+    state.payoffs = game.utilities(realized)
+    for i in range(game.n_players):
+        step = adaptive_step(draw_strategies[i], realized[i]) if zone else params.aggregation_step
+        if step > 0.0:
+            soql_update(state, i, realized[i], state.payoffs[i], step)
+        greedy_update(state, i, params.selection_step, rng)
+    state.n += 1
+    state.actions = list(realized)
+    return state, realized
+
+
+class TestAllowedCellSecondOrderRound:
+    """`soql_episode_step` reads only the allowed cells of each strategy; its
+    rounds equal the whole-strategy reference in every bit."""
+
+    def random_state(self, source, moves, n_players, n_actions, zone):
+        actions = [int(a) for a in source.integers(n_actions, size=n_players)]
+        state = QState.initial([n_actions] * n_players, actions)
+        for i in range(n_players):
+            q = source.normal(scale=float(source.choice([1e-3, 1.0, 1e3])), size=n_actions)
+            top = float(q.max())
+            # entries at, just inside and just outside argmax_ties' tolerance;
+            # the committed cell, one of the allowed ones, is among them
+            target = int(source.choice(moves.allowed(i, actions[i])))
+            near = [target, *source.choice(n_actions, size=n_actions // 2, replace=False)]
+            for j, rel in zip(near, source.choice([0.0, 0.5, 1.0, 1.001, 2.0], size=len(near))):
+                q[j] = top - rel * TIE_REL_TOL * max(1.0, abs(top))
+            state.q_values[i][:] = q
+            state.payoff_trace[i][:] = source.normal(size=n_actions)
+            if zone or source.random() < 0.5:
+                weight = float(source.choice([1.0 - 1e-5, 1.0 - 1e-7, 1.0]))
+                x = source.dirichlet(np.ones(n_actions)) * (1.0 - weight)
+                x[target] += weight
+            else:
+                x = source.dirichlet(np.full(n_actions, 0.3))
+            state.strategies[i][:] = x
+        return state
+
+    def test_rounds_equal_the_whole_strategy_reference(self):
+        field = WorthField([GaussianComponent(1.0, [3.0, 3.0], 4.0 * np.eye(2))], 6)
+        world = cov.CoverageWorld.create(field, 3, make_rng(0))
+        game, moves = cov.as_game(world), cov.moves_constraint_map(world)
+        source = make_rng(2)
+        params = SOQLParams(perturbation_size=0.3)
+        seen = {"zone": 0, "token_spent": 0, "no_zone": 0}
+        for trial in range(400):
+            zone = trial % 4 != 0
+            state = self.random_state(source, moves, 3, 36, zone)
+            ref = copy.deepcopy(state)
+            in_zone = commitment_zone_active(state, params)
+            rng, ref_rng = make_rng(trial), make_rng(trial)
+            for _ in range(3):
+                _, realized = soql_episode_step(game, state, params, moves, rng)
+                _, expected = ref_soql_episode_step(game, ref, params, moves, ref_rng)
+                assert realized == expected
+                assert state.payoffs == ref.payoffs
+                assert state.actions == ref.actions and state.n == ref.n
+                for name in ("payoff_trace", "q_values", "strategies"):
+                    for a, b in zip(getattr(state, name), getattr(ref, name)):
+                        assert a.tolist() == b.tolist()
+                assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+            seen["zone" if in_zone else "no_zone"] += 1
+            if in_zone and any(
+                a not in best_response_indices(q) for a, q in zip(expected, ref.q_values)
+            ):
+                seen["token_spent"] += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_the_token_test_is_membership_of_the_tie_set(self):
+        source = make_rng(3)
+        for _ in range(500):
+            q = source.normal(scale=float(source.choice([1e-3, 1.0, 1e3])), size=9)
+            top = float(q.max())
+            q[source.integers(9)] = top - float(source.choice([0.5, 1.0, 1.5])) * TIE_REL_TOL * max(1.0, abs(top))
+            ties = best_response_indices(q)
+            for a in range(9):
+                assert (q[a] >= tie_cut(q.max())) == (a in ties)
 
 
 class TestEpisodes:

@@ -228,6 +228,22 @@ class TestStationaryDistribution:
         with pytest.raises(StationaryConvergenceError, match=r"> bound 1\.250e-10$"):
             stationary_distribution(chain)
 
+    def test_nan_solve_fails_the_residual_gate(self, monkeypatch):
+        game = own_value_game([0.0, 1.0])
+        chain = build_chain(game, 0.5, ConstrainedActionMap.complete(game), eps=0.1)
+        monkeypatch.setattr(stability, "_gth_stationary", lambda kernel: np.full(len(kernel), np.nan))
+        with pytest.raises(StationaryConvergenceError, match=r"^GTH residual nan > bound"):
+            stationary_distribution(chain)
+
+    def test_back_substitution_rescales_an_overflowing_product(self):
+        # each state is 1e300 times as likely as the one before, so the
+        # unnormalised mass of state 2 (1e600) overflows unless pi is rescaled
+        kernel = np.array([[0.0, 1.0, 0.0], [1e-300, 0.0, 1 - 1e-300], [0.0, 1e-300, 1 - 1e-300]])
+        with np.errstate(over="raise", invalid="raise"):
+            pi = stability._gth_stationary(kernel)
+        assert pi.tolist() == [0.0, 1e-300, 1.0]
+        assert stability._residual(kernel, pi) <= 1e-10
+
     def test_residual_gate_failure_names_the_noise_level(self, monkeypatch):
         game = own_value_game([0.0, 1.0], [0.3, 0.1, 0.2])
         self.perturb_solver(monkeypatch)
