@@ -12,8 +12,8 @@ output (the JSON object of end-to-end metrics), the `environment:` line, the
 lines are read.  For each gated metric of the change's BENCHMARK.json the
 summary holds the median and quartiles per side, the relative change of the
 medians and the number of pairs in which the change was better; `named`
-holds the median and quartiles per side of each named value every run
-printed.  `positions` compares the cell lines (sweep, seed, iteration count
+holds the same for each named value every run printed, lower counting as
+better.  `positions` compares the cell lines (sweep, seed, iteration count
 and positions digest) of the two runs of every pair: a pair matches when
 both printed the same cells, and each mismatch is printed as it happens.
 `runs` lists, per side and in pair order, whether each run went first or
@@ -111,15 +111,22 @@ def summarise(gated: list[dict], runs: dict[str, list[dict]], placed: dict[str, 
 
 
 def summarise_named(named: dict[str, list[dict[str, tuple[float, str]]]]) -> dict:
-    """Median and quartiles per side of each named value every run printed."""
+    """Median and quartiles per side of each named value every run printed,
+    the relative change of the medians and the number of pairs in which the
+    change read lower (every named value is a time or a size)."""
     common = set.intersection(*(set(v) for runs in named.values() for v in runs))
-    return {
-        name: {
+    out = {}
+    for name in sorted(common):
+        side = {s: [v[name][0] for v in named[s]] for s in named}
+        parent, change = quartiles(side["parent"]), quartiles(side["change"])
+        out[name] = {
             "unit": named["change"][0][name][1],
-            **{s: quartiles([v[name][0] for v in named[s]]) for s in named},
+            "parent": parent,
+            "change": change,
+            "relative_change": change["median"] / parent["median"] - 1.0,
+            "change_wins": sum(c < p for p, c in zip(side["parent"], side["change"])),
         }
-        for name in sorted(common)
-    }
+    return out
 
 
 def compare_cells(parent: list[str], change: list[str]) -> dict:
@@ -200,7 +207,10 @@ def main(argv: list[str] | None = None) -> int:
         for side, medians in m["by_position"].items():
             print(f"  {side} by position: " + ", ".join(f"{k} {v:.6g}" for k, v in medians.items()))
     for name, m in entry["named"].items():
-        print(f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} {m['unit']}")
+        print(
+            f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} {m['unit']} "
+            f"({m['relative_change']:+.1%}), change lower in {m['change_wins']}/{args.pairs}"
+        )
     matching, differing = (entry["positions"][k] for k in ("pairs_matching", "pairs_differing"))
     print(
         f"positions sha256: {matching}/{args.pairs} pairs match"

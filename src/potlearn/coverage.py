@@ -285,8 +285,8 @@ def visible_foreign_flag(world: CoverageWorld, robot: int, cell: Cell, vantage: 
 def visible_foreign_flags(world: CoverageWorld, robot: int, vantage: Cell) -> set[Cell]:
     """Every cell carrying another robot's flag detectable from `vantage`."""
     x, y = vantage
-    near = ((x + dx, y + dy) for dx, dy in world._flag_offsets)
-    return {c for c in near if world._owners.get(c, 0) & ~(1 << robot)}
+    owner, mask = world._owners.get, ~(1 << robot)
+    return {c for dx, dy in world._flag_offsets if owner(c := (x + dx, y + dy), 0) & mask}
 
 
 def constrained_moves(world: CoverageWorld, position: Cell) -> list[Cell]:
@@ -371,11 +371,12 @@ def lay_flag(world: CoverageWorld, robot: int, cell: Cell | None = None) -> None
 
 
 def commit_positions(world: CoverageWorld, new_positions: Sequence[Cell]) -> None:
-    """Advance the world one iteration: adopt the new positions."""
+    """Advance the world one iteration: adopt the new positions (a new tuple only on a move)."""
     cells = tuple(tuple(p) for p in new_positions)
     if len(cells) != world.n_robots:
         raise ValueError(f"need {world.n_robots} positions, got {len(cells)}")
-    world._positions = cells
+    if cells != world._positions:
+        world._positions = cells
 
 
 def total_covered_worth(world: CoverageWorld, values: np.ndarray | None = None) -> float:
@@ -407,22 +408,31 @@ def as_game(
     A robot's payoff row reads only the world and its raster, never the
     joint action, so each robot's last row is kept, read-only, while the
     world's position and flag tuples and its raster are the same objects.
-    Only `commit_positions` and `lay_flag` replace those tuples; the move
-    cost, covering radius and field are fixed at construction.  A writable
-    raster may change in place, so its rows are never kept.
+    Only `commit_positions` and `lay_flag` replace those tuples, and only on
+    a change; the move cost, covering radius and field are fixed at
+    construction.  A writable raster may change in place, so its rows are
+    never kept.  By the same rule `utilities` keeps its last result for a repeated joint.
     """
     rasters = [None] * world.n_robots if values is None else values
     # robot -> ((positions, flags, raster) the row was made from, row)
     kept: dict[int, tuple[tuple, np.ndarray]] = {}
+    # (positions, flags, joint, rasters) of the last `payoffs` call, and its result
+    last: list = [None, None, None, (), []]
 
     def payoff(i: int, joint: JointAction) -> float:
         return _move_payoff(world, i, index_cell(world, joint[i]), world.positions[i], rasters[i])
 
     def payoffs(joint: JointAction) -> list[float]:
-        cells, L = world.positions, world.grid_size
-        return [
+        cells, flags = world._positions, world._flags
+        if cells is last[0] and flags is last[1] and joint == last[2]:
+            if all(r is k and (r is None or _is_frozen(r)) for r, k in zip(rasters, last[3])):
+                return last[4]
+        L = world.grid_size
+        out = [
             _move_payoff(world, i, divmod(a, L), cells[i], rasters[i]) for i, a in enumerate(joint)
         ]
+        last[:] = cells, flags, tuple(joint), tuple(rasters), out
+        return out
 
     def row(i: int, joint: JointAction) -> np.ndarray:
         raster = rasters[i]

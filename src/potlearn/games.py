@@ -216,14 +216,21 @@ def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
     """`rng.choice(len(p), p=p)`'s inverse-CDF draw without its overhead: the
     same index and generator state after, and ValueError on bad weights.  Short
     rows sum in Python floats, which round the running sum as numpy does."""
-    short = len(p) <= 16
-    cdf = list(itertools.accumulate(p.tolist())) if short else np.cumsum(p)
+    if len(p) <= 16:
+        return cdf_draw(p.tolist(), rng)
+    cdf = np.cumsum(p)
     if not (0.0 < cdf[-1] < math.inf and p.min() >= 0.0):
         raise ValueError("probabilities must be finite, non-negative and not all zero")
-    if short:
-        return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def cdf_draw(p: list[float], rng: np.random.Generator) -> int:
+    """`draw_index` of a row given as Python floats."""
+    cdf = list(itertools.accumulate(p))
+    if not (0.0 < cdf[-1] < math.inf and min(p) >= 0.0):
+        raise ValueError("probabilities must be finite, non-negative and not all zero")
+    return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def random_separable_game(

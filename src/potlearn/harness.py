@@ -537,7 +537,8 @@ def _aic_round(
 
 def _run_qlearning(config: ExperimentConfig, seed: int) -> RunRecord:
     n_robots = config.robots
-    run = _Run(config, seed, [f"commit{i}" for i in range(n_robots)])
+    columns = [f"commit{i}" for i in range(n_robots)]
+    run = _Run(config, seed, columns)
     world = run.world
     params = config.soql_params()
     episode_step = soql_episode_step if config.algorithm == "soql" else ql_episode_step
@@ -557,8 +558,7 @@ def _run_qlearning(config: ExperimentConfig, seed: int) -> RunRecord:
         cov.commit_positions(world, [cov.index_cell(world, a) for a in realized])
         for i in range(n_robots):
             cov.lay_flag(world, i)
-        commit = {f"commit{i}": float(x.max()) for i, x in enumerate(state.strategies)}
-        if run.log(n, phi, commit):
+        if run.log(n, phi, dict(zip(columns, state.maxima))):
             break
     return run.finish()
 

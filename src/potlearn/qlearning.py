@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import ConstrainedActionMap
-from .games import GameDefinition, argmax_ties, draw_index, tie_cut
+from .games import GameDefinition, argmax_ties, cdf_draw, tie_cut
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ class QState:
     actions: list[int] = field(default_factory=list)
     n: int = 0
     payoffs: tuple[float, ...] = ()  # every player's payoff at the last realized action
+    maxima: list[float] = field(default_factory=list)  # each strategy's max after the last round
 
     @classmethod
     def initial(
@@ -78,6 +79,7 @@ class QState:
             q_values=[np.zeros(k) for k in action_counts],
             strategies=[np.full(k, 1.0 / k) for k in action_counts],
             actions=list(initial_actions) if initial_actions else [0] * len(action_counts),
+            maxima=[1.0 / k for k in action_counts],
         )
 
 
@@ -118,8 +120,9 @@ def greedy_update(
     player: int,
     selection_step: float,
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Mix the strategy one step toward the pure best response of the Q row.
+) -> int:
+    """Mix the strategy one step toward the pure best response of the Q row;
+    returns that response.
 
     Among tied maximizers one is drawn uniformly at random when an RNG is
     supplied, otherwise the lowest index wins.
@@ -129,7 +132,7 @@ def greedy_update(
     x = state.strategies[player]
     x *= 1.0 - selection_step
     x[target] += selection_step
-    return x
+    return target
 
 
 def payoff_trace_after(trace0: float, payoff: float, step: float, repeats: int) -> float:
@@ -207,11 +210,31 @@ def constrained_draw(
 
 
 def _renormalized_draw(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn from `weights` renormalized; uniform once their mass vanishes."""
-    total = weights.sum()
+    """Index drawn from `weights` renormalized; uniform once their mass vanishes.
+    The sum is numpy's (`_numpy_sum` up to 128 weights) and the division and
+    draw run in Python floats, so index and generator state are numpy's."""
+    w = weights.tolist()
+    total = _numpy_sum(w) if len(w) <= 128 else float(weights.sum())
     if total <= 0.0:
-        return int(rng.integers(len(weights)))
-    return draw_index(weights / total, rng)
+        return int(rng.integers(len(w)))
+    return cdf_draw([v / total for v in w], rng)
+
+
+def _numpy_sum(values: list[float]) -> float:
+    """`np.sum` of up to 128 floats, bit for bit.  numpy adds fewer than 8
+    entries one by one onto 0.0.  From 8 on it folds 8 running sums pairwise,
+    adds the entries past the last full 8 one by one and adds that to 0.0;
+    adding the fold to 0.0 first gives the same bits, the sign of zero included."""
+    n, total, tail = len(values), 0.0, values
+    if n >= 8:
+        r = values[:8]
+        for j in range(8, n - n % 8):
+            r[j % 8] += values[j]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = values[n - n % 8 :]
+    for v in tail:
+        total += v
+    return total
 
 
 def commitment_zone_active(state: QState, params: SOQLParams) -> bool:
@@ -262,11 +285,16 @@ def soql_episode_step(
         adaptive_steps.append(adaptive_step(weights, k))
     realized = tuple(draws)
     state.payoffs = game.utilities(realized)
+    s = params.selection_step
     for i in range(game.n_players):
         step = adaptive_steps[i] if zone else params.aggregation_step
         if step > 0.0:
             soql_update(state, i, realized[i], state.payoffs[i], step)
-        greedy_update(state, i, params.selection_step, rng)
+        target = greedy_update(state, i, s, rng)
+        # Rounding is monotone, so the largest scaled entry is the scaled
+        # maximum, and only the target entry can pass it.
+        tops[i] = max(tops[i] * (1.0 - s), float(state.strategies[i][target]))
+    state.maxima = tops
     state.n += 1
     state.actions = list(realized)
     return state, realized

@@ -247,12 +247,12 @@ def _space(game: GameDefinition) -> _Space:
     sizes = [game.n_actions(i) for i in range(game.n_players)]
     strides = np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))])
     states = tuple(game.joint_actions())
-    actions = np.array(states, dtype=np.int64).reshape(n, len(sizes))
+    actions = np.indices(sizes, dtype=np.int64).reshape(len(sizes), n).T
     payoffs = np.empty((n, len(sizes)))
     for i, m in enumerate(sizes):
-        own = np.arange(m) * strides[i]
-        for k in np.flatnonzero(actions[:, i] == 0).tolist():
-            payoffs[k + own, i] = game.utility_row(i, states[k])
+        bases = np.flatnonzero(actions[:, i] == 0)
+        rows = [game.utility_row(i, states[k]) for k in bases.tolist()]
+        payoffs[bases[:, None] + np.arange(m) * strides[i], i] = rows
     return _Space(states=states, actions=actions, strides=strides, payoffs=payoffs)
 
 

@@ -91,3 +91,19 @@ def test_summarise_splits_each_side_by_position_in_the_pair():
     assert metric["change_wins"] == 4
     single = bench_pairs.summarise(gated, {s: r[:1] for s, r in runs.items()}, {s: p[:1] for s, p in placed.items()})
     assert single["unit_cost_us"]["by_position"] == {"parent": {"first": 110}, "change": {"second": 90}}
+
+
+def test_summarise_named_gives_the_relative_change_and_the_change_wins():
+    def run(iter_us):
+        lines = [line.replace("178.586", iter_us) for line in RUN]
+        return bench_pairs.named_values(lines)
+
+    parent = [run(v) for v in ("200", "180", "190")]
+    change = [run(v) for v in ("150", "185", "160")]
+    named = bench_pairs.summarise_named({"parent": parent, "change": change})
+    iter_us = named["psblll_iter_us"]
+    assert iter_us["unit"] == "us/iter"
+    assert iter_us["parent"]["median"] == 190.0 and iter_us["change"]["median"] == 160.0
+    assert iter_us["relative_change"] == 160.0 / 190.0 - 1.0
+    assert iter_us["change_wins"] == 2
+    assert named["setup_s"]["relative_change"] == 0.0 and named["setup_s"]["change_wins"] == 0

@@ -627,7 +627,38 @@ def writer_sequences(draw):
     return world
 
 
+def ref_generator_flags(world, robot, vantage):
+    """visible_foreign_flags() as written before: a generator of cells filtered into a set."""
+    x, y = vantage
+    near = ((x + dx, y + dy) for dx, dy in world._flag_offsets)
+    return {c for c in near if world._owners.get(c, 0) & ~(1 << robot)}
+
+
 class TestWorldWriters:
+    @given(writer_sequences())
+    @settings(max_examples=100, deadline=None)
+    def test_foreign_flag_set_equals_the_generator_built_set(self, world):
+        L = world.grid_size
+        for robot in range(world.n_robots):
+            for vantage in [(x, y) for x in range(-1, L + 1) for y in range(-1, L + 1)]:
+                assert cov.visible_foreign_flags(world, robot, vantage) == ref_generator_flags(
+                    world, robot, vantage
+                )
+
+    def test_commit_keeps_the_position_tuple_while_every_cell_is_equal(self):
+        world = flat_world(robots=3)
+        cov.commit_positions(world, [(1, 1), (2, 2), (3, 3)])
+        kept = world.positions
+        cov.commit_positions(world, [[1, 1], (2, 2), np.array([3, 3])])
+        assert world.positions is kept
+        cov.commit_positions(world, [(1, 1), (2, 3), (3, 3)])
+        assert world.positions is not kept
+        assert world.positions == ((1, 1), (2, 3), (3, 3))
+        moved = world.positions
+        with pytest.raises(ValueError, match="need 3 positions"):
+            cov.commit_positions(world, [(1, 1), (2, 3)])
+        assert world.positions is moved
+
     @given(writer_sequences())
     @settings(max_examples=150, deadline=None)
     def test_owner_map_follows_the_flag_sets(self, world):
@@ -784,6 +815,68 @@ class TestGameUtilities:
         assert after == tuple(game.utility(i, joint) for i in range(3))
         assert after[0] != before[0] and after[1] != before[1] and after[2] == before[2]
         self.assert_utilities_match(world, [values, values, None], 1)
+
+    def test_kept_payoffs_equal_a_fresh_loop_after_every_writer(self, monkeypatch):
+        """The last payoffs are kept only while the joint action, the world's
+        position and flag tuples and every robot's frozen raster are unchanged."""
+        move_payoff = cov._move_payoff
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return move_payoff(*args)
+
+        monkeypatch.setattr(cov, "_move_payoff", counting)
+        world = flat_world(grid=8, robots=3)
+        cov.commit_positions(world, [(2, 2), (5, 5), (6, 1)])
+        for i in range(3):
+            cov.lay_flag(world, i)
+        frozen = [np.random.default_rng(k).random((8, 8)) for k in range(2)]
+        for values in frozen:
+            values.setflags(write=False)
+        rasters = [frozen[0], None, None]
+        game = cov.as_game(world, rasters)
+        joint = tuple(cov.cell_index(world, c) for c in [(3, 2), (5, 5), (6, 2)])
+        last = {}
+
+        def check(changes):
+            fresh = tuple(
+                move_payoff(world, i, cov.index_cell(world, a), world.positions[i], rasters[i])
+                for i, a in enumerate(joint)
+            )
+            assert game.utilities(joint) == fresh
+            if "payoffs" in last:
+                assert (game.utilities(joint) != last["payoffs"]) == changes
+            last["payoffs"] = fresh
+            calls.clear()
+            assert game.utilities(joint) == fresh  # a still repeat
+            return len(calls)
+
+        assert check(changes=None) == 0
+        cov.commit_positions(world, [(2, 1), (5, 5), (6, 1)])  # a commit that moves
+        assert check(changes=True) == 0
+        cov.commit_positions(world, [(2, 1), (5, 5), (6, 1)])  # a commit that stays
+        assert check(changes=False) == 0
+        cov.lay_flag(world, 1, (3, 2))  # a new cell, in robot 0's sight
+        assert check(changes=True) == 0
+        cov.lay_flag(world, 1, (3, 2))  # an already flagged cell
+        assert check(changes=False) == 0
+        rasters[1] = frozen[1]  # a replaced raster
+        assert check(changes=True) == 0
+        writable = np.random.default_rng(7).random((8, 8))
+        rasters[2] = writable
+        assert check(changes=True) == 3  # a writable raster is never kept
+        writable *= 2.0  # mutated in place
+        assert check(changes=True) == 3
+
+    def test_a_joint_given_as_a_list_and_changed_in_place_is_not_kept(self):
+        world = flat_world(grid=6, robots=2)
+        cov.commit_positions(world, [(1, 1), (4, 4)])
+        game = cov.as_game(world)
+        joint = [cov.cell_index(world, (1, 2)), cov.cell_index(world, (4, 4))]
+        game.utilities(joint)
+        joint[0] = cov.cell_index(world, (2, 2))
+        assert game.utilities(joint) == tuple(game.utility(i, joint) for i in range(2))
 
 
 class TestSharedOffsetOverlap:

@@ -1,4 +1,7 @@
+import bisect
 import copy
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from potlearn import coverage as cov
+from potlearn import qlearning
 from potlearn.dynamics import ConstrainedActionMap
-from potlearn.games import TIE_REL_TOL, GameDefinition, check_simplex, logit_map, tie_cut
+from potlearn.games import (
+    TIE_REL_TOL,
+    GameDefinition,
+    check_simplex,
+    draw_index,
+    logit_map,
+    tie_cut,
+)
 from potlearn.qlearning import (
     QState,
     SOQLParams,
@@ -186,6 +197,16 @@ class TestGreedyUpdate:
             targets.add(int(np.argmax(s.strategies[0])))
         assert targets == {0, 1}
 
+    def test_returns_the_target_it_stepped_toward(self):
+        rng = make_rng(44)
+        for _ in range(50):
+            s = QState.initial([3])
+            s.q_values[0][:] = [1.0, 1.0, 0.0]
+            before = s.strategies[0].copy()
+            target = greedy_update(s, 0, 0.3, rng)
+            assert target in (0, 1)
+            assert (s.strategies[0] == before * (1.0 - 0.3) + 0.3 * np.eye(3)[target]).all()
+
     @given(st_.lists(st_.floats(0.01, 1.0), min_size=2, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_simplex_preserved(self, raw):
@@ -260,6 +281,114 @@ class TestConstrainedDraw:
         x = np.array([0.0, 0.0, 1.0])
         seen = {constrained_draw(x, [0, 1], rng) for _ in range(100)}
         assert seen == {0, 1}
+
+
+def same_float(a, b):
+    """== that also tells 0.0 from -0.0 and counts two NaNs as equal."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+class TestNumpySum:
+    """`_numpy_sum` equals `np.sum` bit for bit on up to 128 floats."""
+
+    @pytest.mark.parametrize("n", [*range(1, 18), 31, 64, 127, 128])
+    def test_equals_np_sum(self, n):
+        source = make_rng(n)
+        rows = [
+            np.full(n, -0.0),
+            np.full(n, 1e308),
+            np.full(n, 5e-324),
+            np.arange(n, dtype=float) - n / 2,
+        ]
+        for _ in range(400):
+            kind = source.integers(4)
+            if kind == 0:
+                row = source.random(n)
+            elif kind == 1:
+                row = source.normal(size=n) * 10.0 ** source.integers(-300, 300, size=n)
+            elif kind == 2:
+                row = source.choice(SPECIAL, size=n)
+            else:
+                special = source.choice(SPECIAL, size=n)
+                row = np.where(source.random(n) < 0.5, special, source.random(n))
+            rows.append(row)
+        with np.errstate(all="ignore"):
+            for row in rows:
+                assert same_float(qlearning._numpy_sum(row.tolist()), float(np.sum(row))), row
+
+
+def ref_renormalized_draw(weights, rng):
+    """The allowed-cell draw as written before: numpy sum and division, then
+    `draw_index`, whose short-row path is written out."""
+    total = weights.sum()
+    if total <= 0.0:
+        return int(rng.integers(len(weights)))
+    p = weights / total
+    if len(p) > 16:
+        return draw_index(p, rng)
+    cdf = list(itertools.accumulate(p.tolist()))
+    if not (0.0 < cdf[-1] < math.inf and p.min() >= 0.0):
+        raise ValueError("probabilities must be finite, non-negative and not all zero")
+    return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
+
+
+def outcome(draw, weights, rng):
+    """The index a draw returns, or the text of the ValueError it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return draw(weights, rng)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRenormalizedDraw:
+    """`_renormalized_draw` divides and draws in Python floats and gives the
+    index and generator state of the numpy path, short rows and long."""
+
+    @pytest.mark.parametrize(
+        "n,trials", [(n, 2000) for n in range(1, 17)] + [(40, 300), (128, 300), (129, 300)]
+    )
+    def test_equals_the_numpy_path(self, n, trials):
+        source = make_rng(100 + n)
+        ours, theirs = make_rng(n), make_rng(n)
+        for trial in range(trials):
+            kind = trial % 5
+            if kind == 0:
+                w = source.random(n)
+            elif kind == 1:  # Boltzmann weights: some overflow, many underflow
+                with np.errstate(over="ignore"):
+                    w = np.exp(source.normal(scale=300.0, size=n) - 400.0)
+            elif kind == 2:
+                w = source.dirichlet(np.full(n, 0.2)) * 10.0 ** float(source.integers(-320, 300))
+            elif kind == 3:
+                w = np.where(source.random(n) < 0.5, 0.0, source.random(n))
+            else:
+                w = np.zeros(n)
+            assert outcome(qlearning._renormalized_draw, w, ours) == outcome(
+                ref_renormalized_draw, w, theirs
+            )
+            if trial % 50 == 49:  # the streams continue, so a skew would persist
+                assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+
+    def test_zero_mass_falls_back_to_a_uniform_draw(self):
+        for w in (np.zeros(5), np.array([0.0, -0.0, 0.0])):
+            ours, theirs = make_rng(1), make_rng(1)
+            assert qlearning._renormalized_draw(w, ours) == ref_renormalized_draw(w, theirs)
+            assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.25, math.inf])
+    @pytest.mark.parametrize("n", [2, 9, 16, 40])
+    def test_bad_rows_raise_the_same_error(self, bad, n):
+        w = np.full(n, 0.5)
+        w[n // 2] = bad
+        expected = outcome(ref_renormalized_draw, w, make_rng(0))
+        assert isinstance(expected, str)
+        assert outcome(qlearning._renormalized_draw, w, make_rng(0)) == expected
 
 
 def ref_boltzmann_draw(q_row, allowed, temperature, rng):
@@ -380,6 +509,49 @@ class TestAllowedCellSecondOrderRound:
             ):
                 seen["token_spent"] += 1
         assert min(seen.values()) > 20, seen
+
+    def test_maxima_equal_the_strategy_maxima_after_every_round(self):
+        field = WorthField([GaussianComponent(1.0, [3.0, 3.0], 4.0 * np.eye(2))], 6)
+        world = cov.CoverageWorld.create(field, 3, make_rng(0))
+        game, moves = cov.as_game(world), cov.moves_constraint_map(world)
+        source = make_rng(4)
+        seen = {"zone": 0, "no_zone": 0, "token_spent": 0, "tied_target": 0, "written": 0}
+        for trial in range(200):
+            if trial % 10 == 0:
+                state = QState.initial([36] * 3, [int(a) for a in source.integers(36, size=3)])
+            else:
+                state = self.random_state(source, moves, 3, 36, zone=trial % 4 != 0)
+            # at 0.5 the scaled maximum top * (1 - s) is exact, at the others it rounds
+            step = [0.5, 0.3, 0.1, 0.77, 0.123][trial % 5]
+            params = SOQLParams(selection_step=step, perturbation_size=0.3)
+            rng = make_rng(trial)
+            for r in range(4):
+                if r == 2 and trial % 3 == 0:
+                    i = int(source.integers(3))
+                    state.strategies[i][:] = source.dirichlet(np.ones(36))
+                    seen["written"] += 1
+                zone = commitment_zone_active(state, params)
+                ties = [len(best_response_indices(q)) > 1 for q in state.q_values]
+                q_before = [q.copy() for q in state.q_values]
+                _, realized = soql_episode_step(game, state, params, moves, rng)
+                assert state.maxima == [float(x.max()) for x in state.strategies]
+                seen["zone" if zone else "no_zone"] += 1
+                seen["tied_target"] += any(ties)
+                seen["token_spent"] += zone and any(
+                    a not in best_response_indices(q) for a, q in zip(realized, q_before)
+                )
+        assert min(seen.values()) > 20, seen
+
+    def test_first_order_rounds_leave_the_initial_maxima(self):
+        field = WorthField([GaussianComponent(1.0, [3.0, 3.0], 4.0 * np.eye(2))], 6)
+        world = cov.CoverageWorld.create(field, 3, make_rng(0))
+        game, moves = cov.as_game(world), cov.moves_constraint_map(world)
+        state = QState.initial([36] * 3, [0, 7, 35])
+        assert state.maxima == [float(x.max()) for x in state.strategies] == [1 / 36] * 3
+        rng = make_rng(5)
+        for _ in range(50):
+            ql_episode_step(game, state, SOQLParams(), moves, rng)
+            assert state.maxima == [float(x.max()) for x in state.strategies] == [1 / 36] * 3
 
     def test_the_token_test_is_membership_of_the_tie_set(self):
         source = make_rng(3)
