@@ -210,12 +210,12 @@ def overlap_worth(
     """
     x, y = world.positions[robot] if position is None else position
     table, L = world._shared_offsets, world.grid_size
+    grid = world.worth_values() if values is None else values
     total = 0.0
     for j, (ox, oy) in enumerate(world.positions):
         shared = table.get((ox - x, oy - y))
         if shared is None or j == robot:
             continue
-        grid = world.worth_values() if values is None else values
         for dx, dy in shared:
             cx, cy = ox + dx, oy + dy
             if 0 <= cx < L and 0 <= cy < L:
@@ -333,8 +333,9 @@ def _move_payoff(
     move_cost = world.move_cost * math.dist(new_pos, old)
     if visible_foreign_flag(world, robot, new_pos, old):
         return -move_cost
-    covered = covered_worth_map(world, values).item(_on_grid(world, new_pos))
-    return covered - overlap_worth(world, robot, new_pos, values) - move_cost
+    grid = world.worth_values() if values is None else values
+    covered = covered_worth_map(world, grid).item(_on_grid(world, new_pos))
+    return covered - overlap_worth(world, robot, new_pos, grid) - move_cost
 
 
 def potential(

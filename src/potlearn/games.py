@@ -214,10 +214,7 @@ def logit_map(scores: Sequence[float], temperature: float) -> np.ndarray:
 
 def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
     """`rng.choice(len(p), p=p)`'s inverse-CDF draw without its overhead: the
-    same index and generator state after, and ValueError on bad weights.  Short
-    rows sum in Python floats, which round the running sum as numpy does."""
-    if len(p) <= 16:
-        return cdf_draw(p.tolist(), rng)
+    same index and generator state after, and ValueError on bad weights."""
     cdf = np.cumsum(p)
     if not (0.0 < cdf[-1] < math.inf and p.min() >= 0.0):
         raise ValueError("probabilities must be finite, non-negative and not all zero")
@@ -226,7 +223,8 @@ def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def cdf_draw(p: list[float], rng: np.random.Generator) -> int:
-    """`draw_index` of a row given as Python floats."""
+    """`draw_index` of a row given as Python floats, which round the running
+    sum as numpy does."""
     cdf = list(itertools.accumulate(p))
     if not (0.0 < cdf[-1] < math.inf and min(p) >= 0.0):
         raise ValueError("probabilities must be finite, non-negative and not all zero")

@@ -20,6 +20,7 @@ in cell order; they equal the records of in-process runs bit for bit.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -400,34 +401,34 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     rasters: list[np.ndarray | None] = [None] * n_robots
     aic_states = [mix.AICState(tau=config.temperature) for _ in range(n_robots)]
     failures = run.record.failed_proposals
-    adoption_count = [0] * n_robots
     # What each robot has observed: the cells it adopted, weighted by their
-    # worth against the worths it has sensed.  Estimated mode only.
+    # worth against the worths it has sensed, one per iteration and kept in
+    # ascending order.  Estimated mode only.
     logs = [mix.ObservationLog() for _ in range(n_robots)]
-    # Row i's first sensed_count[i] entries are the worths robot i has
-    # sensed, one per iteration.  Estimated mode only.
-    sensed_worths = np.empty((n_robots, config.iterations if estimated else 0))
-    sensed_count = [0] * n_robots
+    sensed_sorted: list[list[float]] = [[] for _ in range(n_robots)]
 
     def observe(i: int) -> None:
         x, y = world.positions[i]
         multiplicity = mix.sensed_multiplicity(
             float(world.worth_values()[x, y]),
-            sensed_worths[i, : sensed_count[i]],
+            sensed_sorted[i],
             config.worth_percentile,
             config.repeat_factor,
         )
         logs[i].append((x + 0.5, y + 0.5), multiplicity)
 
-    def refit(i: int, start: mix.GmmEstimate) -> None:
-        estimates[i] = mix.em_iterate(logs[i], start, config.em_iters)
-        rasters[i] = _estimate_raster(estimates[i], field_model)
+    def adopt(i: int, estimate: mix.GmmEstimate) -> None:
+        """The one place a robot's estimate and raster change.  A kept
+        estimate keeps its raster, and coverage its disc sums."""
+        if estimate is not estimates[i]:
+            estimates[i] = estimate
+            rasters[i] = _estimate_raster(estimate, field_model)
 
     for i in range(n_robots):
         cov.lay_flag(world, i)
         if estimated:
             observe(i)
-            refit(i, mix.initial_estimate(logs[i], 1))
+            adopt(i, mix.em_iterate(logs[i], mix.initial_estimate(logs[i], 1), config.em_iters))
     max_f = [0.0] * n_robots
     max_g = [0.0] * n_robots
     # Each robot's last sensing (cell tuple, (f, g)) and last wake inputs and
@@ -435,8 +436,8 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     # a robot that stays keeps its cell tuple.
     last_sense: list[tuple] = [((), None)] * n_robots
     last_wake: list[tuple] = [((), None)] * n_robots
-    # Robots decide on their own rasters; `rasters` entries are replaced as
-    # estimates are refitted, and the game reads them at call time.
+    # Robots decide on their own rasters; `adopt` replaces `rasters` entries,
+    # and the game reads them at call time.
     game = cov.as_game(world, rasters)
     moves = cov.moves_constraint_map(world)
     state = LoglinearState(
@@ -446,11 +447,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     for n in range(1, config.iterations + 1):
         if estimated and config.model_check_period and n % config.model_check_period == 0:
             for i in range(n_robots):
-                kept = estimates[i]
-                estimates[i] = _aic_round(kept, logs[i], aic_states[i], rng, config, failures)
-                # A kept estimate keeps its raster, and coverage its disc sums.
-                if estimates[i] is not kept:
-                    rasters[i] = _estimate_raster(estimates[i], field_model)
+                adopt(i, _aic_round(estimates[i], logs[i], aic_states[i], rng, config, failures))
                 run.record.estimates.append(_estimate_snapshot(n, i, estimates[i]))
 
         if estimated or config.algorithm == "psblll":
@@ -460,8 +457,7 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
                     last_sense[i] = (cell, cov.sense(world, i))
                 f, g = last_sense[i][1]
                 if estimated:
-                    sensed_worths[i, sensed_count[i]] = f
-                    sensed_count[i] += 1
+                    bisect.insort(sensed_sorted[i], f)
                 max_f[i] = max(max_f[i], f)
                 max_g[i] = max(max_g[i], g)
                 sensed.append((f, g, max_f[i], max_g[i]))
@@ -497,9 +493,9 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
             cov.lay_flag(world, i)
             if estimated and i in state.adopted:
                 observe(i)
-                adoption_count[i] += 1
-                if adoption_count[i] % config.em_period == 0:
-                    refit(i, estimates[i])
+                # the log's appends after the first are one per adoption
+                if (logs[i].revision - 1) % config.em_period == 0:
+                    adopt(i, mix.em_iterate(logs[i], estimates[i], config.em_iters))
 
         if run.log(n, phi, diagnostics):
             break

@@ -15,8 +15,9 @@ a split seeds its children half a principal standard deviation apart.
 `count_proposal` is the one proposal round: the online runs and the offline
 `aic_model_search` both play it.  A candidate is a pure function of the
 estimate, the log and the target count, so the round's `AICState` keeps the
-candidates built from one (estimate, log, log revision), and that estimate's
-own score, and reuses them until the estimate is replaced or the log grows.
+candidates built from one (estimate, log, log revision) with their
+log-likelihoods, and that estimate's own score, until the estimate is
+replaced or the log grows; a fit itself carries no score.
 
 Every EM-family sweep (`responsibilities`, `em_iterate`, the partial
 re-estimation in `split_component`, `GmmEstimate.density`) evaluates the M
@@ -119,7 +120,6 @@ class GmmEstimate:
     weights: np.ndarray          # (M,)
     means: np.ndarray            # (M, 2)
     covs: np.ndarray             # (M, 2, 2)
-    log_likelihood: float | None = None
     starved: tuple[int, ...] = ()
 
     @property
@@ -289,7 +289,6 @@ def em_iterate(log: ObservationLog, est: GmmEstimate, iters: int) -> GmmEstimate
         if np.abs(params - prev).max() < 1e-6:
             break
         prev = params
-    out.log_likelihood = log_likelihood(out, log)
     return out
 
 
@@ -307,26 +306,26 @@ def worth_weighted_multiplicity(f_value: float, f_mode: float, repeat_factor: in
     return 1 + repeat_factor * int(math.floor(f_value / f_mode + 0.5))
 
 
-def _percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
-    """`np.percentile(values, q)` of finite values, bit for bit, without its
-    per-call dispatch: numpy's linear rule on the sorted values."""
+def _percentile(values: Sequence[float], q: float) -> float:
+    """`np.percentile(values, q)` of finite values in ascending order, bit for
+    bit, without its per-call dispatch: numpy's linear rule."""
     if not 0 <= q <= 100:
         raise ValueError("Percentiles must be in the range [0, 100]")
-    s = np.sort(values)
-    top = len(s) - 1
+    top = len(values) - 1
     at = top * (q / 100)
     # numpy's neighbours are floor(at) and the next value, or from `top` on the last
     # value twice with fraction at + 1; from a fraction of 0.5 it interpolates down
     i, j = (math.floor(at), math.floor(at) + 1) if at < top else (-1, -1)
-    lo, hi, t = s[i].item(), s[j].item(), at - i
+    lo, hi, t = values[i], values[j], at - i
     return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
 
 
 def sensed_multiplicity(
-    f_value: float, sensed: Sequence[float] | np.ndarray, percentile: float, repeat_factor: int
+    f_value: float, sensed: Sequence[float], percentile: float, repeat_factor: int
 ) -> int:
     """`worth_weighted_multiplicity` against the adaptive worthwhile threshold,
-    the `percentile`-th percentile of the sensed worths; 1 while that is not positive."""
+    the `percentile`-th percentile of the sensed worths, given in ascending
+    order; 1 while that is not positive."""
     threshold = _percentile(sensed, percentile) if len(sensed) else 0.0
     if threshold > 0:
         return worth_weighted_multiplicity(f_value, threshold, repeat_factor)
@@ -354,10 +353,10 @@ class AICState:
 
     `_candidates` holds what the rounds computed for one basis: the
     estimate object, the log object and the log's revision, then a dict from
-    (target count, EM sweeps) to the refined candidate and from "current" to
-    the basis estimate's score.  A round on another basis (an adopted
-    candidate, a refit, an append to the log) drops it, so at most a split
-    and a merge candidate are held.
+    (target count, EM sweeps) to the refined candidate and its log-likelihood
+    and from "current" to the basis estimate's score.  A round on another
+    basis (an adopted candidate, a refit, an append to the log) drops it, so
+    at most a split and a merge candidate are held.
     """
 
     tau: float = 0.1
@@ -603,16 +602,17 @@ def count_proposal(
         return est
     built = _basis_memo(state, est, log)
     key = (target, em_iters)
-    cand = built.get(key)
-    if cand is None:
+    if key not in built:
         resp = responsibilities(est, log.arrays()[0])
         if target > m:
             k = split_select(est, log, resp)
             cand = split_component(est, k, log, resp=resp)
         else:
             cand = merge_components(est, merge_select(est, log, resp), log, resp)
-        cand = built[key] = em_iterate(log, cand, em_iters)
-    chosen = propose_component_count(state, est, cand, log, rng, cand.log_likelihood)
+        cand = em_iterate(log, cand, em_iters)
+        built[key] = cand, log_likelihood(cand, log)
+    cand, loglik = built[key]
+    chosen = propose_component_count(state, est, cand, log, rng, loglik)
     return cand if chosen == cand.n_components else est
 
 

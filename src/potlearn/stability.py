@@ -562,7 +562,7 @@ def stochastically_stable_states(
 
     A state qualifies when its mass is at least `mass_threshold` at the
     smallest noise level and non-decreasing (within `_TREND_SLACK`) along the
-    whole schedule.  An empty schedule or a non-finite threshold is a
+    whole schedule.  An empty schedule or a threshold outside (0, 1] is a
     ValueError; a chain that cannot be solved raises
     StationaryConvergenceError naming its noise level.  Every level's chain
     reads one payoff table, `space` when the caller made it.
@@ -570,8 +570,8 @@ def stochastically_stable_states(
     levels = tuple(float(e) for e in noise_levels)
     if not levels:
         raise ValueError("noise_levels must name at least one noise level")
-    if not math.isfinite(mass_threshold):
-        raise ValueError(f"mass_threshold must be finite, got {mass_threshold}")
+    if not 0 < mass_threshold <= 1:
+        raise ValueError(f"mass_threshold must lie in (0, 1], got {mass_threshold}")
     if any(not 0 < e < 1 for e in levels):
         raise ValueError("noise levels must lie in (0, 1)")
     if any(b >= a for a, b in zip(levels, levels[1:])):

@@ -238,6 +238,9 @@ def test_oracle_above_the_dense_limit_exits_2_naming_it(tmp_path, capsys, monkey
         (["--mass-threshold", "nan"], "mass_threshold"),
         (["--mass-threshold", "inf"], "mass_threshold"),
         (["--noise", ""], "noise_levels"),
+        (["--mass-threshold", "-1"], "mass_threshold"),
+        (["--mass-threshold", "0"], "mass_threshold"),
+        (["--mass-threshold", "1.5"], "mass_threshold"),
     ],
 )
 def test_oracle_bad_argument_exits_2_naming_it(tmp_path, capsys, args, name):

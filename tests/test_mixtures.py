@@ -229,7 +229,7 @@ class TestEmIterate:
         previous = log_likelihood(est, log)
         for _ in range(25):
             est = em_iterate(log, est, iters=1)
-            current = est.log_likelihood
+            current = log_likelihood(est, log)
             assert current >= previous - 1e-9
             previous = current
 
@@ -428,7 +428,8 @@ class TestWeightedMoments:
 
 
 class TestPercentile:
-    """`_percentile` against `np.percentile`, compared with `==`."""
+    """`_percentile` of sorted values against `np.percentile` of the same
+    values in any order, compared with `==`."""
 
     values = st_.lists(
         st_.one_of(
@@ -444,19 +445,19 @@ class TestPercentile:
     @given(values, qs)
     @settings(max_examples=400, deadline=None)
     def test_equals_numpy(self, values, q):
-        assert _percentile(np.array(values), q) == float(np.percentile(np.array(values), q))
+        assert _percentile(sorted(values), q) == float(np.percentile(np.array(values), q))
 
     @pytest.mark.parametrize(
         "values,q", [([0.7, 0.1], 50), ([0.1, 0.7, 0.7], 25.0), ([0.7, 0.1, 0.7, 0.1, 0.7], 37.5)]
     )
     def test_fraction_one_half_interpolates_down_from_the_upper_value(self, values, q):
         # 0.1 + 0.6 * 0.5 is 0.4 but 0.7 - 0.6 * 0.5 is 0.39999999999999997
-        assert _percentile(np.array(values), q) == np.percentile(values, q) == 0.7 - 0.6 * 0.5
+        assert _percentile(sorted(values), q) == np.percentile(values, q) == 0.7 - 0.6 * 0.5
 
     @pytest.mark.parametrize("q", [-1.0, 100.5, math.nan])
     def test_out_of_range_rejected(self, q):
         with pytest.raises(ValueError):
-            _percentile(np.array([1.0]), q)
+            _percentile([1.0], q)
 
 
 class TestSensedMultiplicity:
@@ -987,7 +988,7 @@ class TestModelSearchMemoDifferential:
         assert got_scores == scored
         for name in ("weights", "means", "covs"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.log_likelihood == want.log_likelihood
+        assert log_likelihood(got, log) == log_likelihood(want, log)
 
     @pytest.mark.parametrize("s", [1, 4, 7, 8])
     def test_criterion7_logs(self, monkeypatch, s):

@@ -298,6 +298,9 @@ class TestStochasticallyStableStates:
             ("mass_threshold", {"mass_threshold": math.nan}),
             ("mass_threshold", {"mass_threshold": math.inf}),
             ("mass_threshold", {"mass_threshold": -math.inf}),
+            ("mass_threshold", {"mass_threshold": -1.0}),
+            ("mass_threshold", {"mass_threshold": 0.0}),
+            ("mass_threshold", {"mass_threshold": 1.5}),
         ],
     )
     def test_oracle_rejects_bad_argument_by_name(self, name, kwargs):
