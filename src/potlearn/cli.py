@@ -46,7 +46,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     record = harness.run_experiment(config, seed)
     out = _out_dir(args.out_dir)
     stem = f"run_{config.algorithm}_{seed}"
-    record.write_csv(out / f"{stem}.csv")
+    (out / f"{stem}.csv").write_text(record.to_csv())
     svg = line_plot(
         [Series(label=config.algorithm, x=record.n, y=record.covered)],
         title=f"{config.algorithm} seed {seed}",

@@ -2,17 +2,17 @@
 
 A run is fully determined by (config, seed): all randomness flows from one
 counter-based stream, robots act in index order within fixed per-iteration
-phases, and CSV emission uses shortest round-trip float formatting, so
-repeated invocations produce bit-identical output.
+phases, and every CSV is written by one helper with shortest round-trip
+float formatting, so repeated invocations produce bit-identical output.
 
 The runners are world bookkeeping around the learner step kernels of
 `dynamics` and `qlearning`, played on `coverage.as_game` of the run's world:
-they sense, set wake probabilities, run component-count rounds, commit the
-kernel's joint action, lay flags and observe, refit estimates and record.
-Payoffs are therefore scored against the world as it stood before the step,
-and the payoffs the step weighed sum to the recorded potential (to
-`potential_est` in estimated-field mode, where they are read off the
-robots' estimate rasters).
+they sense, set wake probabilities, run component-count rounds, observe,
+refit estimates and record, and commit the kernel's joint action and lay
+flags through one path, `_Run.commit`.  Payoffs are therefore scored against
+the world as it stood before the step, and sum to the recorded potential (to
+`potential_est` in estimated-field mode, where they are read off the robots'
+estimate rasters and `potential` scores the joint on a true-field view).
 
 A sweep's (config, seed) cells share nothing, so `sweep` runs them in forked
 worker processes, one per CPU of the affinity mask, and collects the records
@@ -159,8 +159,12 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
         data = dict(raw)
-        params = data.pop("params", {}) or {}
+        params = data.pop("params", None)
         scenario = data.pop("scenario", None)
+        for key, section in (("params", params), ("scenario", scenario)):
+            if section is not None and not isinstance(section, dict):
+                raise ConfigError(f"{key} must hold a mapping, got {section!r}")
+        params = params or {}
         for key in list(data) + list(params):
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -172,7 +176,10 @@ class ExperimentConfig:
             if "seed" in scenario:
                 merged["scenario_seed"] = scenario["seed"]
             if "components" in scenario:
-                merged["scenario_components"] = tuple(scenario["components"])
+                components = scenario["components"]
+                if not isinstance(components, list):
+                    raise ConfigError(f"scenario.components must be a list, got {components!r}")
+                merged["scenario_components"] = tuple(components)
         return cls(**merged)
 
     @classmethod
@@ -201,6 +208,16 @@ class ExperimentConfig:
 
 def _float_repr(v: float) -> str:
     return repr(float(v))
+
+
+def _csv(header: Sequence[str], rows) -> str:
+    """CSV text of `header` and `rows`, each line ended by a newline and every
+    float written by `_float_repr`; a field holding a comma is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_float_repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return out.getvalue()
 
 
 @dataclass
@@ -234,40 +251,25 @@ class RunRecord:
 
     def columns(self) -> list[str]:
         robots = len(self.positions[0]) if self.positions else 0
-        cols = ["n", "covered", "potential"]
-        cols += sorted(self.diagnostics)
-        for i in range(robots):
-            cols += [f"x{i}", f"y{i}"]
-        return cols
+        cells = [f"{axis}{i}" for i in range(robots) for axis in "xy"]
+        return ["n", "covered", "potential", *sorted(self.diagnostics), *cells]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns())]
-        diag_keys = sorted(self.diagnostics)
-        for k in range(len(self.n)):
-            row = [str(self.n[k]), _float_repr(self.covered[k]), _float_repr(self.potential[k])]
-            row += [_float_repr(self.diagnostics[d][k]) for d in diag_keys]
-            for x, y in self.positions[k]:
-                row += [str(x), str(y)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
+        diagnostics = [self.diagnostics[d] for d in sorted(self.diagnostics)]
+        series = zip(self.n, self.covered, self.potential, *diagnostics, self.positions)
+        rows = ([*values, *(v for cell in cells for v in cell)] for *values, cells in series)
+        return _csv(self.columns(), rows)
 
     def estimates_csv(self) -> str:
         """Mixture-estimate snapshots taken at each model-check boundary."""
-        lines = ["n,robot,components,component,weight,mean_x,mean_y,cov_xx,cov_xy,cov_yy"]
-        for snap in self.estimates:
-            for j in range(snap["components"]):
-                w = snap["weights"][j]
-                mx, my = snap["means"][j]
-                cxx, cxy, cyy = snap["covs"][j]
-                lines.append(
-                    f"{snap['n']},{snap['robot']},{snap['components']},{j},"
-                    f"{_float_repr(w)},{_float_repr(mx)},{_float_repr(my)},"
-                    f"{_float_repr(cxx)},{_float_repr(cxy)},{_float_repr(cyy)}"
-                )
-        return "\n".join(lines) + "\n"
+        header = "n,robot,components,component,weight,mean_x,mean_y,cov_xx,cov_xy,cov_yy"
+        rows = (
+            [snap["n"], snap["robot"], snap["components"], j, snap["weights"][j]]
+            + [*snap["means"][j], *snap["covs"][j]]
+            for snap in self.estimates
+            for j in range(snap["components"])
+        )
+        return _csv(header.split(","), rows)
 
 
 def steady_state(covered: Sequence[float], window: int, tol: float) -> bool:
@@ -340,8 +342,9 @@ def run_experiment(config: ExperimentConfig, seed: int) -> RunRecord:
 
 
 class _Run:
-    """What both runners share: the run's stream, its world, the record being
-    filled, the steady-state test and the start time."""
+    """What both runners share: the run's stream, its world and moves map, the
+    committed joint action, the record being filled, the steady-state test and
+    the start time.  `commit` is the one place the robots move and lay flags."""
 
     def __init__(self, config: ExperimentConfig, seed: int, diagnostics: Sequence[str]):
         self.start = time.perf_counter()
@@ -354,6 +357,12 @@ class _Run:
             cover_radius=config.cover_radius,
             move_cost=config.move_cost,
         )
+        self.moves = cov.moves_constraint_map(self.world)
+        # The covered total reads only the positions, so it is read again only
+        # when `commit` replaces the positions tuple.
+        self.covered = cov.total_covered_worth(self.world)
+        self.actions = tuple(cov.cell_index(self.world, p) for p in self.world.positions)
+        self.commit(self.actions)  # lays the first flags
         columns = list(diagnostics) + [f"flags{i}" for i in range(config.robots)]
         self.record = RunRecord(
             algorithm=config.algorithm,
@@ -371,11 +380,24 @@ class _Run:
             config.steady_window, config.steady_tol * field_model.total_mass()
         )
 
+    def commit(self, actions: tuple[int, ...]) -> None:
+        """Move each robot to the cell of its action and lay its flag there.  A
+        robot whose action is unchanged keeps its cell tuple, and the world
+        its positions tuple when no robot moves."""
+        world, before = self.world, self.world.positions
+        steps = zip(before, actions, self.actions)
+        cov.commit_positions(world, [p if a == b else cov.index_cell(world, a) for p, a, b in steps])
+        self.actions = actions
+        for i in range(world.n_robots):
+            cov.lay_flag(world, i)
+        if world.positions is not before:
+            self.covered = cov.total_covered_worth(world)
+
     def log(self, n: int, phi: float, diagnostics: dict[str, float]) -> bool:
         """Record iteration n of the committed world; True once it is steady."""
         rec, world = self.record, self.world
         rec.n.append(n)
-        rec.covered.append(cov.total_covered_worth(world))
+        rec.covered.append(self.covered)
         rec.potential.append(phi)
         rec.positions.append(world.positions)
         for key, value in diagnostics.items():
@@ -392,9 +414,9 @@ class _Run:
 
 def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
     estimated = config.environment == "estimated-field"
+    psblll = config.algorithm == "psblll"
     run = _Run(config, seed, ["awake"] + (["potential_est"] if estimated else []))
     rng, world = run.rng, run.world
-    field_model = world.field_model
     policy = config.revision_policy()
     n_robots = config.robots
     estimates: list[mix.GmmEstimate | None] = [None] * n_robots
@@ -422,27 +444,25 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
         estimate keeps its raster, and coverage its disc sums."""
         if estimate is not estimates[i]:
             estimates[i] = estimate
-            rasters[i] = _estimate_raster(estimate, field_model)
+            rasters[i] = _estimate_raster(estimate, world.field_model)
 
-    for i in range(n_robots):
-        cov.lay_flag(world, i)
-        if estimated:
+    if estimated:
+        for i in range(n_robots):
             observe(i)
             adopt(i, mix.em_iterate(logs[i], mix.initial_estimate(logs[i], 1), config.em_iters))
     max_f = [0.0] * n_robots
     max_g = [0.0] * n_robots
-    # Each robot's last sensing (cell tuple, (f, g)) and last wake inputs and
-    # probability: both are pure functions of what they are kept with, and
-    # a robot that stays keeps its cell tuple.
-    last_sense: list[tuple] = [((), None)] * n_robots
-    last_wake: list[tuple] = [((), None)] * n_robots
+    # Each robot's last sensing: (its cell tuple, the worth sensed there, its
+    # wake probability).  A robot that stays keeps its cell tuple, and its
+    # running maxima move only when it senses a new cell, so the kept entry
+    # is the one sensing again would give.
+    sensing: list[tuple] = [((), 0.0, None)] * n_robots
     # Robots decide on their own rasters; `adopt` replaces `rasters` entries,
     # and the game reads them at call time.
     game = cov.as_game(world, rasters)
-    moves = cov.moves_constraint_map(world)
-    state = LoglinearState(
-        tuple(cov.cell_index(world, p) for p in world.positions), config.temperature, rng
-    )
+    # The same world on the true field, for the estimated-mode potential.
+    truth = cov.as_game(world)
+    state = LoglinearState(run.actions, config.temperature, rng)
 
     for n in range(1, config.iterations + 1):
         if estimated and config.model_check_period and n % config.model_check_period == 0:
@@ -450,47 +470,36 @@ def _run_loglinear(config: ExperimentConfig, seed: int) -> RunRecord:
                 adopt(i, _aic_round(estimates[i], logs[i], aic_states[i], rng, config, failures))
                 run.record.estimates.append(_estimate_snapshot(n, i, estimates[i]))
 
-        if estimated or config.algorithm == "psblll":
-            sensed = []
+        if estimated or psblll:
             for i, cell in enumerate(world.positions):
-                if last_sense[i][0] is not cell:
-                    last_sense[i] = (cell, cov.sense(world, i))
-                f, g = last_sense[i][1]
+                if sensing[i][0] is not cell:
+                    f, g = cov.sense(world, i)
+                    max_f[i] = max(max_f[i], f)
+                    max_g[i] = max(max_g[i], g)
+                    p = None
+                    if psblll:
+                        p = policy.probability(_normalized(f, max_f[i]), _normalized(g, max_g[i]))
+                    sensing[i] = (cell, f, p)
                 if estimated:
-                    bisect.insort(sensed_sorted[i], f)
-                max_f[i] = max(max_f[i], f)
-                max_g[i] = max(max_g[i], g)
-                sensed.append((f, g, max_f[i], max_g[i]))
-        before = state.action
-        if config.algorithm == "psblll":
-            for i, key in enumerate(sensed):
-                if last_wake[i][0] != key:
-                    f, g, top_f, top_g = key
-                    p = policy.probability(_normalized(f, top_f), _normalized(g, top_g))
-                    last_wake[i] = (key, p)
-            psblll_step(game, state, moves, [p for _, p in last_wake])
+                    bisect.insort(sensed_sorted[i], sensing[i][1])
+        if psblll:
+            psblll_step(game, state, run.moves, [p for _, _, p in sensing])
         elif config.algorithm == "blll":
-            blll_step(game, state, moves)
+            blll_step(game, state, run.moves)
         else:
             lll_step(game, state)
 
-        # A robot that stays keeps its cell tuple, which the record then shares.
-        new_positions = [
-            p if a == b else cov.index_cell(world, a)
-            for p, a, b in zip(world.positions, state.action, before)
-        ]
         # The step's payoffs are scored on the robots' own rasters, which are
         # the true field's only in known-field mode.
         step_potential = float(sum(state.payoffs))
         diagnostics = {"awake": float(len(state.awake))}
         if estimated:
-            phi = cov.potential(world, new_positions, world.positions, None, False)
+            phi = sum(truth.utilities(state.action))
             diagnostics["potential_est"] = step_potential
         else:
             phi = step_potential
-        cov.commit_positions(world, new_positions)
+        run.commit(state.action)
         for i in range(n_robots):
-            cov.lay_flag(world, i)
             if estimated and i in state.adopted:
                 observe(i)
                 # the log's appends after the first are one per adoption
@@ -507,11 +516,9 @@ def _estimate_snapshot(n: int, robot: int, estimate: mix.GmmEstimate) -> dict:
         "n": n,
         "robot": robot,
         "components": estimate.n_components,
-        "weights": [float(w) for w in estimate.weights],
-        "means": [[float(v) for v in m] for m in estimate.means],
-        "covs": [
-            [float(c[0, 0]), float(c[0, 1]), float(c[1, 1])] for c in estimate.covs
-        ],
+        "weights": estimate.weights.tolist(),
+        "means": estimate.means.tolist(),
+        "covs": estimate.covs[:, [0, 0, 1], [0, 1, 1]].tolist(),  # xx, xy, yy
     }
 
 
@@ -535,25 +542,16 @@ def _run_qlearning(config: ExperimentConfig, seed: int) -> RunRecord:
     n_robots = config.robots
     columns = [f"commit{i}" for i in range(n_robots)]
     run = _Run(config, seed, columns)
-    world = run.world
     params = config.soql_params()
     episode_step = soql_episode_step if config.algorithm == "soql" else ql_episode_step
-    game = cov.as_game(world)
-    moves = cov.moves_constraint_map(world)
-    state = QState.initial(
-        [config.grid_size**2] * n_robots,
-        [cov.cell_index(world, p) for p in world.positions],
-    )
-    for i in range(n_robots):
-        cov.lay_flag(world, i)
+    game = cov.as_game(run.world)
+    state = QState.initial([config.grid_size**2] * n_robots, run.actions)
 
     for n in range(1, config.iterations + 1):
-        _, realized = episode_step(game, state, params, moves, run.rng)
+        _, realized = episode_step(game, state, params, run.moves, run.rng)
         # Scored against the pre-step snapshot, the payoffs sum to the step potential.
         phi = float(sum(state.payoffs))
-        cov.commit_positions(world, [cov.index_cell(world, a) for a in realized])
-        for i in range(n_robots):
-            cov.lay_flag(world, i)
+        run.commit(realized)
         if run.log(n, phi, dict(zip(columns, state.maxima))):
             break
     return run.finish()
@@ -613,12 +611,8 @@ def _pooled_cells(todo: list[tuple[int, ExperimentConfig, int]], workers: int) -
     return cells
 
 
-def sweep(
-    configs: Sequence[ExperimentConfig],
-    seeds: Sequence[int] | None = None,
-    labels: Sequence[str] | None = None,
-) -> SweepReport:
-    """Run every (config, seed) cell and aggregate bands.
+def sweep(configs: Sequence[ExperimentConfig], labels: Sequence[str] | None = None) -> SweepReport:
+    """Run every config on each of its own `seeds` and aggregate bands.
 
     Cells are independent and fully seeded, so they run in forked worker
     processes, one per CPU in the affinity mask (`taskset` limits them),
@@ -629,11 +623,7 @@ def sweep(
     steady state) are padded by holding their final value.
     """
     names = list(labels) if labels else [c.algorithm for c in configs]
-    todo = [
-        (ci, config, seed)
-        for ci, config in enumerate(configs)
-        for seed in (tuple(seeds) if seeds is not None else config.seeds)
-    ]
+    todo = [(ci, config, seed) for ci, config in enumerate(configs) for seed in config.seeds]
     # `sched_getaffinity` exists only on hosts that fork.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(todo), cpus)
@@ -663,30 +653,24 @@ def sweep(
 
 
 def sweep_csv(report: SweepReport) -> str:
-    lines = ["config,label,n,mean,lo,hi"]
-    for ci, band in enumerate(report.bands):
-        label = report.labels[ci]
-        for k in range(len(band["n"])):
-            lines.append(
-                f"{ci},{label},{band['n'][k]},"
-                f"{_float_repr(band['mean'][k])},"
-                f"{_float_repr(band['lo'][k])},"
-                f"{_float_repr(band['hi'][k])}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [ci, report.labels[ci], n, mean, lo, hi]
+        for ci, band in enumerate(report.bands)
+        for n, mean, lo, hi in zip(band["n"], band["mean"], band["lo"], band["hi"])
+    )
+    return _csv(["config", "label", "n", "mean", "lo", "hi"], rows)
 
 
 def sweep_cells_csv(report: SweepReport) -> str:
     """One row per cell in cell order: its run length and wall time, or the
     full text of its failure."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["config", "label", "seed", "iterations", "wall_s", "error"])
-    for c in report.cells:
-        ran = (c.record.iterations, _float_repr(c.record.wall_time)) if c.record else ("", "")
-        label = report.labels[c.config_index]
-        writer.writerow([c.config_index, label, c.seed, *ran, c.error or ""])
-    return out.getvalue()
+    rows = (
+        [c.config_index, report.labels[c.config_index], c.seed]
+        + ([c.record.iterations, c.record.wall_time] if c.record else ["", ""])
+        + [c.error or ""]
+        for c in report.cells
+    )
+    return _csv(["config", "label", "seed", "iterations", "wall_s", "error"], rows)
 
 
 def sweep_svg(report: SweepReport, title: str = "covered worth") -> str:
@@ -750,23 +734,16 @@ class OracleReport(stability.StableSetReport):
         )
         return "\n".join(lines) + "\n"
 
+    # States and deviator sets are tuples, whose text holds a comma, so
+    # `_csv` quotes them.
     def resistances_csv(self) -> str:
-        lines = ["source,target,deviators,resistance"]
-        for source, target, deviators, r in self.resistances:
-            lines.append(
-                f"\"{source}\",\"{target}\",\"{deviators}\",{_float_repr(r)}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = ([str(s), str(t), str(d), float(r)] for s, t, d, r in self.resistances)
+        return _csv(["source", "target", "deviators", "resistance"], rows)
 
     def stationary_csv(self) -> str:
-        header = "state," + ",".join(f"eps_{e:g}" for e in self.noise_levels)
-        lines = [header]
-        for k, s in enumerate(self.states):
-            masses = ",".join(
-                _float_repr(self.masses[j, k]) for j in range(len(self.noise_levels))
-            )
-            lines.append(f"\"{s}\",{masses}")
-        return "\n".join(lines) + "\n"
+        header = ["state"] + [f"eps_{e:g}" for e in self.noise_levels]
+        rows = ([str(s), *self.masses[:, k].tolist()] for k, s in enumerate(self.states))
+        return _csv(header, rows)
 
 
 def oracle_report(

@@ -64,7 +64,9 @@ def _mahalanobis(
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     means = np.asarray(means, dtype=float).reshape(-1, 2)
     covs = np.asarray(covs, dtype=float).reshape(-1, 2, 2)
-    dets = np.linalg.det(covs).tolist()
+    # `det` warns on a NaN entry; the check below raises on its NaN determinant instead.
+    with np.errstate(invalid="ignore"):
+        dets = np.linalg.det(covs).tolist()
     # `not <` also rejects NaN; a NaN or infinite entry makes its determinant NaN or infinite
     if not all(0 < d < math.inf for d in dets):
         raise ValueError("singular or non-finite covariance")

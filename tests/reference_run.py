@@ -1,4 +1,4 @@
-"""The log-linear runner written out plainly, to check its shortcuts end to end.
+"""The runners written out plainly, to check their shortcuts end to end.
 
 `reference_run` repeats `harness._run_loglinear` step for step, in the same
 draw order and with the same step kernels, but keeps nothing between calls:
@@ -14,7 +14,13 @@ draw order and with the same step kernels, but keeps nothing between calls:
 - the covered worth is `ref_total`, the estimated-mode potential
   `ref_potential`, and the steady-state test rescans the whole window.
 
-Its `RunRecord` must equal `run_experiment`'s byte for byte.
+`reference_qrun` repeats `harness._run_qlearning` on the same memo-free game,
+with the whole-strategy rounds of `test_qlearning`: `ref_soql_episode_step`
+for `soql`, and for `ql` a Boltzmann round on `ref_boltzmann_draw`.  Its
+`commit{i}` columns are each strategy's maximum read after every round, and
+every commit makes fresh cell tuples.
+
+Each `RunRecord` must equal `run_experiment`'s byte for byte.
 """
 from __future__ import annotations
 
@@ -31,9 +37,11 @@ from potlearn.harness import (
     _estimate_snapshot,
     steady_state,
 )
+from potlearn.qlearning import QState
 from potlearn.rng import make_rng
 
 from test_coverage import ref_all_cell_utilities, ref_potential, ref_total, ref_utility
+from test_qlearning import ref_boltzmann_draw, ref_soql_episode_step
 
 
 def reference_game(world: cov.CoverageWorld, rasters: list) -> GameDefinition:
@@ -49,9 +57,9 @@ def reference_game(world: cov.CoverageWorld, rasters: list) -> GameDefinition:
     return GameDefinition((L * L,) * world.n_robots, utility_fn=payoff, row_fn=row)
 
 
-def reference_run(config: ExperimentConfig, seed: int) -> RunRecord:
-    """One seeded run of a log-linear learner, as `run_experiment` makes it."""
-    estimated = config.environment == "estimated-field"
+def new_run(config: ExperimentConfig, seed: int, columns: list[str]):
+    """The run's stream, its world and an empty record with `columns` and
+    the flag counts as diagnostics."""
     rng = make_rng(seed, 0)
     field_model = config.scenario()
     world = cov.CoverageWorld.create(
@@ -61,14 +69,12 @@ def reference_run(config: ExperimentConfig, seed: int) -> RunRecord:
         cover_radius=config.cover_radius,
         move_cost=config.move_cost,
     )
-    n_robots, L = config.robots, config.grid_size
-    columns = ["awake"] + (["potential_est"] if estimated else [])
-    columns += [f"flags{i}" for i in range(n_robots)]
+    columns = columns + [f"flags{i}" for i in range(config.robots)]
     record = RunRecord(
         algorithm=config.algorithm,
         environment=config.environment,
         seed=seed,
-        grid_size=L,
+        grid_size=config.grid_size,
         n=[],
         covered=[],
         potential=[],
@@ -76,7 +82,29 @@ def reference_run(config: ExperimentConfig, seed: int) -> RunRecord:
         diagnostics={key: [] for key in columns},
         field_total_mass=field_model.total_mass(),
     )
-    tol = config.steady_tol * field_model.total_mass()
+    return rng, world, record
+
+
+def log(record: RunRecord, world, config: ExperimentConfig, n, phi, diagnostics) -> bool:
+    """Record iteration n of the committed world; True once it is steady."""
+    record.n.append(n)
+    record.covered.append(ref_total(world))
+    record.potential.append(phi)
+    record.positions.append(tuple(tuple(p) for p in world.positions))
+    for key, value in diagnostics.items():
+        record.diagnostics[key].append(value)
+    for i, flags in enumerate(world.flags):
+        record.diagnostics[f"flags{i}"].append(float(len(flags)))
+    tol = config.steady_tol * record.field_total_mass
+    return steady_state(record.covered, config.steady_window, tol)
+
+
+def reference_run(config: ExperimentConfig, seed: int) -> RunRecord:
+    """One seeded run of a log-linear learner, as `run_experiment` makes it."""
+    estimated = config.environment == "estimated-field"
+    rng, world, record = new_run(config, seed, ["awake"] + (["potential_est"] if estimated else []))
+    field_model = world.field_model
+    n_robots, L = config.robots, config.grid_size
     policy = config.revision_policy()
     estimates = [None] * n_robots
     rasters = [None] * n_robots
@@ -161,15 +189,49 @@ def reference_run(config: ExperimentConfig, seed: int) -> RunRecord:
                 if adoptions[i] % config.em_period == 0:
                     set_estimate(i, mix.em_iterate(logs[i], estimates[i], config.em_iters))
 
-        record.n.append(n)
-        record.covered.append(ref_total(world))
-        record.potential.append(phi)
-        record.positions.append(tuple(tuple(p) for p in world.positions))
-        for key, value in diagnostics.items():
-            record.diagnostics[key].append(value)
-        for i, flags in enumerate(world.flags):
-            record.diagnostics[f"flags{i}"].append(float(len(flags)))
-        if steady_state(record.covered, config.steady_window, tol):
+        if log(record, world, config, n, phi, diagnostics):
+            break
+    record.final_flags = tuple(tuple(sorted(f)) for f in world.flags)
+    return record
+
+
+def ref_ql_round(game, state: QState, params, constraints, rng) -> None:
+    """The first-order round written plainly: each robot's Boltzmann draw over
+    its whole Q row, then the constant-step update of the played entries."""
+    realized = tuple(
+        ref_boltzmann_draw(
+            state.q_values[i], constraints.allowed(i, state.actions[i]), params.temperature, rng
+        )
+        for i in range(game.n_players)
+    )
+    state.payoffs = game.utilities(realized)
+    for i, a in enumerate(realized):
+        q = state.q_values[i]
+        q[a] += params.aggregation_step * (state.payoffs[i] - q[a])
+    state.actions = list(realized)
+
+
+def reference_qrun(config: ExperimentConfig, seed: int) -> RunRecord:
+    """One seeded run of a Q-learner, as `run_experiment` makes it."""
+    n_robots, L = config.robots, config.grid_size
+    columns = [f"commit{i}" for i in range(n_robots)]
+    rng, world, record = new_run(config, seed, columns)
+    params = config.soql_params()
+    game = reference_game(world, [None] * n_robots)
+    moves = cov.moves_constraint_map(world)
+    state = QState.initial([L * L] * n_robots, [cov.cell_index(world, p) for p in world.positions])
+    round_ = ref_soql_episode_step if config.algorithm == "soql" else ref_ql_round
+    for i in range(n_robots):
+        cov.lay_flag(world, i)
+
+    for n in range(1, config.iterations + 1):
+        round_(game, state, params, moves, rng)
+        phi = float(sum(state.payoffs))
+        cov.commit_positions(world, [cov.index_cell(world, a) for a in state.actions])
+        for i in range(n_robots):
+            cov.lay_flag(world, i)
+        diagnostics = {key: float(x.max()) for key, x in zip(columns, state.strategies)}
+        if log(record, world, config, n, phi, diagnostics):
             break
     record.final_flags = tuple(tuple(sorted(f)) for f in world.flags)
     return record

@@ -337,6 +337,14 @@ def test_nan_scenario_component_exits_2_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_mapping_scenario_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario=[4])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "scenario must hold a mapping" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
     assert "error" in capsys.readouterr().err

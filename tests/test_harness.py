@@ -149,6 +149,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="shape"):
             ExperimentConfig.from_dict({"scenario": {"shape": "blob"}})
 
+    @pytest.mark.parametrize(
+        "raw,key",
+        [
+            ({"params": 5}, "params"),
+            ({"params": []}, "params"),
+            ({"scenario": 5}, "scenario"),
+            ({"scenario": ["seed"]}, "scenario"),
+            ({"scenario": {"components": 5}}, "scenario.components"),
+        ],
+    )
+    def test_malformed_section_rejected_by_name(self, raw, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must"):
+            ExperimentConfig.from_dict(raw)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(algorithm="sarsa")
@@ -431,7 +445,7 @@ class TestSweep:
 
     def test_failures_reported_and_sweep_continues(self):
         good = small_config(seeds=(1,))
-        report = sweep([failing_config(), good], seeds=None)
+        report = sweep([failing_config(), good])
         assert report.failures()
         assert any(c.record is not None for c in report.cells)
 

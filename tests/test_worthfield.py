@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,8 +179,10 @@ class TestStackedKernel:
         ids=["singular", "nan", "inf"],
     )
     def test_bad_covariance_raises(self, cov):
-        with pytest.raises(ValueError, match="singular or non-finite covariance"):
-            gaussian_log_density([[1.0, 1.0]], [0.0, 0.0], cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fault is the ValueError alone
+            with pytest.raises(ValueError, match="singular or non-finite covariance"):
+                gaussian_log_density([[1.0, 1.0]], [0.0, 0.0], cov)
 
 
 class TestComponentValidation:
