@@ -50,7 +50,6 @@ from .dynamics import (
 from .games import GameDefinition
 from .qlearning import QState, SOQLParams, ql_episode_step, soql_episode_step
 from .rng import make_rng
-from .svgplot import Series, line_plot
 from .worthfield import GaussianComponent, WorthField, generate_scenario
 
 ALGORITHMS = ("lll", "blll", "psblll", "ql", "soql")
@@ -674,6 +673,7 @@ def sweep_cells_csv(report: SweepReport) -> str:
 
 
 def sweep_svg(report: SweepReport, title: str = "covered worth") -> str:
+    from .svgplot import Series, line_plot  # only here, so importing the harness skips it
     series = [
         Series(
             label=report.labels[ci],
@@ -754,8 +754,8 @@ def oracle_report(
     mass_threshold: float = 0.05,
 ) -> OracleReport:
     """Full stability analysis of a small game: resistances, stationary masses,
-    stable set, and the separable-case resistance identity check.  Every
-    part reads one payoff table, made once."""
+    stable set, and the separable-case resistance identity check.  Every part
+    reads one payoff table, and both resistance parts one pair walk, made once."""
     if constraints is None:
         constraints = ConstrainedActionMap.complete(game)
     report = validate_constraints(constraints)
@@ -770,11 +770,12 @@ def oracle_report(
     stable = stability.stochastically_stable_states(
         game, wake, constraints, noise_levels, mass_threshold, space=space
     )
-    resistances = stability.transition_resistances(game, constraints, space=space)
+    walk = list(stability._feasible_pairs(game, constraints, space))
+    resistances = stability.transition_resistances(game, constraints, space=space, walk=walk)
     identity: stability.ResistanceIdentityReport | None = None
     note: str | None = None
     try:
-        identity = stability.verify_resistance_identity(game, constraints, space=space)
+        identity = stability.verify_resistance_identity(game, constraints, space=space, walk=walk)
     except stability.SeparabilityError as exc:
         note = f"resistance identity skipped: {exc}"
     return OracleReport(

@@ -21,9 +21,10 @@ replaced or the log grows; a fit itself carries no score.
 
 Every EM-family sweep (`responsibilities`, `em_iterate`, the partial
 re-estimation in `split_component`, `GmmEstimate.density`) evaluates the M
-components as (M, n) rows of one `worthfield.gaussian_log_density` call and
-floors all refitted covariances with one `eigh`.  It stays bit for bit equal to
-one call per component: only per-matrix LAPACK calls are batched; the
+components as (M, n) rows of one `worthfield.log_density_rows` call and floors
+all refitted covariances with one `eigh`, each LAPACK call made as `np.linalg`
+makes it.  It stays bit for bit equal to one call per component: only
+per-matrix LAPACK calls are batched; the
 quadratic form keeps `einsum`'s order (from three points on) and `_sum_rows`
 numpy's order for a contiguous run; each mean is its own `w @ points`;
 `em_iterate` reads a C-ordered (n, M) responsibility array, so its masses stay
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import binary_logit_weights
-from .worthfield import gaussian_log_density
+from .worthfield import det, eigh, eigvalsh, log_density_rows
 
 # Observations sit on a unit-cell lattice, so variance below a half-cell
 # standard deviation is unresolvable quantization noise; flooring eigenvalues
@@ -147,33 +148,33 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return np.concatenate((acc[:1] + acc[1:], a[blocks:])).sum(axis=0)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """`scipy.special.logsumexp(b, axis=1)` of the C-ordered transpose b of a real
     (M, n) array, bit for bit: the same ufuncs in the same order, without scipy's
     per-call dispatch, which costs more than the arithmetic on few components.
     Two strictly ordered rows take the exact two-row identity (module docstring);
-    an infinite `hi` gives inf on both paths, and two -inf entries are a tie."""
+    an infinite `hi` gives inf on both paths, and two -inf entries are a tie.  Outside
+    the general path only `lo - hi` sets a flag (overflow), so one error state serves."""
     if len(a) == 2:
         lo, hi = np.minimum(a[0], a[1]), np.maximum(a[0], a[1])
         if (lo < hi).all():
-            with np.errstate(over="ignore"):  # `lo - hi` overflows where the general path's does
-                return np.log1p(np.exp(lo - hi)) + hi
+            return np.log1p(np.exp(lo - hi)) + hi
     a_max = a.max(axis=0)
     is_max = a == a_max
     m = is_max.sum(axis=0, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = _sum_rows(np.exp(np.where(is_max, -np.inf, a) - a_max)) / m
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if finite.all():
-            return out
-        return np.where(finite, out, np.log(_sum_rows(np.exp(a))))
+    s = _sum_rows(np.exp(np.where(is_max, -np.inf, a) - a_max)) / m
+    out = np.log1p(s) + np.log(m) + a_max
+    finite = np.isfinite(out)
+    if finite.all():
+        return out
+    return np.where(finite, out, np.log(_sum_rows(np.exp(a))))
 
 
 def component_log_densities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
     """log(weight_j * g_j(point)) for every component and point, shape (M, n)."""
     logw = np.array([[math.log(w) if w > 0 else -math.inf] for w in est.weights.tolist()])
-    return logw + gaussian_log_density(points, est.means, est.covs)
+    return logw + log_density_rows(points.T, est.means, est.covs)
 
 
 def mixture_log_density(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
@@ -209,7 +210,7 @@ def _params(est: GmmEstimate) -> np.ndarray:
 def _floor_covariance(covs: np.ndarray, floor: float) -> np.ndarray:
     """Covariances (..., 2, 2), symmetrised, with eigenvalues raised to `floor`;
     one `eigh` for the whole stack."""
-    vals, vecs = np.linalg.eigh(0.5 * (covs + covs.swapaxes(-1, -2)))
+    vals, vecs = eigh(0.5 * (covs + covs.swapaxes(-1, -2)))
     vals = np.maximum(vals, floor)
     return (vecs * vals[..., None, :]) @ vecs.swapaxes(-1, -2)
 
@@ -243,7 +244,7 @@ def initial_estimate(log: ObservationLog, n_components: int = 1) -> GmmEstimate:
     if n_components == 1:
         return GmmEstimate(weights=np.ones(1), means=means, covs=covs)
     mean, cov = means[0], covs[0]
-    vals, vecs = np.linalg.eigh(cov)
+    vals, vecs = eigh(cov)
     axis = vecs[:, -1]
     spread = math.sqrt(vals[-1])
     offsets = np.linspace(-1.0, 1.0, n_components) * spread
@@ -463,6 +464,20 @@ def merge_components(
     return GmmEstimate(weights=new_weights, means=new_means, covs=new_covs)
 
 
+def _unit_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(np.floor(points).astype(int), axis=0, return_inverse=True)` with no sort:
+    the key (x - x0) * height + y - y0 indexes a table over the bounding box, if small."""
+    bins = np.floor(points).astype(int)
+    (x0, y0), (x1, y1) = bins.min(axis=0).tolist(), bins.max(axis=0).tolist()
+    width, height = x1 - x0 + 1, y1 - y0 + 1
+    if width * height > 4096 + 4 * len(bins):
+        return np.unique(bins, axis=0, return_inverse=True)
+    key = (bins - [x0, y0]) @ [height, 1]
+    present = np.bincount(key, minlength=width * height) > 0
+    cells = np.column_stack(divmod(np.flatnonzero(present), height)) + [x0, y0]
+    return cells, (present.cumsum() - 1)[key]
+
+
 def split_scores(
     est: GmmEstimate, log: ObservationLog, resp: np.ndarray | None = None
 ) -> np.ndarray:
@@ -475,10 +490,8 @@ def split_scores(
     """
     points, weights = log.arrays()
     resp = responsibilities(est, points) if resp is None else resp
-    bins = np.floor(points).astype(int)
-    keys, inverse = np.unique(bins, axis=0, return_inverse=True)
-    centers = keys + 0.5
-    densities = np.exp(gaussian_log_density(centers, est.means, est.covs))
+    keys, inverse = _unit_cells(points)
+    densities = np.exp(log_density_rows(keys.T + 0.5, est.means, est.covs))
     scores = np.empty(est.n_components)
     for k in range(est.n_components):
         weighted = resp[:, k] * weights
@@ -486,8 +499,7 @@ def split_scores(
         if total <= 0:
             scores[k] = 0.0
             continue
-        binned = np.zeros(len(keys))
-        np.add.at(binned, inverse, weighted)
+        binned = np.bincount(inverse, weighted, len(keys))  # in input order, as `np.add.at`
         p = binned / total
         q = np.maximum(densities[k], 1e-300)
         mask = p > 0
@@ -508,7 +520,7 @@ def principal_split_scale(est: GmmEstimate, k: int) -> float:
     it can take arbitrarily many sweeps; seeding the children a half standard
     deviation apart keeps the re-estimation in its fast regime.
     """
-    vals = np.linalg.eigvalsh(est.covs[k])
+    vals = eigvalsh(est.covs[k])
     return 0.5 * math.sqrt(max(float(vals[-1]), 0.0))
 
 
@@ -538,8 +550,8 @@ def split_component(
 
     if eps_scale is None:
         eps_scale = principal_split_scale(est, k)
-    axis = np.linalg.eigh(est.covs[k])[1][:, -1]
-    iso = math.sqrt(max(float(np.linalg.det(est.covs[k])), COV_FLOOR**2))
+    axis = eigh(est.covs[k])[1][:, -1]
+    iso = math.sqrt(max(float(det(est.covs[k])), COV_FLOOR**2))
 
     keep = [j for j in range(est.n_components) if j != k]
     new_weights = np.concatenate([est.weights[keep], [est.weights[k] / 2] * 2])

@@ -638,7 +638,7 @@ def _own_values(game: GameDefinition, space: _Space) -> list[np.ndarray]:
 
 
 def _feasible_pairs(game: GameDefinition, constraints: ConstrainedActionMap, space: _Space):
-    """Chunks of (source, target) index arrays of every feasible transition.
+    """Chunks (source, target, *`_pair_resistances`) of every feasible transition.
 
     Self-transitions are included; pairs come in (source, target) state
     order, the targets of a source being the product of the players'
@@ -660,7 +660,8 @@ def _feasible_pairs(game: GameDefinition, constraints: ConstrainedActionMap, spa
             shift = shift + ((options[own] - own[:, None]) * space.strides[i]).reshape(shape)
             valid = valid & (np.arange(options.shape[1]) < counts[own][:, None]).reshape(shape)
         source = np.nonzero(valid)[0] + lo
-        yield source, source + shift[valid]
+        target = source + shift[valid]
+        yield source, target, *_pair_resistances(space, source, target)
 
 
 def _pair_resistances(space: _Space, source: np.ndarray, target: np.ndarray):
@@ -686,27 +687,23 @@ def _pair_resistances(space: _Space, source: np.ndarray, target: np.ndarray):
 
 
 def transition_resistances(
-    game: GameDefinition, constraints: ConstrainedActionMap, *, space: _Space | None = None
+    game: GameDefinition, constraints: ConstrainedActionMap, *, space: _Space | None = None,
+    walk: list | None = None,
 ) -> list[tuple[JointAction, JointAction, tuple[int, ...], float]]:
     """(source, target, deviators, resistance) of every feasible transition
     between distinct joint actions, in (source, target) state order.
-    `space`, when given, is `_space(game)` made once by the caller."""
-    if space is None:
-        space = _space(game)
-    deviator_sets = [
-        tuple(i for i in range(game.n_players) if bits >> i & 1)
-        for bits in range(1 << game.n_players)
-    ]
+    `space`, when given, is `_space(game)` made once by the caller, and `walk`
+    the list of `_feasible_pairs` chunks on it."""
+    space = _space(game) if space is None else space
+    walk = _feasible_pairs(game, constraints, space) if walk is None else walk
+    n = game.n_players
+    deviator_sets = [tuple(i for i in range(n) if bits >> i & 1) for bits in range(1 << n)]
     states = space.states
     out = []
-    for source, target in _feasible_pairs(game, constraints, space):
+    for source, target, bits, forward, _ in walk:
         moved = source != target
-        source, target = source[moved], target[moved]
-        bits, forward, _ = _pair_resistances(space, source, target)
-        out += [
-            (states[a], states[b], deviator_sets[d], r)
-            for a, b, d, r in zip(source.tolist(), target.tolist(), bits.tolist(), forward.tolist())
-        ]
+        rows = (x[moved].tolist() for x in (source, target, bits, forward))
+        out += [(states[a], states[b], deviator_sets[d], r) for a, b, d, r in zip(*rows)]
     return out
 
 
@@ -730,14 +727,14 @@ def verify_resistance_identity(
     tol: float = 1e-12,
     *,
     space: _Space | None = None,
+    walk: list | None = None,
 ) -> ResistanceIdentityReport:
     """Check R(a->b) - R(b->a) == potential(a) - potential(b) exhaustively.
 
     Requires a separable game (checked, with a witness on failure) and a
     symmetric constraint map; the potential is the sum of own-action values.
     Every feasible ordered pair, including multi-deviator and self
-    transitions, is checked.  `space`, when given, is `_space(game)` made
-    once by the caller.
+    transitions, is checked.  `space` and `walk` are as in `transition_resistances`.
     """
     report = validate_constraints(constraints)
     if not report.symmetric:
@@ -753,8 +750,8 @@ def verify_resistance_identity(
     violations: list[tuple[JointAction, JointAction, float]] = []
     worst = 0.0
     checked = 0
-    for source, target in _feasible_pairs(game, constraints, space):
-        _, forward, backward = _pair_resistances(space, source, target)
+    walk = _feasible_pairs(game, constraints, space) if walk is None else walk
+    for source, target, _, forward, backward in walk:
         residual = np.abs((forward - backward) - (potential[source] - potential[target]))
         checked += len(source)
         worst = max(worst, float(residual.max()))

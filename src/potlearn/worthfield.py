@@ -7,11 +7,13 @@ shared freely across concurrent runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg
 
 from .rng import make_rng
 
@@ -49,47 +51,65 @@ class GaussianComponent:
         return cls(weight=d["weight"], mean=d["mean"], cov=d["cov"])
 
 
-def _mahalanobis(
-    points: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> tuple[np.ndarray, list[float]]:
-    """Squared Mahalanobis distance of each row of `points` (n, 2) from each of
-    the stacked means (M, 2) under the stacked covariances (M, 2, 2), as (M, n)
-    rows, and the M determinants as floats.  A single mean (2,) and covariance
-    (2, 2) is a stack of one.
+def _lapack(gufunc, signature: str, raise_error):
+    """`np.linalg`'s float64 gufunc call on float64 stacks (..., n, n), without its
+    dispatch: bit for bit its result, error or warning (tests/test_worthfield.py)."""
+    state = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+    return np.errstate(call=raise_error, **state)(functools.partial(gufunc, signature=signature))
+
+
+det = functools.partial(_umath_linalg.det, signature="d->d")  # `np.linalg.det` sets no error state
+inv = _lapack(_umath_linalg.inv, "d->d", _linalg._raise_linalgerror_singular)
+_unconverged = _linalg._raise_linalgerror_eigenvalues_nonconvergence
+eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", _unconverged)
+eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", _unconverged)
+_quiet_det = np.errstate(invalid="ignore")(det)  # NaN entries warn; `_mahalanobis` raises
+
+
+def _mahalanobis(rows: np.ndarray, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, list]:
+    """Squared Mahalanobis distance of each column of the float64 coordinate rows
+    (2, n) from each of the stacked means (M, 2) under the stacked covariances
+    (M, 2, 2), as (M, n) rows, and the M determinants as floats.
 
     `det` and `inv` run once on the stack, which matches per-matrix calls bit for
     bit.  The quadratic form, one elementwise pass for all components, keeps the
     order of `np.einsum("ni,ij,nj->n")` from three points on.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    means = np.asarray(means, dtype=float).reshape(-1, 2)
-    covs = np.asarray(covs, dtype=float).reshape(-1, 2, 2)
-    # `det` warns on a NaN entry; the check below raises on its NaN determinant instead.
-    with np.errstate(invalid="ignore"):
-        dets = np.linalg.det(covs).tolist()
+    dets = _quiet_det(covs).tolist()
     # `not <` also rejects NaN; a NaN or infinite entry makes its determinant NaN or infinite
     if not all(0 < d < math.inf for d in dets):
         raise ValueError("singular or non-finite covariance")
-    diff = pts.T - means[:, :, None]  # (M, 2, n); contiguous when `points` is rows.T
+    diff = rows - means[:, :, None]  # (M, 2, n)
     # (((d0 a) d0 + (d0 b) d1) + (d1 c) d0) + (d1 e) d1 for inverse [[a, b], [c, e]]
-    terms = diff[:, :, None] * np.linalg.inv(covs)[..., None] * diff[:, None]
+    terms = diff[:, :, None] * inv(covs)[..., None] * diff[:, None]
     quad = ((terms[:, 0, 0] + terms[:, 0, 1]) + terms[:, 1, 0]) + terms[:, 1, 1]
     return quad, dets
 
 
+def log_density_rows(rows: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Log of each stacked component's bivariate normal density at each column of the
+    coordinate rows, (M, n): the E-step kernel, on float64 arrays as they are.  Each
+    constant is scalar `math` arithmetic (`np.log` may round differently)."""
+    quad, dets = _mahalanobis(rows, means, covs)
+    consts = np.array([[-math.log(2.0 * math.pi) - 0.5 * math.log(d)] for d in dets])
+    return consts - 0.5 * quad
+
+
+def _stack(points, means, covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 rows (2, n), means (M, 2) and covariances (M, 2, 2); one mean is a stack of one."""
+    points, means, covs = (np.asarray(x, dtype=float) for x in (points, means, covs))
+    return points.reshape(-1, 2).T, means.reshape(-1, 2), covs.reshape(-1, 2, 2)
+
+
 def gaussian_density(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Bivariate normal density of each stacked component at each row of `points`, (M, n)."""
-    quad, dets = _mahalanobis(points, means, covs)
+    quad, dets = _mahalanobis(*_stack(points, means, covs))
     return np.exp(-0.5 * quad) / np.array([[2.0 * math.pi * math.sqrt(d)] for d in dets])
 
 
 def gaussian_log_density(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Log of each stacked component's bivariate normal density at each row of
-    `points`, (M, n).  The constant of each component is scalar `math` arithmetic
-    (`np.log` may round differently)."""
-    quad, dets = _mahalanobis(points, means, covs)
-    consts = np.array([[-math.log(2.0 * math.pi) - 0.5 * math.log(d)] for d in dets])
-    return consts - 0.5 * quad
+    """`log_density_rows` at each row of `points` (n, 2)."""
+    return log_density_rows(*_stack(points, means, covs))
 
 
 class WorthField:

@@ -41,6 +41,7 @@ from potlearn.mixtures import (
     _logsumexp_rows,
     _percentile,
     _posteriors,
+    _unit_cells,
     _weighted_moments,
 )
 from potlearn.rng import make_rng
@@ -662,6 +663,58 @@ class TestMergeAgainstIteratedFit:
         merged = merge_components(est, (1, 2), log)
         assert merged.weights[-1] == 0.5
         assert np.array_equal(merged.means[-1], [0.0, 5000.0])
+
+
+class TestUnitCells:
+    """`_unit_cells` against `np.unique(axis=0)` of the floored points, compared
+    with `np.array_equal`, dtypes included, on both sides of its table-size limit."""
+
+    CASES = {
+        "single": [[3.5, 4.5]],
+        "one_cell_twice": [[3.2, 4.9], [3.7, 4.1]],
+        "negative": [[-0.5, -3.5], [-1.5, 2.5], [0.5, -0.5], [-0.2, -3.9]],
+        "repeated": [[1.5, 1.5], [0.5, 2.5], [1.9, 1.1], [0.5, 2.5 - 1e-9], [2.5, 0.5]],
+        "one_row": [[5.5, y + 0.5] for y in range(-4, 4)],
+        "one_column": [[x - 0.5, 7.5] for x in range(6, -6, -1)],
+        "wide_box": [[-2e9, 3.5], [2e9, -3.5], [0.5, 0.5]],
+        "huge_box": [[-3e18, 3e18], [3e18, -3e18], [0.5, 0.5]],
+        "sparse_box": [[0.5, 0.5], [300.5, 0.5], [0.5, 300.5], [300.5, 300.5]],
+    }
+
+    def check(self, points):
+        points = np.asarray(points, dtype=float)
+        keys, inverse = _unit_cells(points)
+        want_keys, want_inverse = np.unique(np.floor(points).astype(int), axis=0, return_inverse=True)
+        assert keys.dtype == want_keys.dtype and inverse.dtype == want_inverse.dtype
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(inverse, want_inverse)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_cases(self, name):
+        self.check(self.CASES[name])
+
+    def test_random_logs(self):
+        rng = make_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            self.check(rng.uniform(-8.0, 8.0, size=(n, 2)) * rng.choice([1.0, 0.3, 5.0]))
+
+    def test_split_scores_match_the_unique_rows_reference(self):
+        log = two_cluster_log(25)
+        est = em_iterate(log, initial_estimate(log, 2), iters=5)
+        points, weights = log.arrays()
+        resp = responsibilities(est, points)
+        keys, inverse = np.unique(np.floor(points).astype(int), axis=0, return_inverse=True)
+        densities = np.exp(gaussian_log_density(keys + 0.5, est.means, est.covs))
+        want = []
+        for k in range(est.n_components):
+            weighted = resp[:, k] * weights
+            binned = np.zeros(len(keys))
+            np.add.at(binned, inverse, weighted)
+            p = binned / weighted.sum()
+            q, mask = np.maximum(densities[k], 1e-300), p > 0
+            want.append(float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+        assert np.array_equal(split_scores(est, log), want)
 
 
 class TestSplit:

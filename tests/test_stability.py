@@ -1032,6 +1032,26 @@ class TestResistanceExactness:
         report = harness.oracle_report(game, cmap, noise_levels=(0.1,))
         assert report.resistances == reference_resistance_list(game, cmap)
 
+    def test_oracle_report_walks_the_pairs_once(self, resistance_game, monkeypatch):
+        game, cmap = resistance_game
+        resistances = stability.transition_resistances(game, cmap)
+        try:
+            identity = verify_resistance_identity(game, cmap)
+        except SeparabilityError:
+            identity = None
+        walks = []
+        pairs = stability._feasible_pairs
+
+        def counting(*args):
+            walks.append(args)
+            return pairs(*args)
+
+        monkeypatch.setattr(stability, "_feasible_pairs", counting)
+        report = harness.oracle_report(game, cmap, noise_levels=(0.1,))
+        assert len(walks) == 1
+        assert report.resistances == resistances
+        assert report.identity_report == identity
+
 
 def flagged_coverage_game(grid, robots):
     """Built-in coverage game with a flag under each robot, so foreign flags count."""

@@ -8,9 +8,13 @@ from potlearn.mixtures import MAX_COMPONENTS
 from potlearn.worthfield import (
     GaussianComponent,
     WorthField,
+    det,
+    eigh,
+    eigvalsh,
     gaussian_density,
     gaussian_log_density,
     generate_scenario,
+    inv,
 )
 
 
@@ -254,3 +258,113 @@ class TestGenerateScenario:
         field = generate_scenario(9, 16)
         clone = WorthField.from_dict(field.to_dict())
         assert np.allclose(clone.raster(), field.raster(), atol=0)
+
+
+# ---- the direct LAPACK helpers against `np.linalg` ---------------------------
+
+
+def spd_stack(seed: int, m: int, n: int = 2) -> np.ndarray:
+    a = np.random.default_rng(seed).normal(size=(m, n, n))
+    return a @ a.swapaxes(1, 2) + 0.25 * np.eye(n)
+
+
+BAD_MATRICES = {
+    "near_singular": [[1.0, 1.0], [1.0, 1.0 + 1e-15]],
+    "zero": [[0.0, 0.0], [0.0, 0.0]],
+    "rank_one": [[1.0, 2.0], [2.0, 4.0]],
+    "indefinite": [[1.0, 2.0], [2.0, 1.0]],
+    "negative": [[1.0, 0.0], [0.0, -1.0]],
+    "nan": [[math.nan, 0.0], [0.0, 1.0]],
+    "inf": [[math.inf, 0.0], [0.0, 1.0]],
+    "inf_off_diagonal": [[1.0, math.inf], [math.inf, 1.0]],
+    "overflowing_det": [[1e200, 0.0], [0.0, 1e200]],
+    "underflowing_det": [[1e-200, 0.0], [0.0, 1e-200]],
+    "subnormal_pivot": [[1e-310, 0.0], [0.0, 1e10]],
+}
+
+
+def bad_stacks():
+    """Each bad matrix alone, as a (2, 2) matrix, and inside a stack of good ones."""
+    for name, bad in BAD_MATRICES.items():
+        yield name, np.array(bad)
+        yield f"{name}_alone", np.array([bad])
+        stack = spd_stack(len(name), 5)
+        stack[2] = bad
+        yield f"{name}_in_stack", stack
+
+
+def outcome(call, a, errstate):
+    """Everything a call does: its result arrays or its exception's type and
+    message, and every warning it gives, by category and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(**errstate):
+            try:
+                result = call(a.copy())
+                done = ("returned", tuple(result) if isinstance(result, tuple) else (result,))
+            except Exception as exc:
+                done = ("raised", type(exc), str(exc))
+    return done, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_outcome(got, want):
+    (got_done, got_warnings), (want_done, want_warnings) = got, want
+    assert got_warnings == want_warnings
+    assert got_done[0] == want_done[0]
+    if got_done[0] == "raised":
+        assert got_done[1:] == want_done[1:]
+        return
+    assert len(got_done[1]) == len(want_done[1])
+    for x, y in zip(got_done[1], want_done[1]):
+        assert type(x) is type(y) and x.dtype == y.dtype and x.shape == y.shape
+        assert np.array_equal(x, y, equal_nan=True)
+
+
+HELPERS = {
+    "det": (det, np.linalg.det),
+    "inv": (inv, np.linalg.inv),
+    "eigh": (eigh, np.linalg.eigh),
+    "eigvalsh": (eigvalsh, np.linalg.eigvalsh),
+}
+ERRSTATES = {"default": {}, "raise": {"all": "raise"}, "ignore": {"all": "ignore"}}
+
+
+class TestLapackHelpers:
+    """`det`, `inv`, `eigh` and `eigvalsh` call the private gufuncs of
+    `numpy.linalg._umath_linalg`; these tests fail if a numpy release changes
+    what those gufuncs or the `np.linalg` wrappers do."""
+
+    @pytest.mark.parametrize("name", HELPERS)
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_spd_stacks_equal_np_linalg(self, name, m):
+        helper, reference = HELPERS[name]
+        for seed in range(5):
+            for n in (2, 3):
+                a = spd_stack(100 * m + seed, m, n)
+                assert_same_outcome(outcome(helper, a, {}), outcome(reference, a, {}))
+                assert_same_outcome(outcome(helper, a[0], {}), outcome(reference, a[0], {}))
+
+    @pytest.mark.parametrize("errstate", ERRSTATES)
+    @pytest.mark.parametrize("name", HELPERS)
+    def test_bad_stacks_raise_warn_or_pass_as_np_linalg(self, name, errstate):
+        helper, reference = HELPERS[name]
+        for _, a in bad_stacks():
+            state = ERRSTATES[errstate]
+            assert_same_outcome(outcome(helper, a, state), outcome(reference, a, state))
+
+    def test_the_bad_stacks_cover_every_outcome(self):
+        # singular inv raises, NaN det warns, and eigh passes a NaN silently
+        outcomes = {
+            (name, stack): outcome(HELPERS[name][1], a, {})
+            for name in HELPERS
+            for stack, a in bad_stacks()
+        }
+        assert outcomes[("inv", "zero_in_stack")][0][:2] == (
+            "raised",
+            np.linalg.LinAlgError,
+        )
+        assert outcomes[("det", "nan_in_stack")][1] == [
+            (RuntimeWarning, "invalid value encountered in det")
+        ]
+        assert outcomes[("eigh", "nan_in_stack")][0][0] == "returned"
+        assert not outcomes[("eigh", "nan_in_stack")][1]
