@@ -770,14 +770,7 @@ def oracle_report(
     stable = stability.stochastically_stable_states(
         game, wake, constraints, noise_levels, mass_threshold, space=space
     )
-    walk = list(stability._feasible_pairs(game, constraints, space))
-    resistances = stability.transition_resistances(game, constraints, space=space, walk=walk)
-    identity: stability.ResistanceIdentityReport | None = None
-    note: str | None = None
-    try:
-        identity = stability.verify_resistance_identity(game, constraints, space=space, walk=walk)
-    except stability.SeparabilityError as exc:
-        note = f"resistance identity skipped: {exc}"
+    resistances, identity, note = stability.resistances_and_identity(game, constraints, space=space)
     return OracleReport(
         **vars(stable), resistances=resistances, identity_report=identity, separability_note=note
     )

@@ -23,12 +23,12 @@ Every EM-family sweep (`responsibilities`, `em_iterate`, the partial
 re-estimation in `split_component`, `GmmEstimate.density`) evaluates the M
 components as (M, n) rows of one `worthfield.log_density_rows` call and floors
 all refitted covariances with one `eigh`, each LAPACK call made as `np.linalg`
-makes it.  It stays bit for bit equal to one call per component: only
-per-matrix LAPACK calls are batched; the
-quadratic form keeps `einsum`'s order (from three points on) and `_sum_rows`
-numpy's order for a contiguous run; each mean is its own `w @ points`;
-`em_iterate` reads a C-ordered (n, M) responsibility array, so its masses stay
-sequential sums along axis 0; a split child sums its own weight row.
+makes it.  It stays bit for bit equal to one call per component: only per-matrix
+LAPACK calls are batched; the quadratic form keeps `einsum`'s order (from three
+points on) and `_sum_rows` numpy's order for a contiguous run; each mean is its
+own `w @ points`; `em_iterate` reads a C-ordered (n, M) responsibility array, so
+its masses stay sequential sums along axis 0; a split child sums its own weight
+row.
 
 Fits pass the E-step contiguous (2, n) coordinate rows made once per fit.
 Two rows strictly ordered in every column (every split sweep) take
@@ -133,7 +133,8 @@ class GmmEstimate:
         )
 
     def density(self, points: np.ndarray) -> np.ndarray:
-        return np.exp(mixture_log_density(self, points))
+        """Mixture density at each row of `points` (n, 2), or at one point (2,)."""
+        return np.exp(mixture_log_density(self, np.asarray(points, dtype=float).reshape(-1, 2)))
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -172,12 +173,13 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 
 def component_log_densities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
-    """log(weight_j * g_j(point)) for every component and point, shape (M, n)."""
+    """log(weight_j * g_j(point)) at each row of the float64 array `points` (n, 2), (M, n)."""
     logw = np.array([[math.log(w) if w > 0 else -math.inf] for w in est.weights.tolist()])
     return logw + log_density_rows(points.T, est.means, est.covs)
 
 
 def mixture_log_density(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
+    """Log mixture density at each row of the float64 array `points` (n, 2)."""
     return _logsumexp_rows(component_log_densities(est, points))
 
 
@@ -192,7 +194,7 @@ def _posteriors(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
 
 
 def responsibilities(est: GmmEstimate, points: np.ndarray) -> np.ndarray:
-    """Posterior component memberships, C-ordered (n, M); each row sums to one."""
+    """Posterior memberships at float64 `points` (n, 2), C-ordered (n, M); rows sum to one."""
     return np.ascontiguousarray(_posteriors(est, points).T)
 
 

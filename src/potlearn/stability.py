@@ -687,20 +687,21 @@ def _pair_resistances(space: _Space, source: np.ndarray, target: np.ndarray):
 
 
 def transition_resistances(
-    game: GameDefinition, constraints: ConstrainedActionMap, *, space: _Space | None = None,
-    walk: list | None = None,
+    game: GameDefinition, constraints: ConstrainedActionMap, *, space: _Space | None = None
 ) -> list[tuple[JointAction, JointAction, tuple[int, ...], float]]:
     """(source, target, deviators, resistance) of every feasible transition
     between distinct joint actions, in (source, target) state order.
-    `space`, when given, is `_space(game)` made once by the caller, and `walk`
-    the list of `_feasible_pairs` chunks on it."""
+    `space`, when given, is `_space(game)` made once by the caller."""
     space = _space(game) if space is None else space
-    walk = _feasible_pairs(game, constraints, space) if walk is None else walk
-    n = game.n_players
+    return _transition_rows(space, _feasible_pairs(game, constraints, space))
+
+
+def _transition_rows(space: _Space, pairs):
+    """`transition_resistances` from the `_feasible_pairs` chunks `pairs`."""
+    n = space.actions.shape[1]
     deviator_sets = [tuple(i for i in range(n) if bits >> i & 1) for bits in range(1 << n)]
-    states = space.states
-    out = []
-    for source, target, bits, forward, _ in walk:
+    states, out = space.states, []
+    for source, target, bits, forward, _ in pairs:
         moved = source != target
         rows = (x[moved].tolist() for x in (source, target, bits, forward))
         out += [(states[a], states[b], deviator_sets[d], r) for a, b, d, r in zip(*rows)]
@@ -727,44 +728,57 @@ def verify_resistance_identity(
     tol: float = 1e-12,
     *,
     space: _Space | None = None,
-    walk: list | None = None,
 ) -> ResistanceIdentityReport:
     """Check R(a->b) - R(b->a) == potential(a) - potential(b) exhaustively.
 
     Requires a separable game (checked, with a witness on failure) and a
     symmetric constraint map; the potential is the sum of own-action values.
     Every feasible ordered pair, including multi-deviator and self
-    transitions, is checked.  `space` and `walk` are as in `transition_resistances`.
+    transitions, is checked.  `space`, when given, is `_space(game)` made
+    once by the caller.
     """
+    return _identity_report(game, constraints, space, tol=tol)
+
+
+def _identity_report(game, constraints, space, pairs=None, tol=1e-12) -> ResistanceIdentityReport:
+    """`verify_resistance_identity`, over the `_feasible_pairs` chunks `pairs` if given."""
     report = validate_constraints(constraints)
     if not report.symmetric:
         raise ValueError(
             f"constraint map must be symmetric; offending edges {report.asymmetric_pairs[:3]}"
         )
-    if space is None:
-        space = _space(game)
+    space = _space(game) if space is None else space
     values = _own_values(game, space)
     potential = np.zeros(len(space.states))
     for i in range(game.n_players):
         potential = potential + values[i][space.actions[:, i]]
     violations: list[tuple[JointAction, JointAction, float]] = []
-    worst = 0.0
-    checked = 0
-    walk = _feasible_pairs(game, constraints, space) if walk is None else walk
-    for source, target, _, forward, backward in walk:
+    worst, checked = 0.0, 0
+    pairs = _feasible_pairs(game, constraints, space) if pairs is None else pairs
+    for source, target, _, forward, backward in pairs:
         residual = np.abs((forward - backward) - (potential[source] - potential[target]))
         checked += len(source)
         worst = max(worst, float(residual.max()))
         for k in np.flatnonzero(residual > tol):
-            violations.append(
-                (space.states[source[k]], space.states[target[k]], float(residual[k]))
-            )
+            a, b = space.states[source[k]], space.states[target[k]]
+            violations.append((a, b, float(residual[k])))
     return ResistanceIdentityReport(
-        pairs_checked=checked,
-        max_residual=worst,
-        violations=tuple(violations),
-        tol=tol,
+        pairs_checked=checked, max_residual=worst, violations=tuple(violations), tol=tol
     )
+
+
+def resistances_and_identity(
+    game: GameDefinition, constraints: ConstrainedActionMap, *, space: _Space | None = None
+) -> tuple[list, ResistanceIdentityReport | None, str | None]:
+    """(`transition_resistances`, `verify_resistance_identity`, None) from one walk over the
+    pairs; a game that is not separable gives no report and a note of its `SeparabilityError`."""
+    space = _space(game) if space is None else space
+    pairs = list(_feasible_pairs(game, constraints, space))
+    try:
+        identity, note = _identity_report(game, constraints, space, pairs), None
+    except SeparabilityError as exc:
+        identity, note = None, f"resistance identity skipped: {exc}"
+    return _transition_rows(space, pairs), identity, note
 
 
 @dataclass

@@ -88,28 +88,19 @@ def _mahalanobis(rows: np.ndarray, means: np.ndarray, covs: np.ndarray) -> tuple
 
 def log_density_rows(rows: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Log of each stacked component's bivariate normal density at each column of the
-    coordinate rows, (M, n): the E-step kernel, on float64 arrays as they are.  Each
-    constant is scalar `math` arithmetic (`np.log` may round differently)."""
+    float64 rows (2, n), (M, n): the E-step kernel, on arrays as they are.  Each constant
+    is scalar `math` arithmetic (`np.log` may round differently)."""
     quad, dets = _mahalanobis(rows, means, covs)
     consts = np.array([[-math.log(2.0 * math.pi) - 0.5 * math.log(d)] for d in dets])
     return consts - 0.5 * quad
 
 
-def _stack(points, means, covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float64 rows (2, n), means (M, 2) and covariances (M, 2, 2); one mean is a stack of one."""
-    points, means, covs = (np.asarray(x, dtype=float) for x in (points, means, covs))
-    return points.reshape(-1, 2).T, means.reshape(-1, 2), covs.reshape(-1, 2, 2)
-
-
 def gaussian_density(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Bivariate normal density of each stacked component at each row of `points`, (M, n)."""
-    quad, dets = _mahalanobis(*_stack(points, means, covs))
+    """Bivariate normal density of each stacked component at each row of `points`, (M, n);
+    one point (2,), mean (2,) or covariance (2, 2) is a stack of one."""
+    pts, means, covs = (np.asarray(x, dtype=float) for x in (points, means, covs))
+    quad, dets = _mahalanobis(pts.reshape(-1, 2).T, means.reshape(-1, 2), covs.reshape(-1, 2, 2))
     return np.exp(-0.5 * quad) / np.array([[2.0 * math.pi * math.sqrt(d)] for d in dets])
-
-
-def gaussian_log_density(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """`log_density_rows` at each row of `points` (n, 2)."""
-    return log_density_rows(*_stack(points, means, covs))
 
 
 class WorthField:

@@ -45,7 +45,7 @@ from potlearn.mixtures import (
     _weighted_moments,
 )
 from potlearn.rng import make_rng
-from potlearn.worthfield import gaussian_log_density
+from potlearn.worthfield import log_density_rows
 
 
 def snapped(points, grid=40):
@@ -300,9 +300,19 @@ class TestBatchedKernel:
         got = component_log_densities(est, points)
         assert got.shape == (m, n)
         for j in range(m):
-            single = gaussian_log_density(points, est.means[j], est.covs[j])
+            single = log_density_rows(points.T, est.means[j : j + 1], est.covs[j : j + 1])
             assert single.shape == (1, n)
             assert np.array_equal(got[j], math.log(est.weights[j]) + single[0])
+
+    def test_density_takes_one_point_or_a_list(self):
+        est = GmmEstimate(
+            np.array([0.3, 0.7]), np.array([[1.0, 2.0], [4.0, 3.0]]), np.array([np.eye(2), 2 * np.eye(2)])
+        )
+        want = est.density(np.array([[1.5, 2.5]]))
+        assert want.shape == (1,)
+        assert np.array_equal(est.density([1.5, 2.5]), want)
+        assert np.array_equal(est.density(np.array([1.5, 2.5])), want)
+        assert np.array_equal(est.density([[1.5, 2.5], [1.5, 2.5]]), np.repeat(want, 2))
 
     def test_zero_weight_component_has_minus_infinity(self):
         est = GmmEstimate(np.array([1.0, 0.0]), np.zeros((2, 2)), np.array([np.eye(2)] * 2))
@@ -355,7 +365,7 @@ class TestBatchedKernel:
             with pytest.raises(ValueError, match="singular or non-finite covariance"):
                 responsibilities(est, np.array([[0.5, 0.5]]))
             with pytest.raises(ValueError, match="singular or non-finite covariance"):
-                gaussian_log_density(np.array([[0.5, 0.5]]), est.means, covs)
+                log_density_rows(np.array([[0.5], [0.5]]), est.means, covs)
 
 
 class TestWorthWeightedMultiplicity:
@@ -705,7 +715,7 @@ class TestUnitCells:
         points, weights = log.arrays()
         resp = responsibilities(est, points)
         keys, inverse = np.unique(np.floor(points).astype(int), axis=0, return_inverse=True)
-        densities = np.exp(gaussian_log_density(keys + 0.5, est.means, est.covs))
+        densities = np.exp(log_density_rows((keys + 0.5).T, est.means, est.covs))
         want = []
         for k in range(est.n_components):
             weighted = resp[:, k] * weights

@@ -1039,6 +1039,8 @@ class TestResistanceExactness:
             identity = verify_resistance_identity(game, cmap)
         except SeparabilityError:
             identity = None
+        both = stability.resistances_and_identity(game, cmap)
+        assert both[:2] == (resistances, identity) and (both[2] is None) == (identity is not None)
         walks = []
         pairs = stability._feasible_pairs
 

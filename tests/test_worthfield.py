@@ -12,9 +12,9 @@ from potlearn.worthfield import (
     eigh,
     eigvalsh,
     gaussian_density,
-    gaussian_log_density,
     generate_scenario,
     inv,
+    log_density_rows,
 )
 
 
@@ -149,14 +149,15 @@ class TestStackedKernel:
         a = rng.normal(size=(m, 2, 2))
         covs = a @ a.swapaxes(1, 2) + 0.25 * np.eye(2)
         points = rng.uniform(0.0, 40.0, size=(n, 2))
-        logs = gaussian_log_density(points, means, covs)
+        logs = log_density_rows(points.T, means, covs)
         dens = gaussian_density(points, means, covs)
         assert logs.shape == dens.shape == (m, n)
         for j in range(m):
             want_log, want_dens = one_component_kernel(points, means[j], covs[j])
             assert np.array_equal(logs[j], want_log)
             assert np.array_equal(dens[j], want_dens)
-            assert np.array_equal(gaussian_log_density(points, means[j], covs[j])[0], want_log)
+            single = log_density_rows(points.T, means[j : j + 1], covs[j : j + 1])
+            assert np.array_equal(single[0], want_log)
 
     @pytest.mark.parametrize("n", [3, 4, 8, 16, 17])
     def test_quadratic_form_equals_einsum_from_three_points(self, n):
@@ -186,7 +187,7 @@ class TestStackedKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the fault is the ValueError alone
             with pytest.raises(ValueError, match="singular or non-finite covariance"):
-                gaussian_log_density([[1.0, 1.0]], [0.0, 0.0], cov)
+                log_density_rows(np.ones((2, 1)), np.zeros((1, 2)), np.array([cov]))
 
 
 class TestComponentValidation:
